@@ -225,7 +225,7 @@ def cmd_train(args) -> int:
         result.params,
         result.optimizer,
         config,
-        vocab_hash=vocab_content_hash(vocab),
+        vocab_hash=vocab.content_hash(),
         epoch=config.epochs,
     )
     save_loss_curve(out / "loss.csv", result.epoch_losses)
@@ -235,14 +235,6 @@ def cmd_train(args) -> int:
     print(f"final epoch mean loss: {final}")
     print(f"wrote {out / 'embeddings.vec'}")
     return 0
-
-
-def vocab_content_hash(vocab) -> str:
-    import hashlib
-
-    lines = [f"{vocab.vocab_size} {vocab.num_buckets} {vocab.mode.value}"]
-    lines.extend(vocab.tokens)
-    return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
 
 
 def cmd_eval(args) -> int:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from imglex.errors import DataError
-from imglex.fileio import atomic_write_text
+from imglex.fileio import read_rows, write_lines
 from imglex.textproc import Vocabulary, tokenize
 from imglex.training import TrainExample
 
@@ -43,68 +43,48 @@ class TripleRecord:
 def load_triples(path: str | Path) -> list[TripleRecord]:
     """Parse a triples TSV; malformed lines raise DataError naming the line."""
     records: list[TripleRecord] = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read triples file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 tab-separated columns, got {len(parts)}")
-            raw_weight, lang, query, image_id = parts
-            try:
-                weight = float(raw_weight)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric weight {raw_weight!r}") from None
-            if not np.isfinite(weight):
-                raise DataError(f"{path}:{lineno}: non-finite weight {raw_weight!r}")
-            if weight < 0:
-                raise DataError(f"{path}:{lineno}: negative weight {raw_weight!r}")
-            if not image_id:
-                raise DataError(f"{path}:{lineno}: empty image id")
-            records.append(TripleRecord(weight=weight, lang=lang, query=query, image_id=image_id))
+    for lineno, (raw_weight, lang, query, image_id) in read_rows(path, "triples file", ncols=4):
+        try:
+            weight = float(raw_weight)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric weight {raw_weight!r}") from None
+        if not np.isfinite(weight):
+            raise DataError(f"{path}:{lineno}: non-finite weight {raw_weight!r}")
+        if weight < 0:
+            raise DataError(f"{path}:{lineno}: negative weight {raw_weight!r}")
+        if not image_id:
+            raise DataError(f"{path}:{lineno}: empty image id")
+        records.append(TripleRecord(weight=weight, lang=lang, query=query, image_id=image_id))
     return records
 
 
 def save_triples(path: str | Path, triples: Iterable[TripleRecord]) -> None:
-    lines = [f"{t.weight!r}\t{t.lang}\t{t.query}\t{t.image_id}" for t in triples]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, (f"{t.weight!r}\t{t.lang}\t{t.query}\t{t.image_id}" for t in triples))
 
 
 def load_features(path: str | Path) -> dict[str, np.ndarray]:
     """Parse a features TSV into image_id -> d-vector; d must be consistent."""
     features: dict[str, np.ndarray] = {}
     dim: int | None = None
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read features file {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 tab-separated columns, got {len(parts)}")
-            image_id, raw_values = parts
-            if image_id in features:
-                raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
-            try:
-                vec = np.array([float(x) for x in raw_values.split(",")], dtype=np.float64)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DataError(f"{path}:{lineno}: feature length {vec.size} != {dim} seen earlier")
-            features[image_id] = vec
+    for lineno, (image_id, raw_values) in read_rows(path, "features file", ncols=2):
+        if image_id in features:
+            raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
+        try:
+            vec = np.array([float(x) for x in raw_values.split(",")], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DataError(f"{path}:{lineno}: feature length {vec.size} != {dim} seen earlier")
+        features[image_id] = vec
     return features
 
 
 def save_features(path: str | Path, features: dict[str, np.ndarray]) -> None:
-    lines = [f"{image_id}\t{','.join(repr(float(x)) for x in vec)}" for image_id, vec in features.items()]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    write_lines(path, (f"{image_id}\t{','.join(repr(float(x)) for x in vec)}" for image_id, vec in features.items()))
 
 
 def filter_multilingual(triples: Sequence[TripleRecord]) -> list[TripleRecord]:
@@ -231,8 +211,7 @@ def gen_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> SyntheticPaths:
     )
     save_triples(paths.triples, corpus.triples)
     save_features(paths.features, corpus.features)
-    lexicon_lines = [f"{w1}\t{w2}\t{c}" for w1, w2, c in corpus.lexicon]
-    atomic_write_text(paths.lexicon, "\n".join(lexicon_lines) + ("\n" if lexicon_lines else ""))
+    write_lines(paths.lexicon, (f"{w1}\t{w2}\t{c}" for w1, w2, c in corpus.lexicon))
     return paths
 
 

@@ -5,8 +5,8 @@ class ImglexError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DataError(ImglexError):
-    """A corpus, feature, or task file is missing or malformed."""
+class DataError(ImglexError, ValueError):
+    """A corpus, feature, task, vocabulary or embedding file is missing or malformed."""
 
 
 class ConfigError(ImglexError):

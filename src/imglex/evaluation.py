@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from imglex.errors import DataError, EvalError
+from imglex.fileio import read_rows
 from imglex.model import cosine
 from imglex.textproc import LangMode, tokenize
 
@@ -286,20 +287,12 @@ def load_sim_task(path: str | Path) -> SimTask:
     """Load "word1<TAB>word2<TAB>score" rows; name is the file stem."""
     path = Path(path)
     pairs: list[tuple[str, str, float]] = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read similarity task {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
-            try:
-                score = float(parts[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric score {parts[2]!r}") from None
-            pairs.append((parts[0], parts[1], score))
+    for lineno, (word1, word2, raw_score) in read_rows(path, "similarity task", ncols=3):
+        try:
+            score = float(raw_score)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric score {raw_score!r}") from None
+        pairs.append((word1, word2, score))
     if not pairs:
         raise DataError(f"{path}: empty task file")
     return SimTask(name=path.stem, pairs=pairs)
@@ -309,17 +302,7 @@ def load_class_task(train_path: str | Path, test_path: str | Path, name: str = "
     """Load train/test "label<TAB>lang<TAB>text" document files."""
 
     def read_docs(path: str | Path) -> list[tuple[str, str, str]]:
-        docs: list[tuple[str, str, str]] = []
-        try:
-            fh = open(path, encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read classification file {path}: {exc}") from exc
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
-                docs.append((parts[0], parts[1], parts[2]))
+        docs = [(label, lang, text) for _, (label, lang, text) in read_rows(path, "classification file", ncols=3)]
         if not docs:
             raise DataError(f"{path}: empty document file")
         return docs
@@ -339,18 +322,7 @@ class LexiconPair:
 
 def load_lexicon(path: str | Path) -> list[LexiconPair]:
     """Load "lang1:word1<TAB>lang2:word2<TAB>concept" ground-truth rows."""
-    pairs: list[LexiconPair] = []
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read lexicon {path}: {exc}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns, got {len(parts)}")
-            pairs.append(LexiconPair(word1=parts[0], word2=parts[1], concept=parts[2]))
-    return pairs
+    return [LexiconPair(*fields) for _, fields in read_rows(path, "lexicon", ncols=3)]
 
 
 @dataclass

@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from imglex.fileio import atomic_write_text
+from imglex.errors import DataError
+from imglex.fileio import read_rows, write_lines
 from imglex.textproc import Vocabulary
 
 # Cosine of a vector with norm below this is defined as 0 and contributes
@@ -189,22 +190,25 @@ def save_word2vec(path: str | Path, vocab: Vocabulary, table: EmbeddingTable) ->
     for i, token in enumerate(vocab.tokens):
         values = " ".join(repr(float(x)) for x in table.rows[i])
         lines.append(f"{token} {values}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_word2vec(path: str | Path) -> dict[str, np.ndarray]:
     """Load a word2vec text export into a token -> vector map."""
+    rows = read_rows(path, "embeddings file", sep=" ")
+    header = " ".join(next(rows, (1, []))[1])
+    try:
+        count, dim = (int(x) for x in header.split())
+    except ValueError:
+        raise DataError(f"{path}:1: malformed word2vec header {header!r}, expected '<count> <dim>'") from None
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed word2vec header")
-        count, dim = int(header[0]), int(header[1])
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dim + 1:
-                raise ValueError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}")
-            vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+    for lineno, fields in rows:
+        if len(fields) != dim + 1:
+            raise DataError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}")
+        try:
+            vectors[fields[0]] = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric vector value") from None
     if len(vectors) != count:
-        raise ValueError(f"{path}: header claims {count} rows, found {len(vectors)}")
+        raise DataError(f"{path}:1: header claims {count} rows, found {len(vectors)}")
     return vectors

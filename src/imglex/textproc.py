@@ -11,13 +11,15 @@ stable across platforms.
 from __future__ import annotations
 
 import enum
+import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from imglex.fileio import atomic_write_text
+from imglex.errors import DataError
+from imglex.fileio import atomic_write, encode_lines, read_rows
 
 DEFAULT_MIN_COUNT = 6
 DEFAULT_NUM_BUCKETS = 1_000_000
@@ -113,11 +115,18 @@ class Vocabulary:
             return found
         return len(self.tokens) + fnv1a64(token.encode("utf-8")) % self.num_buckets
 
+    def serialize(self) -> bytes:
+        """The file :meth:`save` writes: "<vocab_size> <num_buckets> <mode>", then one token per line."""
+        return encode_lines([f"{self.vocab_size} {self.num_buckets} {self.mode.value}", *self.tokens])
+
+    def content_hash(self) -> str:
+        """Hex SHA-256 of :meth:`serialize`; checkpoints record it as ``vocab_hash``."""
+        return hashlib.sha256(self.serialize()).hexdigest()
+
     def save(self, path: str | Path) -> None:
-        """Serialize as text: "<vocab_size> <num_buckets> <mode>" then one token per line."""
-        lines = [f"{self.vocab_size} {self.num_buckets} {self.mode.value}"]
-        lines.extend(self.tokens)
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        """Write :meth:`serialize` to ``path`` atomically."""
+        with atomic_write(path) as fh:
+            fh.write(self.serialize())
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -126,19 +135,22 @@ class Vocabulary:
         min_count is not persisted in the file format; loaded vocabularies
         report min_count=1.
         """
-        text = Path(path).read_text(encoding="utf-8")
-        lines = text.splitlines()
-        if not lines:
-            raise ValueError(f"{path}: empty vocabulary file")
-        header = lines[0].split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed header {lines[0]!r}")
-        vocab_size, num_buckets = int(header[0]), int(header[1])
-        mode = LangMode.from_string(header[2])
-        tokens = tuple(lines[1 : 1 + vocab_size])
+        rows = read_rows(path, "vocabulary", ncols=1)
+        _, (header,) = next(rows, (1, [""]))
+        try:
+            size, buckets, mode_name = header.split()
+            vocab_size, num_buckets, mode = int(size), int(buckets), LangMode.from_string(mode_name)
+        except ValueError:
+            raise DataError(f"{path}:1: malformed header {header!r}, expected '<vocab_size> <num_buckets> <mode>'") from None
+        if vocab_size < 0 or num_buckets < 1:
+            raise DataError(f"{path}:1: header needs vocab_size >= 0 and num_buckets >= 1, got {header!r}")
+        tokens = tuple(token for _, (token,) in rows)
         if len(tokens) != vocab_size:
-            raise ValueError(f"{path}: expected {vocab_size} tokens, found {len(tokens)}")
-        return cls(tokens=tokens, num_buckets=num_buckets, min_count=1, mode=mode)
+            raise DataError(f"{path}:1: header claims {vocab_size} tokens, found {len(tokens)}")
+        try:
+            return cls(tokens=tokens, num_buckets=num_buckets, min_count=1, mode=mode)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def build_vocab(

@@ -14,7 +14,6 @@ gradients; a row absent from the batch is exactly untouched.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from imglex.errors import ConfigError
-from imglex.fileio import atomic_write_bytes, atomic_write_text
+from imglex.fileio import atomic_write, write_lines
 from imglex.model import (
     NORM_FLOOR,
     EmbeddingTable,
@@ -563,7 +562,7 @@ def save_loss_curve(path: str | Path, epoch_losses: Sequence[float]) -> None:
     """Write the per-epoch loss curve as CSV: "epoch,mean_loss"."""
     lines = ["epoch,mean_loss"]
     lines += [f"{epoch},{loss!r}" for epoch, loss in enumerate(epoch_losses)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def save_checkpoint(
@@ -595,9 +594,8 @@ def save_checkpoint(
         "learning_rate": opt.learning_rate,
         "epsilon": opt.epsilon,
     }
-    buffer = io.BytesIO()
-    np.savez(buffer, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
-    atomic_write_bytes(path, buffer.getvalue())
+    with atomic_write(path) as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
 
 @dataclass

@@ -382,9 +382,13 @@ def test_criterion_8_determinism(tmp_path):
     ]
     assert cli_main(argv + ["--out-dir", str(tmp_path / "run_a")]) == 0
     assert cli_main(argv + ["--out-dir", str(tmp_path / "run_b")]) == 0
-    bytes_a = (tmp_path / "run_a" / "embeddings.vec").read_bytes()
-    bytes_b = (tmp_path / "run_b" / "embeddings.vec").read_bytes()
-    report_line(8, "deterministic exports", bytes_a == bytes_b, f"{len(bytes_a)} bytes compared")
+    artifacts = ("vocab.txt", "embeddings.vec", "checkpoint.npz", "loss.csv")
+    differing = [
+        name for name in artifacts
+        if (tmp_path / "run_a" / name).read_bytes() != (tmp_path / "run_b" / name).read_bytes()
+    ]
+    compared = sum((tmp_path / "run_a" / name).stat().st_size for name in artifacts)
+    report_line(8, "deterministic exports", not differing, f"{compared} bytes compared, differing: {differing}")
 
 
 # --- Criterion 9: report fidelity --------------------------------------------

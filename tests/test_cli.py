@@ -300,6 +300,23 @@ def test_eval_missing_embeddings(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["", "in \n", "2 x\n", "2 3\nw1 0.5 0.25\n", "1 2\nw1 0.5 oops\n", "3 2\nw1 0.5 0.25\n"],
+    ids=["empty", "header-not-int", "dim-not-int", "short-row", "non-numeric", "row-count"],
+)
+def test_eval_malformed_embeddings_is_data_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.vec"
+    bad.write_text(content, encoding="utf-8")
+    task = tmp_path / "t.tsv"
+    task.write_text("en:a\ten:b\t1.0\n", encoding="utf-8")
+    code = run(["eval", "--embeddings", str(bad), "--similarity", str(task)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "bad.vec:" in err
+
+
 def test_eval_classification_cli(trained_embeddings, tmp_path):
     vectors = load_word2vec(trained_embeddings)
     tokens = sorted(vectors)

@@ -1,9 +1,11 @@
 """Tokenizer, vocabulary, and hashing tests."""
 
+import hashlib
 import random
 
 import pytest
 
+from imglex.errors import DataError
 from imglex.textproc import LangMode, Vocabulary, build_vocab, fnv1a64, tokenize
 
 # Published FNV-1a 64 reference vectors.
@@ -152,3 +154,42 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.lookup("never-seen") == vocab.lookup("never-seen")
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "3 77 aware"
+
+
+def test_content_hash_is_sha256_of_saved_file(tmp_path):
+    vocab = build_vocab(["en:b"] * 8 + ["de:a"] * 6, min_count=6, num_buckets=9, mode=LangMode.AWARE)
+    path = tmp_path / "vocab.txt"
+    vocab.save(path)
+    assert path.read_bytes() == b"2 9 aware\nen:b\nde:a\n"
+    assert vocab.content_hash() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"", 1),
+        (b"3 10\n", 1),
+        (b"x 10 aware\n", 1),
+        (b"1 10 klingon\nen:a\n", 1),
+        (b"1 0 aware\nen:a\n", 1),
+        (b"3 10 aware\nen:a\nen:b\n", 1),
+        (b"1 10 aware\nen:a\nen:b\n", 1),
+        (b"99999999999999999999 10 aware\nen:a\n", 1),
+        (b"2 10 aware\nen:a\nen:b\tx\n", 3),
+    ],
+    ids=["empty", "short-header", "size-not-int", "bad-mode", "zero-buckets", "short-file", "extra-line", "huge-size",
+         "tab-in-token"],
+)
+def test_load_rejects_malformed_file_naming_line(tmp_path, content, line):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=rf"vocab\.txt:{line}: "):
+        Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("content", [b"2 10 aware\nen:a\nen:a\n", b"1 10 aware\n\xff\xfe\n"], ids=["duplicate", "not-utf8"])
+def test_load_rejects_garbled_file(tmp_path, content):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=r"vocab\.txt"):
+        Vocabulary.load(path)
