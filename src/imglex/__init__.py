@@ -9,7 +9,7 @@ generator, and an evaluation harness (crosslingual/monolingual word
 similarity, document classification).
 """
 
-from imglex.errors import ConfigError, DataError, EvalError, ImglexError
+from imglex.errors import ConfigError, DataError, EvalError, ImglexError, TrainingDiverged
 
 __version__ = "0.1.0"
 
@@ -18,5 +18,6 @@ __all__ = [
     "DataError",
     "EvalError",
     "ImglexError",
+    "TrainingDiverged",
     "__version__",
 ]

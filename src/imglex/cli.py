@@ -7,9 +7,9 @@ Subcommands:
   eval       score an embedding export on similarity/classification tasks
   gradcheck  compare analytic gradients against finite differences
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 failed
-check or degenerate evaluation. All outputs are written atomically, so a
-failed run leaves no partial files.
+Exit codes: 0 success, 1 usage/config error or diverged training, 2 data
+error, 3 failed check or degenerate evaluation. All outputs are written
+atomically, so a failed run leaves no partial files.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from imglex.data import (
     prepare_examples,
     save_triples,
 )
-from imglex.errors import ConfigError, DataError, EvalError, ImglexError
+from imglex.errors import ConfigError, DataError, EvalError, ImglexError, TrainingDiverged
 from imglex.evaluation import (
     ReportRow,
     emit_report,
@@ -208,8 +208,11 @@ def cmd_train(args) -> int:
         mode=lang_mode,
     )
     prepared = prepare_examples(triples, vocab, tower=tower, features=features)
-    if not prepared.examples:
-        raise DataError("no usable training examples (every query tokenized to nothing?)")
+    if len(prepared.examples) < 2:
+        raise DataError(
+            f"{len(prepared.examples)} usable training examples, the in-batch softmax needs at least 2 "
+            "(every query tokenized to nothing?)"
+        )
     result = train(
         prepared.examples,
         config,
@@ -308,6 +311,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except TrainingDiverged as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)

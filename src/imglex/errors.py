@@ -15,3 +15,13 @@ class ConfigError(ImglexError):
 
 class EvalError(ImglexError):
     """An evaluation task is degenerate or cannot be scored."""
+
+
+class TrainingDiverged(ImglexError):
+    """Training produced a non-finite value; carries where and what."""
+
+    def __init__(self, epoch: int, batch: int, what: str):
+        super().__init__(f"epoch {epoch}, batch {batch}: non-finite {what}")
+        self.epoch = epoch
+        self.batch = batch
+        self.what = what

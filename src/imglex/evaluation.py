@@ -376,30 +376,18 @@ def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: Lang
         if i is not None and j is not None:
             same.append(float(sims[i, j]))
 
-    diff: list[float] = []
-    hits = 0
-    considered = 0
-    n = len(words)
-    for i in range(n):
-        _, lang_i, concept_i = words[i]
-        best_sim = -np.inf
-        best_j = -1
-        for j in range(n):
-            if i == j:
-                continue
-            _, lang_j, concept_j = words[j]
-            if lang_j == lang_i:
-                continue
-            if concept_j != concept_i:
-                diff.append(float(sims[i, j]))
-            if sims[i, j] > best_sim:
-                best_sim = float(sims[i, j])
-                best_j = j
-        if best_j >= 0:
-            considered += 1
-            if words[best_j][2] == concept_i:
-                hits += 1
-    if not same or not diff or considered == 0:
+    langs = np.unique([lang for _, lang, _ in words], return_inverse=True)[1]
+    concepts = np.unique([concept for _, _, concept in words], return_inverse=True)[1]
+    cross = langs[:, None] != langs[None, :]  # also excludes each word itself
+    same_concept = concepts[:, None] == concepts[None, :]
+    diff = sims[cross & ~same_concept]
+    # argmax takes the first maximum: the nearest crosslingual word, ties to
+    # the lowest index.
+    nearest = np.where(cross, sims, -np.inf).argmax(axis=1)
+    has_cross = cross.any(axis=1)
+    considered = int(np.count_nonzero(has_cross))
+    hits = int(np.count_nonzero(has_cross & same_concept[np.arange(len(words)), nearest]))
+    if not same or diff.size == 0 or considered == 0:
         raise EvalError("lexicon: not enough covered crosslingual pairs")
     return RetrievalResult(
         same_concept_mean=float(np.mean(same)),

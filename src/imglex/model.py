@@ -3,14 +3,14 @@
 The query side averages embedding rows. The image side is either a two-layer
 ReLU network over fixed image features or a trainable per-image vector table
 (co-occurrence-only variant). Both sides must produce vectors of the same
-dimensionality so cosine similarity is defined.
+dimensionality so cosine similarity is defined. Both towers run batched in
+``imglex.training``; single-example forms for tests live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -94,36 +94,6 @@ class ModelParams:
     @property
     def emb_dim(self) -> int:
         return self.embeddings.emb_dim
-
-
-def query_repr(table: EmbeddingTable, token_ids: Sequence[int]) -> np.ndarray:
-    """Arithmetic mean of the embedding rows for ``token_ids``.
-
-    Duplicate ids count with multiplicity. Raises on an empty id list;
-    callers must drop empty-query examples.
-    """
-    if len(token_ids) == 0:
-        raise ValueError("empty query")
-    ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.min() < 0 or ids.max() >= table.num_rows:
-        raise ValueError("token id out of range")
-    return table.rows[ids].mean(axis=0)
-
-
-def image_repr_mlp(tower: MlpImageTower, features: np.ndarray) -> np.ndarray:
-    """relu(U @ relu(V @ f + b1) + b2); elementwise relu(x) = max(0, x)."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.shape != (tower.feature_dim,):
-        raise ValueError(f"expected feature vector of length {tower.feature_dim}, got shape {f.shape}")
-    hidden = np.maximum(tower.V @ f + tower.b1, 0.0)
-    return np.maximum(tower.U @ hidden + tower.b2, 0.0)
-
-
-def image_repr_lookup(tower: LookupImageTower, image_id: int) -> np.ndarray:
-    """The stored trainable row for ``image_id``."""
-    if not 0 <= image_id < tower.num_images:
-        raise ValueError(f"image id {image_id} out of range [0, {tower.num_images})")
-    return tower.vectors[image_id]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

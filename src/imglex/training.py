@@ -10,6 +10,11 @@ The backward pass is derived by hand (no autograd): gradients flow through
 both the query and image side of every logit, including the off-diagonal
 (negative) pairs. Embedding rows and lookup-image rows receive row-sparse
 gradients; a row absent from the batch is exactly untouched.
+
+``train`` packs the corpus into one Batch (flat token ids with per-query
+counts and offsets) and gathers every mini-batch from it by index. A step's
+forward and backward share one B x B float64 buffer: it holds the cosines,
+then the logits, then their shifted exponentials, then the logit gradient.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from imglex.errors import ConfigError
+from imglex.errors import ConfigError, TrainingDiverged
 from imglex.fileio import atomic_write, write_lines
 from imglex.model import (
     NORM_FLOOR,
@@ -50,40 +55,63 @@ class TrainExample:
 
 @dataclass
 class Batch:
-    """Examples grouped for the in-batch loss, in array form."""
+    """Examples in array form: the queries' token ids concatenated, with
+    per-query counts and offsets, plus the images and the weights.
 
-    token_ids: list[np.ndarray]  # B arrays of int64, each non-empty
+    ``from_examples`` builds and validates a batch once; ``select`` gathers a
+    sub-batch by example index, so ``train`` packs the whole corpus once and
+    each step is an index gather.
+    """
+
+    token_ids: np.ndarray  # (T,) int64; query q is token_ids[offsets[q] : offsets[q] + counts[q]]
+    counts: np.ndarray  # (B,) int64, each >= 1
+    offsets: np.ndarray  # (B,) int64
     images: np.ndarray  # (B, d) features for "mlp", (B,) int ids for "lookup"
     weights: np.ndarray  # (B,) non-negative
-    tower_kind: str
 
     @property
     def size(self) -> int:
-        return len(self.token_ids)
+        return self.counts.size
+
+    @property
+    def tower_kind(self) -> str:
+        return "mlp" if self.images.ndim == 2 else "lookup"
 
     @classmethod
     def from_examples(cls, examples: Sequence[TrainExample]) -> "Batch":
         if len(examples) == 0:
             raise ValueError("empty batch")
-        first = examples[0].image
-        kind = "lookup" if np.isscalar(first) or np.ndim(first) == 0 else "mlp"
-        token_ids = []
-        for ex in examples:
-            ids = np.asarray(ex.token_ids, dtype=np.int64)
-            if ids.size == 0:
-                raise ValueError("empty query in batch")
-            token_ids.append(ids)
-            this_kind = "lookup" if np.isscalar(ex.image) or np.ndim(ex.image) == 0 else "mlp"
-            if this_kind != kind:
-                raise ValueError("mixed tower kinds in one batch")
-        if kind == "mlp":
-            images = np.stack([np.asarray(ex.image, dtype=np.float64) for ex in examples])
+        queries = [np.asarray(ex.token_ids, dtype=np.int64) for ex in examples]
+        counts = np.array([ids.size for ids in queries], dtype=np.int64)
+        if counts.min() == 0:
+            raise ValueError("empty query in batch")
+        kinds = {np.ndim(ex.image) for ex in examples}  # 0: image id, 1: feature vector
+        if len(kinds) != 1:
+            raise ValueError("mixed tower kinds in one batch")
+        if kinds == {0}:
+            images = np.array([int(ex.image) for ex in examples], dtype=np.int64)
         else:
-            images = np.asarray([int(ex.image) for ex in examples], dtype=np.int64)
-        weights = np.asarray([ex.weight for ex in examples], dtype=np.float64)
+            images = np.stack([np.asarray(ex.image, dtype=np.float64) for ex in examples])
+        weights = np.array([ex.weight for ex in examples], dtype=np.float64)
         if not np.all(np.isfinite(weights)) or np.any(weights < 0):
             raise ValueError("weights must be finite and non-negative")
-        return cls(token_ids=token_ids, images=images, weights=weights, tower_kind=kind)
+        return cls(np.concatenate(queries), counts, _starts(counts), images, weights)
+
+    def select(self, index: np.ndarray) -> "Batch":
+        """The examples at ``index``, in that order, as a new batch."""
+        counts = self.counts[index]
+        offsets = _starts(counts)
+        # Token t of gathered query q sits at t + (old start - new start of q).
+        positions = np.repeat(self.offsets[index] - offsets, counts)
+        positions += np.arange(positions.size)
+        return Batch(self.token_ids[positions], counts, offsets, self.images[index], self.weights[index])
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum: where each segment of a concatenation starts."""
+    offsets = np.zeros(counts.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return offsets
 
 
 @dataclass
@@ -121,6 +149,14 @@ class Gradients:
     images: RowGradient | None = None
 
 
+class NonFiniteError(ValueError):
+    """A touched parameter, the tower output or a gradient is NaN or infinite."""
+
+    def __init__(self, what: str):
+        super().__init__(f"non-finite {what}")
+        self.what = what
+
+
 def softmax_nll_row(logits_row: np.ndarray, true_index: int) -> float:
     """-log softmax(row)[true_index], computed with max-subtraction."""
     z = np.asarray(logits_row, dtype=np.float64)
@@ -128,16 +164,15 @@ def softmax_nll_row(logits_row: np.ndarray, true_index: int) -> float:
     return float(np.log(np.sum(np.exp(z - m))) - (z[true_index] - m))
 
 
-def _bow_forward(emb_rows: np.ndarray, token_ids: list[np.ndarray]):
-    """Per-example mean of embedding rows, plus the pieces backprop needs."""
-    counts = np.array([ids.size for ids in token_ids], dtype=np.int64)
-    concat = np.concatenate(token_ids)
-    if concat.min() < 0 or concat.max() >= emb_rows.shape[0]:
-        raise ValueError("token id out of range")
-    offsets = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    sums = np.add.reduceat(emb_rows[concat], offsets, axis=0)
-    return sums / counts[:, None], concat, counts
+def _bow_forward(emb_rows: np.ndarray, batch: Batch) -> np.ndarray:
+    """Per-query mean of embedding rows, summed one token position at a time:
+    position k adds the k-th token of every query that has one."""
+    ids, counts, offsets = batch.token_ids, batch.counts, batch.offsets
+    sums = emb_rows[ids[offsets]]
+    for k in range(1, int(counts.max())):
+        longer = np.flatnonzero(counts > k)
+        sums[longer] += emb_rows[ids[offsets[longer] + k]]
+    return sums / counts[:, None]
 
 
 def _tower_forward(params: ModelParams, batch: Batch):
@@ -168,43 +203,52 @@ def _safe_unit_rows(m: np.ndarray):
     return m * inv[:, None], inv
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
+def _check_finite(what: str, *arrays: np.ndarray) -> None:
     for a in arrays:
         if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite parameter")
+            raise NonFiniteError(what)
 
 
-def _forward(params: ModelParams, batch: Batch, logit_scale: float):
+def _forward(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndarray | None = None, keep_logits: bool = False):
+    """Weighted per-example losses, a copy of the logits if ``keep_logits``,
+    and the cache the backward pass reads.
+
+    ``buf`` is the step's one B x B array (allocated if None): it receives
+    the cosines, is scaled into the logits, shifted by the row max and
+    exponentiated in place, and is left holding exp(logits - row max).
+    """
     if batch.size == 0:
         raise ValueError("empty batch")
-    q_raw, concat, counts = _bow_forward(params.embeddings.rows, batch.token_ids)
-    i_raw, tower_cache = _tower_forward(params, batch)
-    _check_finite(params.embeddings.rows[np.unique(concat)], i_raw)
+    emb = params.embeddings.rows
+    touched, inverse = np.unique(batch.token_ids, return_inverse=True)
+    if touched[0] < 0 or touched[-1] >= emb.shape[0]:
+        raise ValueError("token id out of range")
+    _check_finite("embedding rows", emb[touched])
     if isinstance(params.tower, MlpImageTower):
-        _check_finite(params.tower.V, params.tower.b1, params.tower.U, params.tower.b2)
+        t = params.tower
+        _check_finite("image tower parameters", t.V, t.b1, t.U, t.b2)
+    q_raw = _bow_forward(emb, batch)
+    i_raw, tower_cache = _tower_forward(params, batch)
+    _check_finite("image tower output", i_raw)
     q_hat, q_inv = _safe_unit_rows(q_raw)
     i_hat, i_inv = _safe_unit_rows(i_raw)
-    cosines = q_hat @ i_hat.T
-    logits = logit_scale * cosines
+    z = np.matmul(q_hat, i_hat.T, out=buf)  # cosines
+    z *= logit_scale
+    logits = z.copy() if keep_logits else None
     # Stable per-row -log softmax at the diagonal.
-    m = logits.max(axis=1)
-    shifted = logits - m[:, None]
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    raw_losses = lse - np.diagonal(shifted)
-    weighted = batch.weights * raw_losses
-    report = LossReport(
-        mean_weighted_loss=float(weighted.mean()),
-        logits=logits,
-        example_losses=weighted,
-    )
-    cache = (q_raw, q_hat, q_inv, i_hat, i_inv, cosines, shifted, lse, concat, counts, tower_cache)
-    return report, cache
+    z -= z.max(axis=1, keepdims=True)
+    shifted_diag = np.diagonal(z).copy()
+    np.exp(z, out=z)
+    exp_sums = z.sum(axis=1)
+    weighted = batch.weights * (np.log(exp_sums) - shifted_diag)
+    cache = (z, exp_sums, q_hat, q_inv, i_hat, i_inv, touched, inverse, tower_cache)
+    return weighted, logits, cache
 
 
 def batch_loss(params: ModelParams, batch: Batch, logit_scale: float = 1.0) -> LossReport:
     """Mean weighted in-batch softmax cosine loss plus the full logit matrix."""
-    report, _ = _forward(params, batch, logit_scale)
-    return report
+    weighted, logits, _ = _forward(params, batch, logit_scale, keep_logits=True)
+    return LossReport(mean_weighted_loss=float(weighted.mean()), logits=logits, example_losses=weighted)
 
 
 def batch_loss_bruteforce(params: ModelParams, batch: Batch, logit_scale: float = 1.0) -> float:
@@ -219,7 +263,7 @@ def batch_loss_bruteforce(params: ModelParams, batch: Batch, logit_scale: float 
     ld = np.longdouble
     emb = params.embeddings.rows
     queries = []
-    for ids in batch.token_ids:
+    for ids in np.split(batch.token_ids, batch.offsets[1:]):
         total = np.zeros(emb.shape[1], dtype=ld)
         for i in ids:
             total = total + emb[int(i)].astype(ld)
@@ -257,28 +301,40 @@ def batch_loss_bruteforce(params: ModelParams, batch: Batch, logit_scale: float 
     return float(total / ld(batch.size))
 
 
-def _loss_and_gradients(params: ModelParams, batch: Batch, logit_scale: float):
-    report, cache = _forward(params, batch, logit_scale)
-    (q_raw, q_hat, q_inv, i_hat, i_inv, cosines, shifted, lse, concat, counts, tower_cache) = cache
+def _scatter_rows(inverse: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Row sums of ``values`` grouped by ``inverse``: one bincount per column,
+    each adding the rows in order."""
+    out = np.empty((num_rows, values.shape[1]))
+    for k, column in enumerate(np.ascontiguousarray(values.T)):
+        out[:, k] = np.bincount(inverse, weights=column, minlength=num_rows)
+    return out
+
+
+def _loss_and_gradients(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndarray | None = None):
+    """Gradients and the mean weighted loss; ``buf`` as in ``_forward``."""
+    weighted, _, cache = _forward(params, batch, logit_scale, buf)
+    (g, exp_sums, q_hat, q_inv, i_hat, i_inv, touched, inverse, tower_cache) = cache
     b = batch.size
-    probs = np.exp(shifted - lse[:, None])
-    # d(mean weighted loss)/d logits, then through logits = scale * cosines.
-    g = probs * (batch.weights / b)[:, None]
-    g[np.arange(b), np.arange(b)] -= batch.weights / b
-    g *= logit_scale
-    # Cosine backward: d cos(a,b)/da = (b_hat - cos * a_hat) / |a|.
-    row_dot = (g * cosines).sum(axis=1)
-    col_dot = (g * cosines).sum(axis=0)
-    d_q = q_inv[:, None] * (g @ i_hat - row_dot[:, None] * q_hat)
-    d_i = i_inv[:, None] * (g.T @ q_hat - col_dot[:, None] * i_hat)
+    # d(mean weighted loss)/d logits, then through logits = scale * cosines:
+    # g = scale * w_q / B * (softmax row q - one-hot q), built in place.
+    step = logit_scale * batch.weights / b
+    g *= (step / exp_sums)[:, None]
+    diag = np.arange(b)
+    g[diag, diag] -= step
+    # Cosine backward: d cos(a,b)/da = (b_hat - cos * a_hat) / |a|. The
+    # cos-weighted row and column sums come from the matmul outputs:
+    # sum_j g_qj cos_qj = q_hat_q . (g @ i_hat)_q, and likewise per column.
+    g_i = g @ i_hat
+    g_q = g.T @ q_hat
+    row_dot = np.einsum("ij,ij->i", q_hat, g_i)
+    col_dot = np.einsum("ij,ij->i", i_hat, g_q)
+    d_q = q_inv[:, None] * (g_i - row_dot[:, None] * q_hat)
+    d_i = i_inv[:, None] * (g_q - col_dot[:, None] * i_hat)
     # Scatter query gradients onto the touched embedding rows (mean backward:
     # each token occurrence receives dQ_q / token_count).
-    seg = np.repeat(np.arange(b), counts)
-    per_token = d_q[seg] / counts[seg][:, None]
-    emb_rows, inverse = np.unique(concat, return_inverse=True)
-    emb_values = np.zeros((emb_rows.size, d_q.shape[1]))
-    np.add.at(emb_values, inverse, per_token)
-    grads = Gradients(embeddings=RowGradient(rows=emb_rows, values=emb_values))
+    per_query = d_q / batch.counts[:, None]
+    per_token = per_query[np.repeat(np.arange(b), batch.counts)]
+    grads = Gradients(embeddings=RowGradient(rows=touched, values=_scatter_rows(inverse, per_token, touched.size)))
 
     if batch.tower_kind == "mlp":
         feats, pre_hidden, hidden, pre_out = tower_cache
@@ -296,10 +352,8 @@ def _loss_and_gradients(params: ModelParams, batch: Batch, logit_scale: float):
     else:
         (ids,) = tower_cache
         img_rows, img_inverse = np.unique(ids, return_inverse=True)
-        img_values = np.zeros((img_rows.size, d_i.shape[1]))
-        np.add.at(img_values, img_inverse, d_i)
-        grads.images = RowGradient(rows=img_rows, values=img_values)
-    return grads, report
+        grads.images = RowGradient(rows=img_rows, values=_scatter_rows(img_inverse, d_i, img_rows.size))
+    return grads, float(weighted.mean())
 
 
 def batch_gradients(params: ModelParams, batch: Batch, logit_scale: float = 1.0) -> Gradients:
@@ -337,16 +391,14 @@ def _adagrad_rows(theta: np.ndarray, accum: np.ndarray, grad: RowGradient, lr: f
     if grad.rows.size == 0:
         return
     g = grad.values
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite gradient")
+    _check_finite("gradient", g)
     new_accum = accum[grad.rows] + g * g
     accum[grad.rows] = new_accum
     theta[grad.rows] -= lr * g / (np.sqrt(new_accum) + eps)
 
 
 def _adagrad_dense(theta: np.ndarray, accum: np.ndarray, g: np.ndarray, lr: float, eps: float) -> None:
-    if not np.all(np.isfinite(g)):
-        raise ValueError("non-finite gradient")
+    _check_finite("gradient", g)
     accum += g * g
     theta -= lr * g / (np.sqrt(accum) + eps)
 
@@ -386,9 +438,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.tower not in ("mlp", "lookup"):
             raise ConfigError(f"tower must be 'mlp' or 'lookup', got {self.tower!r}")
-        for name in ("emb_dim", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        if self.emb_dim < 1:
+            raise ConfigError("emb_dim must be >= 1")
+        if self.batch_size < 2:
+            raise ConfigError("batch_size must be >= 2: a batch of one has a constant in-batch softmax")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.logit_scale <= 0:
@@ -424,18 +477,28 @@ def train(
 ) -> TrainResult:
     """Shuffled mini-batch training, deterministic given config.seed.
 
-    Each epoch reshuffles with a seeded RNG and partitions into batches of
-    config.batch_size (final partial batch kept). Returns the trained
-    parameters and the per-epoch mean weighted loss.
+    The examples are packed into one Batch up front. Each epoch reshuffles
+    with a seeded RNG and gathers batches of config.batch_size from it; the
+    final partial batch is kept, but a single leftover example joins the
+    batch before it (alone, its in-batch softmax is constant: zero loss and
+    zero gradient). Returns the trained parameters and the per-epoch mean
+    weighted loss. Raises TrainingDiverged, naming the epoch and batch
+    (both from 0), when a touched parameter, the tower output or a gradient
+    goes non-finite.
     """
     config.validate()
     examples = list(examples)
     if not examples:
         raise ValueError("no training examples (all queries empty?)")
+    if len(examples) == 1:
+        raise ValueError("a single training example has a constant in-batch softmax; need at least 2")
+    corpus = Batch.from_examples(examples)
+    if corpus.tower_kind != config.tower:
+        raise ValueError(f"examples are for the {corpus.tower_kind} tower, config asks for {config.tower!r}")
     if config.tower == "mlp":
         feature_dim = config.feature_dim
         if feature_dim is None:
-            feature_dim = int(np.asarray(examples[0].image).shape[0])
+            feature_dim = corpus.images.shape[1]
         params = init_params(
             config.seed,
             num_rows=num_embedding_rows,
@@ -446,7 +509,7 @@ def train(
         )
     else:
         if num_images is None:
-            num_images = max(int(ex.image) for ex in examples) + 1
+            num_images = int(corpus.images.max()) + 1
         params = init_params(
             config.seed,
             num_rows=num_embedding_rows,
@@ -455,18 +518,30 @@ def train(
             num_images=num_images,
         )
     opt = OptimizerState.for_params(params, config.learning_rate)
+    n = corpus.size
+    starts = list(range(0, n, config.batch_size))
+    if n % config.batch_size == 1:
+        starts.pop()
+    bounds = list(zip(starts, starts[1:] + [n]))
+    largest = max(end - start for start, end in bounds)
+    workspace = np.empty(largest * largest)  # the B x B buffer, reused by every step
     shuffle_rng = np.random.default_rng([config.seed, 1])
     epoch_losses: list[float] = []
-    n = len(examples)
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            chosen = [examples[i] for i in order[start : start + config.batch_size]]
-            batch = Batch.from_examples(chosen)
-            grads, report = _loss_and_gradients(params, batch, config.logit_scale)
-            sgd_step(params, grads, opt)
-            loss_sum += report.mean_weighted_loss * batch.size
+        for index, (start, end) in enumerate(bounds):
+            batch = corpus.select(order[start:end])
+            b = batch.size
+            try:
+                # Overflow is not warned about: the finiteness checks turn it
+                # into TrainingDiverged.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    grads, loss = _loss_and_gradients(params, batch, config.logit_scale, workspace[: b * b].reshape(b, b))
+                    sgd_step(params, grads, opt)
+            except NonFiniteError as exc:
+                raise TrainingDiverged(epoch, index, exc.what) from exc
+            loss_sum += loss * b
         epoch_losses.append(loss_sum / n)
     return TrainResult(params=params, optimizer=opt, epoch_losses=epoch_losses)
 

@@ -32,8 +32,8 @@ def naive_spearman(x, y):
 
 
 @pytest.fixture(scope="session")
-def small_synth_training_run():
-    """A small but non-trivial MLP training run shared by a few tests."""
+def small_synth_corpus():
+    """A small synthetic corpus and its vocabulary, shared by a few tests."""
     spec = SyntheticSpec(
         num_concepts=5,
         num_languages=2,
@@ -52,6 +52,13 @@ def small_synth_training_run():
         num_buckets=50,
         mode=LangMode.AWARE,
     )
+    return corpus, vocab
+
+
+@pytest.fixture(scope="session")
+def small_synth_training_run(small_synth_corpus):
+    """A small but non-trivial MLP training run shared by a few tests."""
+    corpus, vocab = small_synth_corpus
     prep = prepare_examples(corpus.triples, vocab, tower="mlp", features=corpus.features)
     config = TrainConfig(
         tower="mlp", emb_dim=8, hidden_dim=16, batch_size=128, epochs=5, learning_rate=0.5, logit_scale=10.0, seed=3

@@ -160,6 +160,59 @@ def test_train_config_rejected_before_any_output(synth_dir, tmp_path):
     assert not out.exists()
 
 
+
+def test_train_divergence_is_one_line_exit_1(synth_dir, tmp_path, capsys):
+    out = tmp_path / "diverged"
+    code = run(
+        [
+            "train",
+            "--triples", str(synth_dir / "triples.tsv"),
+            "--features", str(synth_dir / "features.tsv"),
+            "--emb-dim", "8",
+            "--m", "8",
+            "--batch-size", "64",
+            "--epochs", "2",
+            "--buckets", "50",
+            "--lr", "1e200",
+            "--logit-scale", "1e6",
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("training diverged: epoch 0, batch ")
+    assert err[0].endswith("non-finite image tower output")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", ["1", "0"])
+def test_train_rejects_batch_size_below_two(synth_dir, tmp_path, capsys, size):
+    out = tmp_path / "tiny_batch"
+    code = run(
+        [
+            "train",
+            "--triples", str(synth_dir / "triples.tsv"),
+            "--tower", "lookup",
+            "--batch-size", size,
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "config error: batch_size must be >= 2: a batch of one has a constant in-batch softmax\n"
+    assert not out.exists()
+
+
+def test_train_single_example_is_data_error(tmp_path, capsys):
+    triples = tmp_path / "one.tsv"
+    triples.write_text("1.0\ten\tred car\timg1\n", encoding="utf-8")
+    out = tmp_path / "one_run"
+    code = run(["train", "--triples", str(triples), "--tower", "lookup", "--buckets", "10", "--out-dir", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("data error: 1 usable training examples")
+    assert not out.exists()
+
+
 def test_train_lookup_needs_no_features(synth_dir, tmp_path):
     out = tmp_path / "lookup_run"
     code = run(

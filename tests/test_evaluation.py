@@ -30,6 +30,7 @@ from imglex.evaluation import (
 from imglex.textproc import LangMode
 
 from conftest import naive_spearman
+from oracles import lexicon_retrieval_loop
 
 
 def test_spearman_identical_order():
@@ -370,6 +371,42 @@ def test_lexicon_retrieval_hand_built():
     vectors["en:hot"] = unit(0, 0.9, 0.1)
     flipped = lexicon_retrieval(vectors, pairs, LangMode.AWARE)
     assert flipped.precision_at_1 < 1.0
+
+
+
+def test_lexicon_retrieval_ties_go_to_the_first_word():
+    # en:hot is equally close to de:warm (listed first, concept 1) and to
+    # de:heiss (its own concept): the first listed word wins, a miss.
+    vectors = {"en:hot": unit(1, 0), "de:warm": unit(1, 0), "de:heiss": unit(1, 0), "en:mild": unit(0.9, 0.1)}
+    pairs = [LexiconPair("en:mild", "de:warm", "1"), LexiconPair("en:hot", "de:heiss", "0")]
+    result = lexicon_retrieval(vectors, pairs, LangMode.AWARE)
+    assert result == lexicon_retrieval_loop(vectors, pairs, LangMode.AWARE)
+    # en:mild: tie, de:warm first, hit. de:warm: en:hot is closer, miss.
+    # en:hot: tie, de:warm first, miss. de:heiss: en:hot is closer, hit.
+    assert result.precision_at_1 == 0.5
+
+
+def test_lexicon_retrieval_matches_loop_oracle():
+    rng = np.random.default_rng(31)
+    for trial in range(30):
+        langs = ["en", "de", "fr"][: int(rng.integers(2, 4))]
+        concepts = int(rng.integers(2, 7))
+        # Few distinct directions, so many similarities tie exactly.
+        directions = rng.integers(-1, 2, size=(int(rng.integers(2, 6)), 3)).astype(np.float64)
+        directions[np.all(directions == 0, axis=1)] = 1.0
+        vectors = {}
+        pairs = []
+        for c in range(concepts):
+            words = [f"{lang}:w{c}k{k}" for lang in langs for k in range(2)]
+            for word in words:
+                if rng.uniform() < 0.9:  # some words stay uncovered
+                    vectors[word] = directions[rng.integers(len(directions))]
+            for _ in range(3):
+                w1, w2 = rng.choice(words, size=2, replace=False)
+                if w1.split(":")[0] != w2.split(":")[0]:
+                    pairs.append(LexiconPair(str(w1), str(w2), str(c)))
+        want = lexicon_retrieval_loop(vectors, pairs, LangMode.AWARE)
+        assert lexicon_retrieval(vectors, pairs, LangMode.AWARE) == want, trial
 
 
 def test_load_lexicon(tmp_path):

@@ -10,14 +10,12 @@ from imglex.model import (
     LookupImageTower,
     MlpImageTower,
     cosine,
-    image_repr_lookup,
-    image_repr_mlp,
     init_params,
     load_word2vec,
-    query_repr,
     save_word2vec,
 )
 from imglex.textproc import LangMode, build_vocab
+from oracles import image_repr_lookup, image_repr_mlp, query_repr
 
 
 def table(rows):

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from imglex.errors import ConfigError
-from imglex.model import EmbeddingTable, LookupImageTower, ModelParams, init_params
+from imglex.data import prepare_examples
+from imglex.errors import ConfigError, TrainingDiverged
+from imglex.model import EmbeddingTable, LookupImageTower, ModelParams, cosine, init_params
 from imglex.training import (
     Batch,
     OptimizerState,
@@ -23,6 +24,7 @@ from imglex.training import (
     softmax_nll_row,
     train,
 )
+from oracles import image_repr_mlp, numeric_gradients, query_repr
 
 LOG4 = 1.3862943611198906
 LOG_1P_EXP_M1 = 0.31326168751822286  # log(1 + e^-1)
@@ -333,3 +335,162 @@ def test_checkpoint_round_trip_mlp(tmp_path):
     loaded = load_checkpoint(path)
     assert np.array_equal(loaded.params.tower.V, params.tower.V)
     assert np.array_equal(loaded.optimizer.mlp_accum.U, opt.mlp_accum.U)
+
+
+# Epoch losses of the conftest corpus as the unpacked per-batch step computed
+# them (np.add.reduceat forward, np.add.at scatter, B x B cosine products);
+# the packed, fused step must reproduce them to rel 1e-9.
+PINNED_MLP_LOSSES = [3.6880605357185674, 3.2781013046625085, 3.2623990129619513, 3.2605845429661864, 3.25566272996908]
+PINNED_LOOKUP_LOSSES = [5.869362419337293, 3.572898210119778, 3.3741842761207943, 3.3059701254888627, 3.2617221446481435]
+
+
+def test_train_epoch_losses_pinned(small_synth_corpus, small_synth_training_run):
+    assert small_synth_training_run.epoch_losses == pytest.approx(PINNED_MLP_LOSSES, rel=1e-9, abs=0)
+    corpus, vocab = small_synth_corpus
+    prep = prepare_examples(corpus.triples, vocab, tower="lookup")
+    config = TrainConfig(tower="lookup", emb_dim=8, batch_size=128, epochs=5, learning_rate=0.5, logit_scale=10.0, seed=3)
+    result = train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    assert result.epoch_losses == pytest.approx(PINNED_LOOKUP_LOSSES, rel=1e-9, abs=0)
+
+
+def ragged_mlp_batch(rng):
+    """Ragged queries with a token repeated inside one query and shared
+    across queries, and one image whose ReLU output is all zero."""
+    params = init_params(0, num_rows=12, emb_dim=5, tower="mlp", feature_dim=4, hidden_dim=6)
+    params.embeddings.rows[:] = rng.normal(0, 0.6, size=(12, 5))
+    tower = params.tower
+    tower.V[:] = rng.normal(0, 1.0, size=tower.V.shape)
+    tower.U[:] = rng.normal(0, 1.0, size=tower.U.shape)
+    tower.b1[:] = -np.abs(rng.normal(0, 0.3, size=6))
+    tower.b2[:] = -np.abs(rng.normal(0, 0.3, size=5))
+    queries = [[3, 3, 7], [7], [1, 3, 9, 9, 9], [0, 11], [5], [3, 5, 7, 1]]
+    images = [rng.normal(0, 3.0, size=4) for _ in queries]
+    images[2] = np.zeros(4)  # negative biases: relu(U relu(b1) + b2) = 0
+    examples = [
+        TrainExample(token_ids=np.array(q), image=images[i], weight=float(rng.uniform(0.2, 2.0)))
+        for i, q in enumerate(queries)
+    ]
+    return params, Batch.from_examples(examples)
+
+
+def test_ragged_batch_matches_oracles():
+    rng = np.random.default_rng(20)
+    params, batch = ragged_mlp_batch(rng)
+    assert np.array_equal(batch.counts, [3, 1, 5, 2, 1, 4])
+    assert np.array_equal(batch.offsets, [0, 3, 4, 9, 11, 12])
+    assert np.all(image_repr_mlp(params.tower, batch.images[2]) == 0.0)
+    assert np.count_nonzero(image_repr_mlp(params.tower, batch.images[0])) > 0
+    for scale in (1.0, 4.0):
+        fast = batch_loss(params, batch, scale).mean_weighted_loss
+        assert abs(fast - batch_loss_bruteforce(params, batch, scale)) <= 1e-9
+
+    grads = batch_gradients(params, batch, 2.5)
+    assert list(grads.embeddings.rows) == [0, 1, 3, 5, 7, 9, 11]
+    analytic = {
+        "embeddings": grads.embeddings.to_dense(12),
+        "V": grads.mlp.V,
+        "b1": grads.mlp.b1,
+        "U": grads.mlp.U,
+        "b2": grads.mlp.b2,
+    }
+    numeric = numeric_gradients(params, batch, 2.5)
+    for name, ga in analytic.items():
+        gn = numeric[name]
+        rel = np.abs(ga - gn) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
+        assert rel.max() < 1e-4, name
+
+
+def test_grad_check_ragged_batches():
+    for tower in ("mlp", "lookup"):
+        for seed in (21, 22):
+            report = grad_check(tower=tower, seed=seed, batch_size=9, num_rows=6)
+            assert report.max_rel_err < 1e-4, (tower, seed, report)
+
+
+def test_logits_are_scaled_cosines_and_owned():
+    rng = np.random.default_rng(23)
+    params, batch = ragged_mlp_batch(rng)
+    report = batch_loss(params, batch, 3.0)
+    assert report.logits.shape == (6, 6) and report.logits.dtype == np.float64
+    queries = [query_repr(params.embeddings, ids) for ids in np.split(batch.token_ids, batch.offsets[1:])]
+    images = [image_repr_mlp(params.tower, f) for f in batch.images]
+    expected = [[3.0 * cosine(q, i) for i in images] for q in queries]
+    assert np.allclose(report.logits, expected, rtol=0, atol=1e-12)
+
+    kept = report.logits.copy()
+    opt = OptimizerState.for_params(params, learning_rate=0.5)
+    for _ in range(3):
+        sgd_step(params, batch_gradients(params, batch, 3.0), opt)
+        batch_loss(params, batch, 3.0)
+    assert np.array_equal(report.logits, kept)
+    assert batch_loss(params, batch, 3.0).mean_weighted_loss != report.mean_weighted_loss
+
+
+def test_select_equals_packing_the_subset():
+    rng = np.random.default_rng(25)
+    examples = make_toy_examples(rng, 30, 9, 4)
+    packed = Batch.from_examples(examples)
+    index = rng.permutation(30)[:11]
+    got = packed.select(index)
+    want = Batch.from_examples([examples[i] for i in index])
+    for name in ("token_ids", "counts", "offsets", "images", "weights"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_train_config_rejects_batch_of_one():
+    with pytest.raises(ConfigError, match="batch_size"):
+        TrainConfig(tower="lookup", emb_dim=4, batch_size=1).validate()
+    TrainConfig(tower="lookup", emb_dim=4, batch_size=2).validate()
+
+
+def test_train_rejects_single_example():
+    config = TrainConfig(tower="lookup", emb_dim=4, batch_size=4)
+    with pytest.raises(ValueError, match="at least 2"):
+        train(make_toy_examples(np.random.default_rng(26), 1, 4, 2), config, num_embedding_rows=4)
+
+
+def test_train_merges_trailing_singleton_batch():
+    # 33 examples at B=16: batches of 16 and 17, not 16, 16 and 1.
+    rng = np.random.default_rng(27)
+    examples = make_toy_examples(rng, 33, 10, 4)
+    config = TrainConfig(tower="lookup", emb_dim=5, epochs=2, batch_size=16, seed=4, logit_scale=3.0)
+    result = train(examples, config, num_embedding_rows=10, num_images=4)
+
+    params = init_params(4, num_rows=10, emb_dim=5, tower="lookup", num_images=4)
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    corpus = Batch.from_examples(examples)
+    shuffle_rng = np.random.default_rng([4, 1])
+    losses = []
+    for _ in range(2):
+        order = shuffle_rng.permutation(33)
+        total = 0.0
+        for start, end in ((0, 16), (16, 33)):
+            batch = corpus.select(order[start:end])
+            total += batch_loss(params, batch, 3.0).mean_weighted_loss * batch.size
+            sgd_step(params, batch_gradients(params, batch, 3.0), opt)
+        losses.append(total / 33)
+    assert result.epoch_losses == pytest.approx(losses, rel=1e-12)
+    assert np.allclose(result.params.embeddings.rows, params.embeddings.rows, rtol=0, atol=1e-12)
+
+
+def test_train_divergence_names_epoch_batch_and_cause():
+    rng = np.random.default_rng(28)
+    examples = [
+        TrainExample(token_ids=rng.integers(0, 10, size=2), image=rng.normal(size=4), weight=1.0) for _ in range(64)
+    ]
+    config = TrainConfig(
+        tower="mlp", emb_dim=5, hidden_dim=6, batch_size=16, epochs=2, learning_rate=1e200, logit_scale=1e6
+    )
+    with pytest.raises(TrainingDiverged) as caught:
+        train(examples, config, num_embedding_rows=10)
+    err = caught.value
+    assert (err.epoch, err.batch) == (0, 1)
+    assert err.what == "image tower output"
+    assert str(err) == "epoch 0, batch 1: non-finite image tower output"
+
+
+def test_train_rejects_examples_for_the_other_tower():
+    examples = make_toy_examples(np.random.default_rng(29), 8, 5, 2)
+    config = TrainConfig(tower="mlp", emb_dim=4, hidden_dim=3, batch_size=4)
+    with pytest.raises(ValueError, match="lookup tower"):
+        train(examples, config, num_embedding_rows=5)
