@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -21,12 +22,6 @@ from imglex.textproc import Vocabulary
 # Cosine of a vector with norm below this is defined as 0 and contributes
 # zero gradient (the final ReLU can output an all-zero image representation).
 NORM_FLOOR = 1e-12
-
-# Named (feature_dim, hidden, output) configurations for the MLP tower.
-MLP_PRESET_DIMS = {
-    "100": (64, 200, 100),
-    "300": (64, 300, 300),
-}
 
 
 @dataclass
@@ -65,6 +60,13 @@ class MlpImageTower:
     def out_dim(self) -> int:
         return self.U.shape[0]
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {"V": self.V, "b1": self.b1, "U": self.U, "b2": self.b2}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "MlpImageTower":
+        return cls(V=arrays["V"], b1=arrays["b1"], U=arrays["U"], b2=arrays["b2"])
+
 
 @dataclass
 class LookupImageTower:
@@ -80,6 +82,13 @@ class LookupImageTower:
     def out_dim(self) -> int:
         return self.vectors.shape[1]
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {"image_vectors": self.vectors}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "LookupImageTower":
+        return cls(vectors=arrays["image_vectors"])
+
 
 ImageTower = MlpImageTower | LookupImageTower
 
@@ -94,6 +103,19 @@ class ModelParams:
     @property
     def emb_dim(self) -> int:
         return self.embeddings.emb_dim
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Every trainable array by name, the embedding table first, then the
+        tower's: ``V, b1, U, b2`` (MLP) or ``image_vectors`` (lookup). The
+        values are the live arrays, so writing into one updates the model;
+        Adagrad, checkpoints and the gradient check all iterate this table."""
+        return {"embeddings": self.embeddings.rows, **self.tower.arrays()}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ModelParams":
+        """Inverse of ``arrays``; the tower kind follows from the names."""
+        tower = MlpImageTower if "V" in arrays else LookupImageTower
+        return cls(embeddings=EmbeddingTable(rows=arrays["embeddings"]), tower=tower.from_arrays(arrays))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

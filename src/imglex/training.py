@@ -30,7 +30,6 @@ from imglex.errors import ConfigError, TrainingDiverged
 from imglex.fileio import atomic_write, write_lines
 from imglex.model import (
     NORM_FLOOR,
-    EmbeddingTable,
     LookupImageTower,
     MlpImageTower,
     ModelParams,
@@ -135,18 +134,21 @@ class RowGradient:
 
 
 @dataclass
-class MlpGradient:
-    V: np.ndarray
-    b1: np.ndarray
-    U: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
 class Gradients:
     embeddings: RowGradient
-    mlp: MlpGradient | None = None
+    mlp: MlpImageTower | None = None  # the gradient of each MLP weight and bias
     images: RowGradient | None = None
+
+    def arrays(self) -> dict[str, RowGradient | np.ndarray]:
+        """The gradient of each array the batch touched, under its
+        ``ModelParams.arrays`` name: row-sparse for ``embeddings`` and
+        ``image_vectors``, dense for the MLP arrays."""
+        named: dict[str, RowGradient | np.ndarray] = {"embeddings": self.embeddings}
+        if self.mlp is not None:
+            named.update(self.mlp.arrays())
+        if self.images is not None:
+            named["image_vectors"] = self.images
+        return named
 
 
 class NonFiniteError(ValueError):
@@ -155,13 +157,6 @@ class NonFiniteError(ValueError):
     def __init__(self, what: str):
         super().__init__(f"non-finite {what}")
         self.what = what
-
-
-def softmax_nll_row(logits_row: np.ndarray, true_index: int) -> float:
-    """-log softmax(row)[true_index], computed with max-subtraction."""
-    z = np.asarray(logits_row, dtype=np.float64)
-    m = z.max()
-    return float(np.log(np.sum(np.exp(z - m))) - (z[true_index] - m))
 
 
 def _bow_forward(emb_rows: np.ndarray, batch: Batch) -> np.ndarray:
@@ -196,9 +191,13 @@ def _tower_forward(params: ModelParams, batch: Batch):
     return tower.vectors[ids], (ids,)
 
 
-def _safe_unit_rows(m: np.ndarray):
-    """Row-normalize; rows with norm < NORM_FLOOR become zero (inv norm 0)."""
+def _safe_unit_rows(m: np.ndarray, what: str):
+    """Row-normalize; rows with norm < NORM_FLOOR become zero (inv norm 0).
+
+    Finite rows can still overflow the norm (entries near 1e200); that
+    raises NonFiniteError(what) rather than zeroing the rows."""
     norms = np.linalg.norm(m, axis=1)
+    _check_finite(what, norms)
     inv = np.where(norms < NORM_FLOOR, 0.0, 1.0 / np.maximum(norms, NORM_FLOOR))
     return m * inv[:, None], inv
 
@@ -230,8 +229,8 @@ def _forward(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndar
     q_raw = _bow_forward(emb, batch)
     i_raw, tower_cache = _tower_forward(params, batch)
     _check_finite("image tower output", i_raw)
-    q_hat, q_inv = _safe_unit_rows(q_raw)
-    i_hat, i_inv = _safe_unit_rows(i_raw)
+    q_hat, q_inv = _safe_unit_rows(q_raw, "query norm")
+    i_hat, i_inv = _safe_unit_rows(i_raw, "image norm")
     z = np.matmul(q_hat, i_hat.T, out=buf)  # cosines
     z *= logit_scale
     logits = z.copy() if keep_logits else None
@@ -343,7 +342,7 @@ def _loss_and_gradients(params: ModelParams, batch: Batch, logit_scale: float, b
         d_pre_out = d_i * (pre_out > 0)  # ReLU subgradient at 0 is 0
         d_hidden = d_pre_out @ tower.U
         d_pre_hidden = d_hidden * (pre_hidden > 0)
-        grads.mlp = MlpGradient(
+        grads.mlp = MlpImageTower(
             V=d_pre_hidden.T @ feats,
             b1=d_pre_hidden.sum(axis=0),
             U=d_pre_out.T @ hidden,
@@ -365,61 +364,48 @@ def batch_gradients(params: ModelParams, batch: Batch, logit_scale: float = 1.0)
 
 @dataclass
 class OptimizerState:
-    """Adagrad: per-parameter accumulated squared gradients."""
+    """Adagrad: per-parameter accumulated squared gradients, held in a
+    ModelParams of the same shapes (``accum.arrays()`` names them)."""
 
     learning_rate: float
-    epsilon: float = 1e-8
-    emb_accum: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    mlp_accum: MlpGradient | None = field(default=None, repr=False)
-    image_accum: np.ndarray | None = field(default=None, repr=False)
+    epsilon: float
+    accum: ModelParams = field(repr=False)
 
     @classmethod
     def for_params(cls, params: ModelParams, learning_rate: float, epsilon: float = 1e-8) -> "OptimizerState":
-        state = cls(learning_rate=learning_rate, epsilon=epsilon)
-        state.emb_accum = np.zeros_like(params.embeddings.rows)
-        if isinstance(params.tower, MlpImageTower):
-            t = params.tower
-            state.mlp_accum = MlpGradient(
-                V=np.zeros_like(t.V), b1=np.zeros_like(t.b1), U=np.zeros_like(t.U), b2=np.zeros_like(t.b2)
-            )
-        else:
-            state.image_accum = np.zeros_like(params.tower.vectors)
-        return state
+        zeros = {name: np.zeros_like(theta) for name, theta in params.arrays().items()}
+        return cls(learning_rate, epsilon, ModelParams.from_arrays(zeros))
 
+    @property
+    def emb_accum(self) -> np.ndarray:
+        return self.accum.embeddings.rows
 
-def _adagrad_rows(theta: np.ndarray, accum: np.ndarray, grad: RowGradient, lr: float, eps: float) -> None:
-    if grad.rows.size == 0:
-        return
-    g = grad.values
-    _check_finite("gradient", g)
-    new_accum = accum[grad.rows] + g * g
-    accum[grad.rows] = new_accum
-    theta[grad.rows] -= lr * g / (np.sqrt(new_accum) + eps)
-
-
-def _adagrad_dense(theta: np.ndarray, accum: np.ndarray, g: np.ndarray, lr: float, eps: float) -> None:
-    _check_finite("gradient", g)
-    accum += g * g
-    theta -= lr * g / (np.sqrt(accum) + eps)
+    @property
+    def mlp_accum(self) -> MlpImageTower | None:
+        """The MLP tower's accumulators (None for the lookup tower)."""
+        tower = self.accum.tower
+        return tower if isinstance(tower, MlpImageTower) else None
 
 
 def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None:
     """Adagrad update in place: G += g^2, then theta -= lr * g / (sqrt(G) + eps).
 
-    Rows with no gradient entry are untouched.
+    A dense gradient updates every row; a row-sparse one only its rows, so
+    rows with no gradient entry are untouched.
     """
-    _adagrad_rows(params.embeddings.rows, opt.emb_accum, grads.embeddings, opt.learning_rate, opt.epsilon)
-    if grads.mlp is not None:
-        tower = params.tower
-        assert isinstance(tower, MlpImageTower) and opt.mlp_accum is not None
-        _adagrad_dense(tower.V, opt.mlp_accum.V, grads.mlp.V, opt.learning_rate, opt.epsilon)
-        _adagrad_dense(tower.b1, opt.mlp_accum.b1, grads.mlp.b1, opt.learning_rate, opt.epsilon)
-        _adagrad_dense(tower.U, opt.mlp_accum.U, grads.mlp.U, opt.learning_rate, opt.epsilon)
-        _adagrad_dense(tower.b2, opt.mlp_accum.b2, grads.mlp.b2, opt.learning_rate, opt.epsilon)
-    if grads.images is not None:
-        tower = params.tower
-        assert isinstance(tower, LookupImageTower) and opt.image_accum is not None
-        _adagrad_rows(tower.vectors, opt.image_accum, grads.images, opt.learning_rate, opt.epsilon)
+    thetas, accums = params.arrays(), opt.accum.arrays()
+    for name, grad in grads.arrays().items():
+        if isinstance(grad, RowGradient):
+            if grad.rows.size == 0:
+                continue
+            rows, g = grad.rows, grad.values
+        else:
+            rows, g = slice(None), grad
+        _check_finite("gradient", g)
+        accum = accums[name]
+        new_accum = accum[rows] + g * g
+        accum[rows] = new_accum
+        thetas[name][rows] -= opt.learning_rate * g / (np.sqrt(new_accum) + opt.epsilon)
 
 
 @dataclass
@@ -428,7 +414,6 @@ class TrainConfig:
     emb_dim: int
     hidden_dim: int | None = None  # MLP hidden width m
     out_dim: int | None = None  # MLP output width n; must equal emb_dim
-    feature_dim: int | None = None  # image feature width d; inferred if None
     batch_size: int = 1000
     epochs: int = 5
     learning_rate: float = 0.5
@@ -451,8 +436,6 @@ class TrainConfig:
         if self.tower == "mlp":
             if self.hidden_dim is None or self.hidden_dim < 1:
                 raise ConfigError("mlp tower requires hidden_dim >= 1")
-            if self.feature_dim is not None and self.feature_dim < 1:
-                raise ConfigError("feature_dim must be >= 1")
             out = self.out_dim if self.out_dim is not None else self.emb_dim
             if out != self.emb_dim:
                 raise ConfigError(
@@ -496,15 +479,12 @@ def train(
     if corpus.tower_kind != config.tower:
         raise ValueError(f"examples are for the {corpus.tower_kind} tower, config asks for {config.tower!r}")
     if config.tower == "mlp":
-        feature_dim = config.feature_dim
-        if feature_dim is None:
-            feature_dim = corpus.images.shape[1]
         params = init_params(
             config.seed,
             num_rows=num_embedding_rows,
             emb_dim=config.emb_dim,
             tower="mlp",
-            feature_dim=feature_dim,
+            feature_dim=corpus.images.shape[1],
             hidden_dim=config.hidden_dim,
         )
     else:
@@ -573,22 +553,22 @@ def grad_check(
     test hook that offsets one analytic entry so the negative control fails.
     Parameter count must stay small (everything is perturbed twice).
     """
+    params = init_params(
+        seed,
+        num_rows=num_rows,
+        emb_dim=emb_dim,
+        tower=tower,
+        feature_dim=feature_dim,
+        hidden_dim=hidden_dim,
+        num_images=num_images,
+    )
     rng = np.random.default_rng(seed)
-    embeddings = EmbeddingTable(rows=rng.normal(0.0, 0.6, size=(num_rows, emb_dim)))
+    for theta in params.arrays().values():  # biases N(0, 0.3^2), matrices N(0, 0.6^2)
+        theta[:] = rng.normal(0.0, 0.3 if theta.ndim == 1 else 0.6, size=theta.shape)
     if tower == "mlp":
-        image_tower: MlpImageTower | LookupImageTower = MlpImageTower(
-            V=rng.normal(0.0, 0.6, size=(hidden_dim, feature_dim)),
-            b1=rng.normal(0.0, 0.3, size=hidden_dim),
-            U=rng.normal(0.0, 0.6, size=(emb_dim, hidden_dim)),
-            b2=rng.normal(0.0, 0.3, size=emb_dim),
-        )
         images: np.ndarray = rng.normal(0.0, 1.0, size=(batch_size, feature_dim))
-    elif tower == "lookup":
-        image_tower = LookupImageTower(vectors=rng.normal(0.0, 0.6, size=(num_images, emb_dim)))
-        images = rng.integers(0, num_images, size=batch_size)
     else:
-        raise ValueError(f"unknown tower kind {tower!r}")
-    params = ModelParams(embeddings=embeddings, tower=image_tower)
+        images = rng.integers(0, num_images, size=batch_size)
     token_ids = [rng.integers(0, num_rows, size=rng.integers(1, 5)) for _ in range(batch_size)]
     examples = [
         TrainExample(token_ids=token_ids[i], image=images[i], weight=float(rng.uniform(0.2, 2.0)))
@@ -596,25 +576,16 @@ def grad_check(
     ]
     batch = Batch.from_examples(examples)
 
-    grads = batch_gradients(params, batch, logit_scale)
-    analytic: list[tuple[str, np.ndarray, np.ndarray]] = [
-        ("embeddings", params.embeddings.rows, grads.embeddings.to_dense(num_rows))
-    ]
-    if grads.mlp is not None:
-        t = params.tower
-        assert isinstance(t, MlpImageTower)
-        analytic += [("V", t.V, grads.mlp.V), ("b1", t.b1, grads.mlp.b1), ("U", t.U, grads.mlp.U), ("b2", t.b2, grads.mlp.b2)]
-    if grads.images is not None:
-        t = params.tower
-        assert isinstance(t, LookupImageTower)
-        analytic.append(("image_vectors", t.vectors, grads.images.to_dense(num_images)))
-    if corrupt:
-        analytic[0][2].flat[0] += corrupt
-
+    grads = batch_gradients(params, batch, logit_scale).arrays()
     max_rel = 0.0
     worst = ""
     checked = 0
-    for name, theta, ga in analytic:
+    for name, theta in params.arrays().items():
+        ga = grads[name]
+        if isinstance(ga, RowGradient):
+            ga = ga.to_dense(theta.shape[0])
+        if name == "embeddings":
+            ga.flat[0] += corrupt
         flat_theta = theta.reshape(-1)
         flat_ga = ga.reshape(-1)
         for i in range(flat_theta.size):
@@ -650,18 +621,8 @@ def save_checkpoint(
 ) -> None:
     """Single-file checkpoint: config, vocabulary hash, parameters, optimizer
     state, epoch counter."""
-    arrays: dict[str, np.ndarray] = {
-        "embeddings": params.embeddings.rows,
-        "emb_accum": opt.emb_accum,
-    }
-    if isinstance(params.tower, MlpImageTower):
-        t = params.tower
-        assert opt.mlp_accum is not None
-        arrays.update(V=t.V, b1=t.b1, U=t.U, b2=t.b2)
-        arrays.update(V_accum=opt.mlp_accum.V, b1_accum=opt.mlp_accum.b1, U_accum=opt.mlp_accum.U, b2_accum=opt.mlp_accum.b2)
-    else:
-        assert opt.image_accum is not None
-        arrays.update(image_vectors=params.tower.vectors, image_accum=opt.image_accum)
+    arrays = params.arrays()
+    arrays.update((f"{name}_accum", accum) for name, accum in opt.accum.arrays().items())
     meta = {
         "config": asdict(config),
         "vocab_hash": vocab_hash,
@@ -684,21 +645,14 @@ class Checkpoint:
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        config = TrainConfig(**meta["config"])
-        embeddings = EmbeddingTable(rows=data["embeddings"])
-        opt = OptimizerState(learning_rate=meta["learning_rate"], epsilon=meta["epsilon"])
-        opt.emb_accum = data["emb_accum"]
-        if config.tower == "mlp":
-            tower: MlpImageTower | LookupImageTower = MlpImageTower(V=data["V"], b1=data["b1"], U=data["U"], b2=data["b2"])
-            opt.mlp_accum = MlpGradient(V=data["V_accum"], b1=data["b1_accum"], U=data["U_accum"], b2=data["b2_accum"])
-        else:
-            tower = LookupImageTower(vectors=data["image_vectors"])
-            opt.image_accum = data["image_accum"]
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+    params = ModelParams.from_arrays(arrays)
+    accum = ModelParams.from_arrays({name: arrays[f"{name}_accum"] for name in params.arrays()})
     return Checkpoint(
-        params=ModelParams(embeddings=embeddings, tower=tower),
-        optimizer=opt,
-        config=config,
+        params=params,
+        optimizer=OptimizerState(meta["learning_rate"], meta["epsilon"], accum),
+        config=TrainConfig(**meta["config"]),
         vocab_hash=meta["vocab_hash"],
         epoch=meta["epoch"],
     )

@@ -122,14 +122,8 @@ def lexicon_retrieval_loop(vectors: Vectors, pairs: Sequence[LexiconPair], mode:
 def numeric_gradients(params: ModelParams, batch: Batch, logit_scale: float, step: float = 1e-5) -> dict[str, np.ndarray]:
     """Central finite differences of ``batch_loss`` for every entry of every
     parameter array, by array name; untouched embedding rows come out 0."""
-    arrays = {"embeddings": params.embeddings.rows}
-    if isinstance(params.tower, MlpImageTower):
-        t = params.tower
-        arrays.update(V=t.V, b1=t.b1, U=t.U, b2=t.b2)
-    else:
-        arrays["image_vectors"] = params.tower.vectors
     numeric = {}
-    for name, theta in arrays.items():
+    for name, theta in params.arrays().items():
         flat = theta.reshape(-1)
         grad = np.zeros(flat.size)
         for i in range(flat.size):

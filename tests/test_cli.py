@@ -186,6 +186,33 @@ def test_train_divergence_is_one_line_exit_1(synth_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_norm_overflow_is_one_line_exit_1(tmp_path, capsys):
+    # Finite parameters near 1e200 whose norm overflows: before the norm was
+    # checked, training ran on with a flat loss of log(100) and exited 0.
+    corpus = tmp_path / "corpus"
+    assert run(["gensynth", "--num-examples", "600", "--out-dir", str(corpus)]) == 0
+    out = tmp_path / "overflow"
+    code = run(
+        [
+            "train",
+            "--triples", str(corpus / "triples.tsv"),
+            "--tower", "lookup",
+            "--lr", "1e200",
+            "--logit-scale", "1e6",
+            "--batch-size", "100",
+            "--min-count", "1",
+            "--buckets", "10",
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("training diverged: epoch 0, batch ")
+    assert err[0].endswith(("non-finite query norm", "non-finite image norm"))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size", ["1", "0"])
 def test_train_rejects_batch_size_below_two(synth_dir, tmp_path, capsys, size):
     out = tmp_path / "tiny_batch"

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from imglex.data import prepare_examples
+from imglex.data import SyntheticSpec, generate_synthetic, prepare_examples
 from imglex.errors import ConfigError, TrainingDiverged
-from imglex.model import EmbeddingTable, LookupImageTower, ModelParams, cosine, init_params
+from imglex.model import EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams, cosine, init_params
+from imglex.textproc import LangMode, build_vocab, tokenize
 from imglex.training import (
     Batch,
+    Gradients,
     OptimizerState,
     RowGradient,
     TrainConfig,
@@ -21,7 +23,6 @@ from imglex.training import (
     load_checkpoint,
     save_checkpoint,
     sgd_step,
-    softmax_nll_row,
     train,
 )
 from oracles import image_repr_mlp, numeric_gradients, query_repr
@@ -116,13 +117,16 @@ def test_weight_linearity():
     assert np.array_equal(doubled.example_losses[1:], base.example_losses[1:])
 
 
-def test_row_softmax_shift_stability():
+def test_batch_loss_matches_bruteforce_past_exp_range():
+    # scale * cos reaches +-2000, far past float64's exp range (~709): only
+    # the row-max shift in the batched forward keeps it finite. The oracle
+    # exponentiates unshifted in long double (80-bit on x86-64).
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        row = rng.normal(size=9)
-        idx = int(rng.integers(9))
-        shifted = row + float(rng.uniform(-100, 100))
-        assert softmax_nll_row(row, idx) == pytest.approx(softmax_nll_row(shifted, idx), abs=1e-12)
+    for tower in ("mlp", "lookup"):
+        for scale in (800.0, 2000.0):
+            params, batch = random_params_and_batch(rng, tower=tower, batch_size=12)
+            fast = batch_loss(params, batch, scale).mean_weighted_loss
+            assert fast == pytest.approx(batch_loss_bruteforce(params, batch, scale), rel=1e-9, abs=0)
 
 
 def test_permutation_equivariance():
@@ -207,8 +211,6 @@ def test_adagrad_hand_step():
     params = lookup_params([[0.0]], [[0.0]])
     opt = OptimizerState.for_params(params, learning_rate=0.1, epsilon=0.0)
     grads_first = RowGradient(rows=np.array([0]), values=np.array([[2.0]]))
-    from imglex.training import Gradients
-
     sgd_step(params, Gradients(embeddings=grads_first), opt)
     # theta -= lr * g / sqrt(G + g^2) = 0.1 * 2 / 2
     assert params.embeddings.rows[0, 0] == pytest.approx(-0.1, abs=1e-15)
@@ -217,13 +219,54 @@ def test_adagrad_hand_step():
     assert opt.emb_accum[0, 0] == pytest.approx(8.0)
 
 
+def test_adagrad_hand_step_dense():
+    # A dense array (b2) takes the same update as a sparse row, on every row.
+    params = init_params(0, num_rows=3, emb_dim=2, tower="mlp", feature_dim=2, hidden_dim=2)
+    before = {name: theta.copy() for name, theta in params.arrays().items()}
+    opt = OptimizerState.for_params(params, learning_rate=0.1, epsilon=0.0)
+    g_b2 = np.array([2.0, -0.5])
+    ones = MlpImageTower(V=np.ones((2, 2)), b1=np.ones(2), U=np.ones((2, 2)), b2=g_b2)
+    no_rows = RowGradient(rows=np.array([], dtype=np.int64), values=np.zeros((0, 2)))
+    sgd_step(params, Gradients(embeddings=no_rows, mlp=ones), opt)
+    # theta -= lr * g / sqrt(g^2) = lr * sign(g), from b2 = 0
+    assert np.array_equal(params.tower.b2, [-0.1, 0.1])
+    assert np.array_equal(opt.mlp_accum.b2, [4.0, 0.25])
+    assert np.array_equal(params.tower.V, before["V"] - 0.1)
+    assert np.array_equal(params.embeddings.rows, before["embeddings"])
+    assert np.all(opt.emb_accum == 0.0)
+    sgd_step(params, Gradients(embeddings=no_rows, mlp=ones), opt)
+    # G = 2 g^2: theta -= lr * g / (sqrt(2) |g|)
+    assert params.tower.b2 == pytest.approx([-0.1 - 0.1 / math.sqrt(2), 0.1 + 0.1 / math.sqrt(2)], rel=1e-15)
+    assert np.array_equal(opt.mlp_accum.b2, [8.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "tower, names, fields",
+    [("mlp", ["embeddings", "V", "b1", "U", "b2"], ["V", "b1", "U", "b2"]), ("lookup", ["embeddings", "image_vectors"], ["vectors"])],
+)
+def test_param_arrays_name_the_live_arrays(tower, names, fields):
+    # Adagrad, checkpoints and the gradient check loop over this table: an
+    # array missing from it would silently go untrained and unsaved.
+    rng = np.random.default_rng(30)
+    params, batch = random_params_and_batch(rng, tower=tower)
+    arrays = params.arrays()
+    assert list(arrays) == names
+    live = [params.embeddings.rows] + [getattr(params.tower, f) for f in fields]
+    assert all(a is b for a, b in zip(arrays.values(), live, strict=True))
+    rebuilt = ModelParams.from_arrays(arrays)
+    assert type(rebuilt.tower) is type(params.tower)
+    assert all(a is b for a, b in zip(rebuilt.arrays().values(), live, strict=True))
+    opt = OptimizerState.for_params(params, learning_rate=0.5)
+    assert list(opt.accum.arrays()) == names
+    assert all(np.all(a == 0.0) and a.shape == b.shape for a, b in zip(opt.accum.arrays().values(), live))
+    assert list(batch_gradients(params, batch, 2.0).arrays()) == names
+
+
 def test_sgd_step_zero_gradient_is_identity():
     rng = np.random.default_rng(10)
     params, batch = random_params_and_batch(rng, tower="lookup")
     before = params.embeddings.rows.copy()
     opt = OptimizerState.for_params(params, learning_rate=0.5)
-    from imglex.training import Gradients
-
     zero = Gradients(embeddings=RowGradient(rows=np.array([2, 5]), values=np.zeros((2, 6))))
     sgd_step(params, zero, opt)
     assert np.array_equal(params.embeddings.rows, before)
@@ -232,8 +275,6 @@ def test_sgd_step_zero_gradient_is_identity():
 def test_sgd_step_rejects_nonfinite_gradient():
     params = lookup_params([[0.0]], [[0.0]])
     opt = OptimizerState.for_params(params, learning_rate=0.1)
-    from imglex.training import Gradients
-
     bad = Gradients(embeddings=RowGradient(rows=np.array([0]), values=np.array([[np.inf]])))
     with pytest.raises(ValueError, match="non-finite"):
         sgd_step(params, bad, opt)
@@ -309,6 +350,19 @@ def test_train_rejects_empty_corpus():
         train([], config, num_embedding_rows=4)
 
 
+def assert_same_checkpoint_arrays(path, loaded, params, opt):
+    """Every parameter and accumulator round-trips bit for bit under its name."""
+    names = list(params.arrays())
+    with np.load(path) as data:
+        assert sorted(data.files) == sorted(["meta", *names, *(f"{name}_accum" for name in names)])
+    for got, want in ((loaded.params, params), (loaded.optimizer.accum, opt.accum)):
+        got_arrays = got.arrays()
+        assert list(got_arrays) == names
+        for name, theta in want.arrays().items():
+            assert np.array_equal(got_arrays[name], theta) and got_arrays[name].dtype == theta.dtype, name
+    assert (loaded.optimizer.learning_rate, loaded.optimizer.epsilon) == (opt.learning_rate, opt.epsilon)
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(14)
     examples = make_toy_examples(rng, 60, 8, 3)
@@ -320,21 +374,24 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.vocab_hash == "abc123"
     assert loaded.epoch == 2
     assert loaded.config == config
-    assert np.array_equal(loaded.params.embeddings.rows, result.params.embeddings.rows)
-    assert np.array_equal(loaded.params.tower.vectors, result.params.tower.vectors)
-    assert np.array_equal(loaded.optimizer.emb_accum, result.optimizer.emb_accum)
-    assert loaded.optimizer.learning_rate == result.optimizer.learning_rate
+    assert isinstance(loaded.params.tower, LookupImageTower)
+    assert np.count_nonzero(result.optimizer.accum.tower.vectors) > 0
+    assert_same_checkpoint_arrays(path, loaded, result.params, result.optimizer)
 
 
 def test_checkpoint_round_trip_mlp(tmp_path):
     params = init_params(1, num_rows=6, emb_dim=4, tower="mlp", feature_dim=3, hidden_dim=5)
     opt = OptimizerState.for_params(params, learning_rate=0.25)
-    config = TrainConfig(tower="mlp", emb_dim=4, hidden_dim=5, feature_dim=3)
+    rng = np.random.default_rng(15)
+    for accum in opt.accum.arrays().values():  # distinct values, so no two arrays can be swapped unseen
+        accum[:] = rng.uniform(0.0, 1.0, size=accum.shape)
+    config = TrainConfig(tower="mlp", emb_dim=4, hidden_dim=5)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=0)
     loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.params.tower.V, params.tower.V)
-    assert np.array_equal(loaded.optimizer.mlp_accum.U, opt.mlp_accum.U)
+    assert loaded.config == config
+    assert isinstance(loaded.params.tower, MlpImageTower)
+    assert_same_checkpoint_arrays(path, loaded, params, opt)
 
 
 # Epoch losses of the conftest corpus as the unpacked per-batch step computed
@@ -487,6 +544,25 @@ def test_train_divergence_names_epoch_batch_and_cause():
     assert (err.epoch, err.batch) == (0, 1)
     assert err.what == "image tower output"
     assert str(err) == "epoch 0, batch 1: non-finite image tower output"
+
+
+def test_train_norm_overflow_is_divergence():
+    # Parameters near 1e200 are finite, but their norm overflows to inf;
+    # training must stop rather than zero those rows and run on at log(B).
+    corpus = generate_synthetic(SyntheticSpec(num_concepts=20, num_languages=3, words_per_concept=2, num_examples=600))
+    vocab = build_vocab(
+        (tok for t in corpus.triples for tok in tokenize(t.query, t.lang, LangMode.AWARE)),
+        min_count=1,
+        num_buckets=10,
+        mode=LangMode.AWARE,
+    )
+    prep = prepare_examples(corpus.triples, vocab, tower="lookup")
+    config = TrainConfig(tower="lookup", emb_dim=100, batch_size=100, learning_rate=1e200, logit_scale=1e6)
+    with pytest.raises(TrainingDiverged) as caught:
+        train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    err = caught.value
+    assert err.what in ("query norm", "image norm")
+    assert str(err) == f"epoch {err.epoch}, batch {err.batch}: non-finite {err.what}"
 
 
 def test_train_rejects_examples_for_the_other_tower():
