@@ -5,6 +5,10 @@ File formats (UTF-8, LF, '.' decimal separator):
   features.tsv  image_id<TAB>f1,f2,...,fd
   lexicon.tsv   lang1:word1<TAB>lang2:word2<TAB>concept_id
 
+load_features converts every feature value in one np.loadtxt pass into one
+(N, d) float64 matrix and maps each image id to a row view of it; the values
+are bit-identical to one float() call per value.
+
 The synthetic generator provides ground truth the real corpus cannot: it
 draws unit-norm concept prototype vectors, gives every concept a few words
 per language, and emits (query, image, weight) triples whose image features
@@ -20,9 +24,11 @@ also has a shared image pool so co-occurrence-only training has signal.
 from __future__ import annotations
 
 from collections import defaultdict
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -63,7 +69,42 @@ def save_triples(path: str | Path, triples: Iterable[TripleRecord]) -> None:
 
 
 def load_features(path: str | Path) -> dict[str, np.ndarray]:
-    """Parse a features TSV into image_id -> d-vector; d must be consistent."""
+    """Parse a features TSV into image_id -> d-vector; d must be consistent.
+
+    The vectors are row views of one (N, d) float64 matrix, converted in a
+    single np.loadtxt pass. For the ASCII syntax it accepts, loadtxt gives
+    exactly float()'s doubles. A file it rejects, or one that fails a check,
+    goes through the per-line parser instead, which raises the first bad
+    line's DataError, or returns float()'s values for syntax only float()
+    accepts (``1_0``, non-ASCII digits).
+    """
+    ids: list[str] = []
+
+    def value_fields() -> Iterator[str]:
+        for _, (image_id, raw_values) in read_rows(path, "features file", ncols=2):
+            if not raw_values:
+                # loadtxt would skip the empty line and shift every later row onto the wrong id.
+                raise ValueError("empty feature values")
+            ids.append(image_id)
+            yield raw_values
+
+    try:
+        with closing(value_fields()) as fields:
+            first = next(fields, None)
+            if first is None:
+                return {}  # loadtxt warns on input without rows
+            matrix = np.loadtxt(chain([first], fields), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:  # a DataError from read_rows too: the per-line pass raises the first one in file order
+        return _load_features_per_line(path)
+    features = dict(zip(ids, matrix))
+    if len(matrix) != len(ids) or len(features) != len(ids) or not np.isfinite(matrix).all():
+        return _load_features_per_line(path)
+    return features
+
+
+def _load_features_per_line(path: str | Path) -> dict[str, np.ndarray]:
+    """One float() call per value and each line checked in file order: the
+    path for a file the single loadtxt pass rejects."""
     features: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, (image_id, raw_values) in read_rows(path, "features file", ncols=2):

@@ -20,13 +20,14 @@ then the logits, then their shifted exponentials, then the logit gradient.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from imglex.errors import ConfigError, TrainingDiverged
+from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.fileio import atomic_write, write_lines
 from imglex.model import (
     NORM_FLOOR,
@@ -373,7 +374,8 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: ModelParams, learning_rate: float, epsilon: float = 1e-8) -> "OptimizerState":
-        zeros = {name: np.zeros_like(theta) for name, theta in params.arrays().items()}
+        # np.zeros maps untouched pages lazily; zeros_like would write every page of the table.
+        zeros = {name: np.zeros(theta.shape, theta.dtype) for name, theta in params.arrays().items()}
         return cls(learning_rate, epsilon, ModelParams.from_arrays(zeros))
 
     @property
@@ -644,15 +646,35 @@ class Checkpoint:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
-    params = ModelParams.from_arrays(arrays)
-    accum = ModelParams.from_arrays({name: arrays[f"{name}_accum"] for name in params.arrays()})
-    return Checkpoint(
-        params=params,
-        optimizer=OptimizerState(meta["learning_rate"], meta["epsilon"], accum),
-        config=TrainConfig(**meta["config"]),
-        vocab_hash=meta["vocab_hash"],
-        epoch=meta["epoch"],
-    )
+    """Read a checkpoint written by save_checkpoint.
+
+    A missing or unreadable file, a file that is not an ``.npz`` archive and
+    an archive without an entry save_checkpoint writes each raise DataError
+    naming the file.
+    """
+    try:
+        fh = open(path, "rb")  # opened here: np.load leaks the handle of a bad zip
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
+    with fh:
+        try:
+            archive = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            archive = None  # np.load's own message speaks of pickled data
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise DataError(f"{path}: not a checkpoint: not an .npz archive")
+        with archive:
+            arrays = {name: archive[name] for name in archive.files}
+    try:
+        meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+        params = ModelParams.from_arrays(arrays)
+        accum = ModelParams.from_arrays({name: arrays[f"{name}_accum"] for name in params.arrays()})
+        return Checkpoint(
+            params=params,
+            optimizer=OptimizerState(meta["learning_rate"], meta["epsilon"], accum),
+            config=TrainConfig(**meta["config"]),
+            vocab_hash=meta["vocab_hash"],
+            epoch=meta["epoch"],
+        )
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint has no {exc.args[0]!r} entry") from None

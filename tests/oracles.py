@@ -9,8 +9,9 @@ from typing import Sequence
 
 import numpy as np
 
-from imglex.errors import EvalError
+from imglex.errors import DataError, EvalError
 from imglex.evaluation import LexiconPair, RetrievalResult, Vectors, task_token
+from imglex.fileio import read_rows
 from imglex.model import EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams
 from imglex.textproc import LangMode
 from imglex.training import Batch, batch_loss
@@ -136,3 +137,26 @@ def numeric_gradients(params: ModelParams, batch: Batch, logit_scale: float, ste
             grad[i] = (up - down) / (2.0 * step)
         numeric[name] = grad.reshape(theta.shape)
     return numeric
+
+
+def load_features_per_value(path) -> dict[str, np.ndarray]:
+    """features.tsv read one float() call per value, each line checked in
+    file order: load_features must return the same bits or raise the same
+    DataError message."""
+    features: dict[str, np.ndarray] = {}
+    dim = None
+    for lineno, (image_id, raw_values) in read_rows(path, "features file", ncols=2):
+        if image_id in features:
+            raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
+        try:
+            vec = np.array([float(x) for x in raw_values.split(",")], dtype=np.float64)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
+        if not np.all(np.isfinite(vec)):
+            raise DataError(f"{path}:{lineno}: non-finite feature value")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise DataError(f"{path}:{lineno}: feature length {vec.size} != {dim} seen earlier")
+        features[image_id] = vec
+    return features

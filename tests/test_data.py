@@ -1,9 +1,12 @@
 """Corpus file formats, the multilingual filter, and the synthetic generator."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from imglex.data import (
     SyntheticSpec,
@@ -18,6 +21,7 @@ from imglex.data import (
 )
 from imglex.errors import DataError
 from imglex.textproc import LangMode, build_vocab
+from oracles import load_features_per_value
 
 
 def triple(weight, lang, query, image_id):
@@ -242,3 +246,108 @@ def test_prepare_examples_preserves_order():
     triples = [triple(1.0, "en", f"back pain {k}", f"i{k}") for k in range(5)]
     prep, _ = prepared_fixture("lookup", triples=triples)
     assert [ex.image for ex in prep.examples] == [0, 1, 2, 3, 4]
+
+
+# (case, features.tsv content, vectors by id, or the DataError message after "f.tsv:")
+FEATURE_CASES = [
+    ("empty file", "", {}),
+    ("single row", "a\t0.5,-1\n", {"a": [0.5, -1.0]}),
+    ("one value per row", "a\t1\nb\t2e-3\n", {"a": [1.0], "b": [0.002]}),
+    ("empty value field", "a\t1,2\nb\t\nc\t3,4\n", "2: non-numeric feature value"),
+    ("empty first value field", "a\t\n", "1: non-numeric feature value"),
+    ("blank value field", "a\t1\nb\t  \n", "2: non-numeric feature value"),
+    ("hash in a value", "a\t1,2\nb\t3,4#5\n", "2: non-numeric feature value"),
+    ("hash starts a value", "a\t1,#2\n", "1: non-numeric feature value"),
+    ("spaces around a value", "a\t 1.5 ,2 \n", {"a": [1.5, 2.0]}),
+    ("trailing comma", "a\t1,2,\n", "1: non-numeric feature value"),
+    ("underscore digits", "a\t1_0,2\n", {"a": [10.0, 2.0]}),
+    ("non-ASCII digits", "a\t١٢,3\n", {"a": [12.0, 3.0]}),
+    ("hex", "a\t0x10,2\n", "1: non-numeric feature value"),
+    ("nan", "a\t1,2\nb\tnan,1\n", "2: non-finite feature value"),
+    ("inf", "a\t-inf,1\n", "1: non-finite feature value"),
+    ("overflow to inf", "a\t1,1e400\n", "1: non-finite feature value"),
+    ("length change mid-file", "a\t1,2\nb\t3,4\nc\t5\n", "3: feature length 1 != 2 seen earlier"),
+    ("duplicate id", "a\t1,2\nb\t3,4\na\t5,6\n", "3: duplicate image id 'a'"),
+    ("first bad line wins", "a\t1\nb\tx\nc\n", "2: non-numeric feature value"),
+    ("column count", "a\t1\nb\t2\t3\n", "2: expected 2 tab-separated columns, got 3"),
+]
+
+
+def assert_same_features(got, want):
+    assert list(got) == list(want)
+    for image_id, vec in want.items():
+        assert got[image_id].dtype == vec.dtype and got[image_id].tobytes() == vec.tobytes(), image_id
+
+
+@pytest.mark.parametrize("content, expected", [case[1:] for case in FEATURE_CASES], ids=[case[0] for case in FEATURE_CASES])
+def test_load_features_edge_cases(tmp_path, content, expected):
+    path = tmp_path / "f.tsv"
+    path.write_text(content, encoding="utf-8")
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as err:
+            load_features(path)
+        assert str(err.value) == f"{path}:{expected}"
+        with pytest.raises(DataError) as reference:
+            load_features_per_value(path)
+        assert str(reference.value) == str(err.value)
+        return
+    want = {image_id: np.array(values, dtype=np.float64) for image_id, values in expected.items()}
+    assert_same_features(load_features(path), want)
+    assert_same_features(load_features_per_value(path), want)
+
+
+def test_load_features_rows_view_one_matrix(tmp_path):
+    path = tmp_path / "f.tsv"
+    path.write_text("a\t1,2,3\nb\t4,5,6\n", encoding="utf-8")
+    feats = load_features(path)
+    matrix = feats["a"].base
+    assert matrix is not None and matrix is feats["b"].base
+    assert matrix.shape == (2, 3) and matrix.dtype == np.float64
+
+
+@pytest.fixture(scope="module")
+def features_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("features") / "features.tsv"
+
+
+# Finite doubles, the edges of the range weighted in: subnormals, -0.0, the
+# smallest normal and values near the largest double.
+FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e307, max_value=1.7976931348623157e308),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 70).flatmap(lambda d: st.lists(st.lists(FINITE_DOUBLES, min_size=d, max_size=d), min_size=1, max_size=4)),
+    spelling=st.sampled_from([repr, "{:.17g}".format, "{:.3E}".format]),
+)
+def test_load_features_matches_float_bits(features_path, rows, spelling):
+    texts = [[spelling(x) for x in row] for row in rows]
+    assume(all(math.isfinite(float(t)) for row in texts for t in row))  # "{:.3E}" rounds 1.7975e308 up to inf
+    features_path.write_text("".join(f"i{n}\t{','.join(row)}\n" for n, row in enumerate(texts)), encoding="utf-8")
+    want = {f"i{n}": np.array([float(t) for t in row], dtype=np.float64) for n, row in enumerate(texts)}
+    assert_same_features(load_features(features_path), want)
+
+
+FEATURE_LINES = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c", "d"]), st.text(alphabet="0123456789 .,-+eEinfa_#x١\t", max_size=12)),
+    max_size=5,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=FEATURE_LINES)
+def test_load_features_agrees_with_per_value_parse(features_path, lines):
+    features_path.write_text("".join(f"{image_id}\t{values}\n" for image_id, values in lines), encoding="utf-8")
+    try:
+        want = load_features_per_value(features_path)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_features(features_path)
+        assert str(err.value) == str(exc)
+    else:
+        assert_same_features(load_features(features_path), want)

@@ -1,12 +1,13 @@
 """Loss, gradients, optimizer, train loop, gradient checker, checkpointing."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
 from imglex.data import SyntheticSpec, generate_synthetic, prepare_examples
-from imglex.errors import ConfigError, TrainingDiverged
+from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.model import EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams, cosine, init_params
 from imglex.textproc import LangMode, build_vocab, tokenize
 from imglex.training import (
@@ -392,6 +393,52 @@ def test_checkpoint_round_trip_mlp(tmp_path):
     assert loaded.config == config
     assert isinstance(loaded.params.tower, MlpImageTower)
     assert_same_checkpoint_arrays(path, loaded, params, opt)
+
+
+
+def test_load_checkpoint_missing_file_is_data_error(tmp_path):
+    with pytest.raises(DataError, match=r"cannot read checkpoint .*missing\.npz"):
+        load_checkpoint(tmp_path / "missing.npz")
+
+
+def npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"", b"not an archive\n", b"PK\x03\x04truncated", npy_bytes(np.arange(3.0))],
+    ids=["empty", "text", "bad-zip", "npy"],
+)
+def test_load_checkpoint_not_npz_is_data_error(tmp_path, content):
+    path = tmp_path / "ckpt.npz"
+    path.write_bytes(content)
+    with pytest.raises(DataError, match=r"ckpt\.npz: not a checkpoint: not an \.npz archive"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dropped", ["meta", "embeddings_accum"])
+def test_load_checkpoint_missing_entry_is_data_error(tmp_path, dropped):
+    params = init_params(1, num_rows=6, emb_dim=4, tower="lookup", num_images=3)
+    opt = OptimizerState.for_params(params, learning_rate=0.25)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, opt, TrainConfig(tower="lookup", emb_dim=4), vocab_hash="h", epoch=0)
+    with np.load(path) as data:
+        kept = {name: data[name] for name in data.files if name != dropped}
+    np.savez(path, **kept)
+    with pytest.raises(DataError, match=rf"ckpt\.npz: checkpoint has no '{dropped}' entry"):
+        load_checkpoint(path)
+
+
+def test_optimizer_state_is_zero_and_owns_its_arrays():
+    params = init_params(2, num_rows=6, emb_dim=4, tower="mlp", feature_dim=3, hidden_dim=5)
+    opt = OptimizerState.for_params(params, learning_rate=0.5)
+    for name, theta in params.arrays().items():
+        accum = opt.accum.arrays()[name]
+        assert accum.shape == theta.shape and accum.dtype == theta.dtype, name
+        assert not accum.any() and not np.shares_memory(accum, theta), name
 
 
 # Epoch losses of the conftest corpus as the unpacked per-batch step computed
