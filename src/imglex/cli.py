@@ -5,6 +5,7 @@ Subcommands:
   filter     keep only triples whose image spans >= 2 languages
   train      build a vocabulary, train embeddings, export artifacts
   eval       score an embedding export on similarity/classification tasks
+             and on a ground-truth lexicon (translation retrieval)
   gradcheck  compare analytic gradients against finite differences
 
 Exit codes: 0 success, 1 usage/config error or diverged training, 2 data
@@ -34,7 +35,9 @@ from imglex.evaluation import (
     eval_classification,
     eval_similarity,
     eval_similarity_aggregate,
+    lexicon_retrieval,
     load_class_task,
+    load_lexicon,
     load_sim_task,
 )
 from imglex.fileio import atomic_write_text
@@ -119,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--aggregate", action="store_true", help="add a pooled 'all' column over the similarity tasks")
     p_eval.add_argument("--classify-train")
     p_eval.add_argument("--classify-test")
+    p_eval.add_argument("--lexicon", help="lexicon TSV: report translation precision@1 and concept cosines")
     p_eval.add_argument("--lang-mode", choices=["aware", "unaware"], default="aware")
     p_eval.add_argument("--out-dir")
     p_eval.set_defaults(func=cmd_eval)
@@ -274,6 +278,19 @@ def cmd_eval(args) -> int:
             print(f"classification: {exc}", file=sys.stderr)
             errored = True
 
+    lexicon_line = None
+    if args.lexicon:
+        pairs = load_lexicon(args.lexicon)
+        try:
+            r = lexicon_retrieval(vectors, pairs, mode)
+            lexicon_line = (
+                f"lexicon: precision@1 {r.precision_at_1:.4f}, same-concept cosine {r.same_concept_mean:.4f}, "
+                f"different-concept cosine {r.diff_concept_mean:.4f} ({r.n_words} words, {r.n_pairs} pairs)"
+            )
+        except EvalError as exc:
+            print(exc, file=sys.stderr)  # the message starts with "lexicon"
+            errored = True
+
     if rows:
         report = emit_report(rows)
         print(report.text, end="")
@@ -282,8 +299,10 @@ def cmd_eval(args) -> int:
             atomic_write_text(out / "report.txt", report.text)
             atomic_write_text(out / "report.csv", report.csv)
             print(f"wrote {out / 'report.txt'} and {out / 'report.csv'}")
-    elif not errored:
-        raise UsageError("nothing to evaluate: pass --similarity and/or --classify-train/--classify-test")
+    if lexicon_line:
+        print(lexicon_line)
+    if not rows and not lexicon_line and not errored:
+        raise UsageError("nothing to evaluate: pass --similarity, --classify-train/--classify-test and/or --lexicon")
     return 3 if errored else 0
 
 

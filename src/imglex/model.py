@@ -197,6 +197,8 @@ def load_word2vec(path: str | Path) -> dict[str, np.ndarray]:
     for lineno, fields in rows:
         if len(fields) != dim + 1:
             raise DataError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}")
+        if fields[0] in vectors:
+            raise DataError(f"{path}:{lineno}: duplicate token {fields[0]!r}")
         try:
             vectors[fields[0]] = np.array([float(x) for x in fields[1:]], dtype=np.float64)
         except ValueError:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -645,12 +645,59 @@ class Checkpoint:
     epoch: int
 
 
+def _checkpoint_meta(path: str | Path, raw: np.ndarray | bytes) -> dict:
+    """The ``meta`` entry as a JSON object; anything else is a DataError.
+
+    ``raw`` is bytes when the archive member is not an ``.npy`` file. An
+    array goes through ``tobytes``: ``bytes()`` would read a 0-d integer
+    array as a length.
+    """
+    data = raw.tobytes() if isinstance(raw, np.ndarray) else raw
+    try:
+        meta = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{path}: checkpoint 'meta' entry is not UTF-8 JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint 'meta' entry is not a JSON object")
+    return meta
+
+
+def _meta_field(path: str | Path, meta: dict, name: str):
+    try:
+        return meta[name]
+    except KeyError:
+        raise DataError(f"{path}: checkpoint meta has no {name!r} field") from None
+
+
+def _checkpoint_config(path: str | Path, meta: dict, tower: str) -> TrainConfig:
+    """``meta.config`` as a valid TrainConfig for a model with ``tower``."""
+    raw = _meta_field(path, meta, "config")
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: checkpoint meta 'config' is not a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise DataError(f"{path}: checkpoint meta 'config' has unknown field {unknown[0]!r}")
+    missing = [f.name for f in fields(TrainConfig) if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise DataError(f"{path}: checkpoint meta 'config' has no {missing[0]!r} field")
+    config = TrainConfig(**raw)
+    try:
+        config.validate()
+    except (ConfigError, TypeError) as exc:  # TypeError: a value of the wrong JSON type
+        raise DataError(f"{path}: checkpoint meta 'config' is invalid: {exc}") from None
+    if config.tower != tower:
+        raise DataError(f"{path}: checkpoint meta 'config.tower' is {config.tower!r}, but the arrays hold a {tower} tower")
+    return config
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
-    A missing or unreadable file, a file that is not an ``.npz`` archive and
-    an archive without an entry save_checkpoint writes each raise DataError
-    naming the file.
+    A missing or unreadable file, a file that is not an ``.npz`` archive, an
+    archive without an entry save_checkpoint writes and a ``meta`` entry that
+    is not the JSON object save_checkpoint writes (with a ``config`` that
+    TrainConfig.validate accepts and whose tower matches the arrays) each
+    raise DataError naming the file and the entry or field.
     """
     try:
         fh = open(path, "rb")  # opened here: np.load leaks the handle of a bad zip
@@ -663,18 +710,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             archive = None  # np.load's own message speaks of pickled data
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise DataError(f"{path}: not a checkpoint: not an .npz archive")
+        arrays = {}
         with archive:
-            arrays = {name: archive[name] for name in archive.files}
+            for name in archive.files:
+                try:
+                    arrays[name] = archive[name]
+                except ValueError as exc:  # e.g. an object array, which would need pickle
+                    raise DataError(f"{path}: checkpoint entry {name!r} cannot be read: {exc}") from None
     try:
-        meta = json.loads(bytes(arrays.pop("meta")).decode("utf-8"))
+        raw_meta = arrays.pop("meta")
         params = ModelParams.from_arrays(arrays)
         accum = ModelParams.from_arrays({name: arrays[f"{name}_accum"] for name in params.arrays()})
-        return Checkpoint(
-            params=params,
-            optimizer=OptimizerState(meta["learning_rate"], meta["epsilon"], accum),
-            config=TrainConfig(**meta["config"]),
-            vocab_hash=meta["vocab_hash"],
-            epoch=meta["epoch"],
-        )
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no {exc.args[0]!r} entry") from None
+    meta = _checkpoint_meta(path, raw_meta)
+    tower = "mlp" if isinstance(params.tower, MlpImageTower) else "lookup"
+    return Checkpoint(
+        params=params,
+        optimizer=OptimizerState(_meta_field(path, meta, "learning_rate"), _meta_field(path, meta, "epsilon"), accum),
+        config=_checkpoint_config(path, meta, tower),
+        vocab_hash=_meta_field(path, meta, "vocab_hash"),
+        epoch=_meta_field(path, meta, "epoch"),
+    )

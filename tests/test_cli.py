@@ -5,6 +5,7 @@ import pytest
 
 from imglex.cli import main
 from imglex.data import load_triples
+from imglex.evaluation import lexicon_retrieval, load_lexicon
 from imglex.model import load_word2vec
 from imglex.textproc import LangMode, Vocabulary, tokenize
 
@@ -395,6 +396,63 @@ def test_eval_malformed_embeddings_is_data_error(tmp_path, capsys, content):
     assert code == 2
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert "bad.vec:" in err
+
+
+def test_eval_duplicate_embedding_token_is_data_error(tmp_path, capsys):
+    vec = tmp_path / "dup.vec"
+    vec.write_text("2 2\na 0.5 0.25\na 1.0 0.0\n", encoding="utf-8")
+    task = tmp_path / "t.tsv"
+    task.write_text("en:a\ten:b\t1.0\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(vec), "--similarity", str(task)]) == 2
+    assert capsys.readouterr().err == f"data error: {vec}:3: duplicate token 'a'\n"
+
+
+def test_eval_lexicon_reports_retrieval(trained_embeddings, synth_dir, capsys):
+    lexicon = synth_dir / "lexicon.tsv"
+    assert run(["eval", "--embeddings", str(trained_embeddings), "--lexicon", str(lexicon)]) == 0
+    want = lexicon_retrieval(load_word2vec(trained_embeddings), load_lexicon(lexicon), LangMode.AWARE)
+    assert capsys.readouterr().out == (
+        f"lexicon: precision@1 {want.precision_at_1:.4f}, same-concept cosine {want.same_concept_mean:.4f}, "
+        f"different-concept cosine {want.diff_concept_mean:.4f} ({want.n_words} words, {want.n_pairs} pairs)\n"
+    )
+    assert want.n_words == 16 and want.precision_at_1 > 0.5
+
+
+def test_eval_lexicon_with_similarity(trained_embeddings, synth_dir, tmp_path, capsys):
+    tokens = sorted(load_word2vec(trained_embeddings))
+    task = tmp_path / "sim.tsv"
+    task.write_text(f"{tokens[0]}\t{tokens[1]}\t9.0\n{tokens[1]}\t{tokens[2]}\t1.0\n{tokens[0]}\t{tokens[3]}\t5.0\n", encoding="utf-8")
+    argv = ["eval", "--embeddings", str(trained_embeddings), "--similarity", str(task)]
+    assert run(argv + ["--lexicon", str(synth_dir / "lexicon.tsv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["sim"] and lines[1].startswith("similarity ")
+    assert lines[2].startswith("lexicon: precision@1 ") and len(lines) == 3
+
+
+def test_eval_malformed_lexicon_is_data_error(trained_embeddings, tmp_path, capsys):
+    bad = tmp_path / "lex.tsv"
+    bad.write_text("en:a\tde:b\t0\nen:c\tde:d\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(trained_embeddings), "--lexicon", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: {bad}:2: expected 3 tab-separated columns, got 2\n"
+    assert captured.out == ""
+
+
+def test_eval_degenerate_lexicon_exit_code(trained_embeddings, tmp_path, capsys):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("en:nothere\tde:alsonot\t0\n", encoding="utf-8")
+    assert run(["eval", "--embeddings", str(trained_embeddings), "--lexicon", str(lexicon)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "lexicon: fewer than 2 covered words\n"
+    assert captured.out == ""
+
+
+def test_eval_nothing_to_evaluate_names_every_task_flag(trained_embeddings, capsys):
+    assert run(["eval", "--embeddings", str(trained_embeddings)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nothing to evaluate") and err.count("\n") == 1
+    for flag in ("--similarity", "--classify-train", "--lexicon"):
+        assert flag in err
 
 
 def test_eval_classification_cli(trained_embeddings, tmp_path):

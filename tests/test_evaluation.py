@@ -1,11 +1,14 @@
 """Spearman, similarity/classification scoring, lexicon retrieval, reports."""
 
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from imglex import evaluation
 from imglex.errors import DataError, EvalError
 from imglex.evaluation import (
     ClassTask,
@@ -407,6 +410,131 @@ def test_lexicon_retrieval_matches_loop_oracle():
                     pairs.append(LexiconPair(str(w1), str(w2), str(c)))
         want = lexicon_retrieval_loop(vectors, pairs, LangMode.AWARE)
         assert lexicon_retrieval(vectors, pairs, LangMode.AWARE) == want, trial
+
+
+# Entries in {0, +-1} with 1 or 4 nonzeros have norm 1 or 2, so every unit
+# vector, every cosine and every sum of a few cosines is exact in binary:
+# any block size must then give the loop oracle's results bit for bit.
+EXACT_DIRECTIONS = [*np.eye(4), *-np.eye(4), *map(np.array, itertools.product((-1.0, 1.0), repeat=4))]
+
+
+def exact_hand_built():
+    vectors = {
+        "en:hot": np.array([1.0, 0, 0, 0]),
+        "de:heiss": np.array([1.0, 1, 1, 1]),
+        "en:cold": np.array([0, 1.0, 0, 0]),
+        "de:kalt": np.array([-1.0, 1, -1, -1]),
+    }
+    return vectors, [LexiconPair("en:hot", "de:heiss", "0"), LexiconPair("en:cold", "de:kalt", "1")]
+
+
+def exact_ties():
+    # en:hot is as close to de:warm (listed first, concept 1) as to de:heiss
+    # (its own concept), and en:mild as close to de:warm as to de:heiss.
+    same = np.array([1.0, 0, 0, 0])
+    vectors = {"en:hot": same, "de:warm": same, "de:heiss": same, "en:mild": np.array([1.0, 1, 1, 1])}
+    return vectors, [LexiconPair("en:mild", "de:warm", "1"), LexiconPair("en:hot", "de:heiss", "0")]
+
+
+def exact_random(seed):
+    rng = np.random.default_rng(seed)
+    langs = ["en", "de", "fr"][: int(rng.integers(2, 4))]
+    directions = [EXACT_DIRECTIONS[k] for k in rng.choice(len(EXACT_DIRECTIONS), size=int(rng.integers(2, 6)))]
+    vectors = {}
+    pairs = []
+    for c in range(int(rng.integers(2, 7))):
+        words = [f"{lang}:w{c}k{k}" for lang in langs for k in range(2)]
+        for word in words:
+            if rng.uniform() < 0.9:  # some words stay uncovered
+                vectors[word] = directions[rng.integers(len(directions))]
+        for _ in range(3):
+            w1, w2 = rng.choice(words, size=2, replace=False)
+            if w1.split(":")[0] != w2.split(":")[0]:
+                pairs.append(LexiconPair(str(w1), str(w2), str(c)))
+    return vectors, pairs
+
+
+def first_row_in_later_block():
+    # Rows: en:a, en:a2, en:a3, de:a, en:b, en:b2. The last pair's first word
+    # (de:a, row 3) lies in a later block than its second (en:a, row 0) for
+    # blocks of 1, 2 and 3 rows. Rows 0-2 see only de:a across languages, of
+    # their own concept, so the first block adds no different-concept cosine.
+    e = np.eye(4)
+    vectors = {"en:a": e[0], "en:a2": e[0], "en:a3": e[1], "de:a": e[0], "en:b": e[2], "en:b2": np.ones(4)}
+    pairs = [
+        LexiconPair("en:a", "en:a2", "0"),
+        LexiconPair("en:a3", "de:a", "0"),
+        LexiconPair("en:b", "en:b2", "1"),
+        LexiconPair("de:a", "en:a", "0"),
+    ]
+    return vectors, pairs
+
+
+def one_language():
+    # No row of any block has a crosslingual word: degenerate, as for the loop.
+    e = np.eye(4)
+    return {"en:a": e[0], "en:b": e[1], "en:c": e[0]}, [LexiconPair("en:a", "en:b", "0"), LexiconPair("en:c", "en:a", "0")]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_lexicon_retrieval_blocked_matches_loop_oracle(monkeypatch, block):
+    cases = [
+        exact_hand_built(),
+        exact_ties(),
+        first_row_in_later_block(),
+        one_language(),
+        *(exact_random(seed) for seed in range(30)),
+    ]
+    want = []
+    for vectors, pairs in cases:
+        try:
+            want.append(lexicon_retrieval_loop(vectors, pairs, LangMode.AWARE))
+        except EvalError as exc:
+            want.append(str(exc))
+    assert want[0].precision_at_1 == 0.75 and want[1].precision_at_1 == 0.5
+    assert want[2].n_pairs == 4 and want[3] == "lexicon: not enough covered crosslingual pairs"
+    monkeypatch.setattr(evaluation, "RETRIEVAL_BLOCK_ROWS", block)
+    for k, ((vectors, pairs), expected) in enumerate(zip(cases, want)):
+        try:
+            got = lexicon_retrieval(vectors, pairs, LangMode.AWARE)
+        except EvalError as exc:
+            got = str(exc)
+        assert got == expected, k
+
+
+def test_lexicon_retrieval_blocks_agree_with_one_block_on_floats(monkeypatch):
+    # Rounded cosines: the block-by-block sum and a block's matrix product
+    # may move the two means in the last bits, nothing else.
+    # Words w3c, w3c+1, w3c+2 (one per language) are noisy copies of concept c.
+    rng = np.random.default_rng(8)
+    protos = rng.standard_normal((233, 16))
+    vectors = {f"l{k % 3}:w{k}": protos[k // 3] + rng.standard_normal(16) for k in range(699)}
+    pairs = [LexiconPair(f"l{k % 3}:w{k}", f"l{(k + 1) % 3}:w{k + 1}", str(k // 3)) for k in range(699) if k % 3 != 2]
+    blocked = lexicon_retrieval(vectors, pairs, LangMode.AWARE)
+    monkeypatch.setattr(evaluation, "RETRIEVAL_BLOCK_ROWS", 699)
+    whole = lexicon_retrieval(vectors, pairs, LangMode.AWARE)
+    assert (blocked.precision_at_1, blocked.n_words, blocked.n_pairs) == (whole.precision_at_1, 699, 466)
+    assert 0.3 < whole.precision_at_1 < 1.0
+    assert blocked.same_concept_mean == pytest.approx(whole.same_concept_mean, rel=1e-12, abs=0)
+    assert blocked.diff_concept_mean == pytest.approx(whole.diff_concept_mean, rel=1e-12, abs=0)
+
+
+def test_lexicon_retrieval_memory_stays_below_the_full_matrix():
+    # 3,000 words x 16 dims: the n x n float64 cosine matrix alone is 72 MB.
+    n, dim = 3000, 16
+    rng = np.random.default_rng(7)
+    vectors = {f"l{k % 3}:w{k}": rng.standard_normal(dim) for k in range(n)}
+    pairs = [
+        LexiconPair(f"l{k % 3}:w{k}", f"l{(k + 1) % 3}:w{k + 1}", str(k // 3)) for k in range(n - 1) if k % 3 != 2
+    ]
+    tracemalloc.start()
+    try:
+        result = lexicon_retrieval(vectors, pairs, LangMode.AWARE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_words == n
+    assert peak < n * n * 8
 
 
 def test_load_lexicon(tmp_path):

@@ -1,7 +1,10 @@
 """Loss, gradients, optimizer, train loop, gradient checker, checkpointing."""
 
 import io
+import json
 import math
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -429,6 +432,81 @@ def test_load_checkpoint_missing_entry_is_data_error(tmp_path, dropped):
         kept = {name: data[name] for name in data.files if name != dropped}
     np.savez(path, **kept)
     with pytest.raises(DataError, match=rf"ckpt\.npz: checkpoint has no '{dropped}' entry"):
+        load_checkpoint(path)
+
+
+def json_entry(value):
+    return np.frombuffer(json.dumps(value).encode("utf-8"), dtype=np.uint8)
+
+
+def without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def config_entry(meta, **changes):
+    return json_entry({**meta, "config": {**meta["config"], **changes}})
+
+
+# case -> (the meta entry, made from a valid meta dict; the DataError message after "ckpt.npz: ")
+MALFORMED_META = {
+    "not-utf8": (lambda meta: np.frombuffer(b"\xff\xfe{}", dtype=np.uint8), "checkpoint 'meta' entry is not UTF-8 JSON"),
+    "not-json": (lambda meta: np.frombuffer(b"{config", dtype=np.uint8), "checkpoint 'meta' entry is not UTF-8 JSON"),
+    "int-scalar": (lambda meta: np.array(2**62), "checkpoint 'meta' entry is not UTF-8 JSON"),
+    "not-object": (lambda meta: json_entry([1, 2]), "checkpoint 'meta' entry is not a JSON object"),
+    "object-array": (lambda meta: np.array([{}], dtype=object), "checkpoint entry 'meta' cannot be read"),
+    "no-learning-rate": (
+        lambda meta: json_entry(without(meta, "learning_rate")),
+        "checkpoint meta has no 'learning_rate' field",
+    ),
+    "config-not-object": (lambda meta: json_entry({**meta, "config": [1]}), "checkpoint meta 'config' is not a JSON object"),
+    "config-unknown-key": (
+        lambda meta: config_entry(meta, colour="red"),
+        "checkpoint meta 'config' has unknown field 'colour'",
+    ),
+    "config-missing-key": (
+        lambda meta: json_entry({**meta, "config": without(meta["config"], "emb_dim")}),
+        "checkpoint meta 'config' has no 'emb_dim' field",
+    ),
+    "config-invalid": (
+        lambda meta: config_entry(meta, batch_size=1),
+        "checkpoint meta 'config' is invalid: batch_size must be >= 2",
+    ),
+    "config-wrong-type": (lambda meta: config_entry(meta, emb_dim="4"), "checkpoint meta 'config' is invalid: "),
+    "config-tower-mismatch": (
+        lambda meta: config_entry(meta, tower="mlp", hidden_dim=5),
+        "checkpoint meta 'config.tower' is 'mlp', but the arrays hold a lookup tower",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_META))
+def test_load_checkpoint_malformed_meta_is_data_error(tmp_path, case):
+    make_entry, message = MALFORMED_META[case]
+    params = init_params(1, num_rows=6, emb_dim=4, tower="lookup", num_images=3)
+    opt = OptimizerState.for_params(params, learning_rate=0.25)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, opt, TrainConfig(tower="lookup", emb_dim=4), vocab_hash="h", epoch=0)
+    with np.load(path) as data:
+        kept = {name: data[name] for name in data.files if name != "meta"}
+        meta = json.loads(data["meta"].tobytes())
+    np.savez(path, meta=make_entry(meta), **kept)
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_meta_member_not_npy_is_data_error(tmp_path):
+    # np.load hands back the raw bytes of a member that is not an .npy file.
+    params = init_params(1, num_rows=6, emb_dim=4, tower="lookup", num_images=3)
+    opt = OptimizerState.for_params(params, learning_rate=0.25)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, opt, TrainConfig(tower="lookup", emb_dim=4), vocab_hash="h", epoch=0)
+    with np.load(path) as data:
+        kept = {name: data[name] for name in data.files if name != "meta"}
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in kept.items():
+            archive.writestr(f"{name}.npy", npy_bytes(array))
+        archive.writestr("meta.npy", b"\x93garbage\xff")
+    with pytest.raises(DataError, match=r"ckpt\.npz: checkpoint 'meta' entry is not UTF-8 JSON"):
         load_checkpoint(path)
 
 
