@@ -262,7 +262,6 @@ class PreparedCorpus:
 
     examples: list[TrainExample]
     dropped: int  # triples whose query tokenized to nothing
-    tower_kind: str
     feature_dim: int | None = None
     num_images: int | None = None
     image_ids: list[str] | None = None  # dense index -> original image id
@@ -305,12 +304,5 @@ def prepare_examples(
             dense = image_index.setdefault(t.image_id, len(image_index))
             examples.append(TrainExample(token_ids=ids, image=dense, weight=t.weight))
     if tower == "mlp":
-        return PreparedCorpus(examples=examples, dropped=dropped, tower_kind="mlp", feature_dim=feature_dim)
-    ordered_ids = sorted(image_index, key=image_index.__getitem__)
-    return PreparedCorpus(
-        examples=examples,
-        dropped=dropped,
-        tower_kind="lookup",
-        num_images=len(image_index),
-        image_ids=ordered_ids,
-    )
+        return PreparedCorpus(examples=examples, dropped=dropped, feature_dim=feature_dim)
+    return PreparedCorpus(examples=examples, dropped=dropped, num_images=len(image_index), image_ids=list(image_index))

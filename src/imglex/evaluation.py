@@ -129,12 +129,16 @@ def _covered_pair_scores(vectors: Vectors, task: SimTask, mode: LangMode) -> tup
 
 
 def eval_similarity(vectors: Vectors, task: SimTask, mode: LangMode = LangMode.AWARE) -> ScoredResult:
-    """Spearman between model cosines and human ratings over covered pairs."""
+    """Spearman between model cosines and human ratings over covered pairs.
+
+    An EvalError's message does not name the task, as spearman's and
+    task_token's do not; the caller adds the name once.
+    """
     if not task.pairs:
-        raise EvalError(f"task {task.name}: no pairs")
+        raise EvalError("no pairs")
     model_scores, human_scores = _covered_pair_scores(vectors, task, mode)
     if len(model_scores) < 2:
-        raise EvalError(f"task {task.name}: fewer than 2 covered pairs")
+        raise EvalError("fewer than 2 covered pairs")
     return ScoredResult(
         score=spearman(model_scores, human_scores),
         coverage=len(model_scores) / len(task.pairs),

@@ -3,8 +3,12 @@
 The query side averages embedding rows. The image side is either a two-layer
 ReLU network over fixed image features or a trainable per-image vector table
 (co-occurrence-only variant). Both sides must produce vectors of the same
-dimensionality so cosine similarity is defined. Both towers run batched in
-``imglex.training``; single-example forms for tests live in tests/oracles.py.
+dimensionality so cosine similarity is defined. Each image tower runs its own
+batched forward and backward: ``forward`` checks its inputs and returns the
+(B, n) image vectors with a cache, ``backward`` maps the gradient of those
+vectors to the gradient of each of its arrays, under its ``arrays`` names.
+``imglex.training`` calls them without asking which tower it holds;
+single-example forms for tests live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -22,6 +26,42 @@ from imglex.textproc import Vocabulary
 # Cosine of a vector with norm below this is defined as 0 and contributes
 # zero gradient (the final ReLU can output an all-zero image representation).
 NORM_FLOOR = 1e-12
+
+
+class NonFiniteError(ValueError):
+    """A touched parameter, the tower output or a gradient is NaN or infinite."""
+
+    def __init__(self, what: str):
+        super().__init__(f"non-finite {what}")
+        self.what = what
+
+
+def _check_finite(what: str, *arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.all(np.isfinite(a)):
+            raise NonFiniteError(what)
+
+
+@dataclass
+class RowGradient:
+    """Row-sparse gradient for an embedding-like table."""
+
+    rows: np.ndarray  # (R,) unique ids, ascending
+    values: np.ndarray  # (R, dim)
+
+    def to_dense(self, num_rows: int) -> np.ndarray:
+        dense = np.zeros((num_rows, self.values.shape[1]))
+        dense[self.rows] = self.values
+        return dense
+
+
+def _scatter_rows(inverse: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Row sums of ``values`` grouped by ``inverse``: one bincount per column,
+    each adding the rows in order."""
+    out = np.empty((num_rows, values.shape[1]))
+    for k, column in enumerate(np.ascontiguousarray(values.T)):
+        out[:, k] = np.bincount(inverse, weights=column, minlength=num_rows)
+    return out
 
 
 @dataclass
@@ -67,6 +107,32 @@ class MlpImageTower:
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "MlpImageTower":
         return cls(V=arrays["V"], b1=arrays["b1"], U=arrays["U"], b2=arrays["b2"])
 
+    def forward(self, feats: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """relu(U relu(V f + b1) + b2) for each row f of the (B, d) ``feats``,
+        and the cache ``backward`` reads. Every weight is read, so all must
+        be finite."""
+        if feats.ndim != 2:
+            raise ValueError("batch carries image ids but tower is mlp")
+        if feats.shape[1] != self.feature_dim:
+            raise ValueError(f"feature dim {feats.shape[1]} != tower dim {self.feature_dim}")
+        _check_finite("image tower parameters", self.V, self.b1, self.U, self.b2)
+        pre_hidden = feats @ self.V.T + self.b1
+        hidden = np.maximum(pre_hidden, 0.0)
+        pre_out = hidden @ self.U.T + self.b2
+        return np.maximum(pre_out, 0.0), (feats, pre_hidden, hidden, pre_out)
+
+    def backward(self, d_out: np.ndarray, cache: tuple) -> dict[str, np.ndarray]:
+        """Dense gradient of every weight and bias, given d loss / d output."""
+        feats, pre_hidden, hidden, pre_out = cache
+        d_pre_out = d_out * (pre_out > 0)  # ReLU subgradient at 0 is 0
+        d_pre_hidden = (d_pre_out @ self.U) * (pre_hidden > 0)
+        return {
+            "V": d_pre_hidden.T @ feats,
+            "b1": d_pre_hidden.sum(axis=0),
+            "U": d_pre_out.T @ hidden,
+            "b2": d_pre_out.sum(axis=0),
+        }
+
 
 @dataclass
 class LookupImageTower:
@@ -88,6 +154,20 @@ class LookupImageTower:
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "LookupImageTower":
         return cls(vectors=arrays["image_vectors"])
+
+    def forward(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vector of each image id in the (B,) ``ids``; the ids are the cache."""
+        if ids.ndim != 1:
+            raise ValueError("batch carries features but tower is lookup")
+        if ids.min() < 0 or ids.max() >= self.num_images:
+            raise ValueError("image id out of range")
+        return self.vectors[ids], ids
+
+    def backward(self, d_out: np.ndarray, ids: np.ndarray) -> dict[str, RowGradient]:
+        """Row-sparse gradient: each batch image's rows of ``d_out`` summed
+        onto its id; a table row absent from the batch has no entry."""
+        rows, inverse = np.unique(ids, return_inverse=True)
+        return {"image_vectors": RowGradient(rows=rows, values=_scatter_rows(inverse, d_out, rows.size))}
 
 
 ImageTower = MlpImageTower | LookupImageTower

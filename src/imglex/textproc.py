@@ -144,13 +144,14 @@ class Vocabulary:
             raise DataError(f"{path}:1: malformed header {header!r}, expected '<vocab_size> <num_buckets> <mode>'") from None
         if vocab_size < 0 or num_buckets < 1:
             raise DataError(f"{path}:1: header needs vocab_size >= 0 and num_buckets >= 1, got {header!r}")
-        tokens = tuple(token for _, (token,) in rows)
-        if len(tokens) != vocab_size:
-            raise DataError(f"{path}:1: header claims {vocab_size} tokens, found {len(tokens)}")
-        try:
-            return cls(tokens=tokens, num_buckets=num_buckets, min_count=1, mode=mode)
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        index: dict[str, int] = {}
+        for lineno, (token,) in rows:
+            if token in index:
+                raise DataError(f"{path}:{lineno}: duplicate token {token!r}")
+            index[token] = len(index)
+        if len(index) != vocab_size:
+            raise DataError(f"{path}:1: header claims {vocab_size} tokens, found {len(index)}")
+        return cls(tokens=tuple(index), num_buckets=num_buckets, min_count=1, mode=mode, index=index)
 
 
 def build_vocab(

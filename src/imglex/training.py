@@ -9,7 +9,10 @@ and the batch loss is the mean of the B weighted losses.
 The backward pass is derived by hand (no autograd): gradients flow through
 both the query and image side of every logit, including the off-diagonal
 (negative) pairs. Embedding rows and lookup-image rows receive row-sparse
-gradients; a row absent from the batch is exactly untouched.
+gradients; a row absent from the batch is exactly untouched. This module
+owns the bag-of-words forward and backward; the image tower runs its own
+``forward`` and ``backward`` (``imglex.model``), so the step is the same code
+for both towers.
 
 ``train`` packs the corpus into one Batch (flat token ids with per-query
 counts and offsets) and gathers every mini-batch from it by index. A step's
@@ -31,9 +34,12 @@ from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.fileio import atomic_write, write_lines
 from imglex.model import (
     NORM_FLOOR,
-    LookupImageTower,
     MlpImageTower,
     ModelParams,
+    NonFiniteError,
+    RowGradient,
+    _check_finite,
+    _scatter_rows,
     init_params,
 )
 
@@ -66,16 +72,12 @@ class Batch:
     token_ids: np.ndarray  # (T,) int64; query q is token_ids[offsets[q] : offsets[q] + counts[q]]
     counts: np.ndarray  # (B,) int64, each >= 1
     offsets: np.ndarray  # (B,) int64
-    images: np.ndarray  # (B, d) features for "mlp", (B,) int ids for "lookup"
+    images: np.ndarray  # what the image tower's forward takes: (B, d) features (MLP) or (B,) int ids (lookup)
     weights: np.ndarray  # (B,) non-negative
 
     @property
     def size(self) -> int:
         return self.counts.size
-
-    @property
-    def tower_kind(self) -> str:
-        return "mlp" if self.images.ndim == 2 else "lookup"
 
     @classmethod
     def from_examples(cls, examples: Sequence[TrainExample]) -> "Batch":
@@ -122,42 +124,22 @@ class LossReport:
 
 
 @dataclass
-class RowGradient:
-    """Row-sparse gradient for an embedding-like table."""
-
-    rows: np.ndarray  # (R,) unique ids, ascending
-    values: np.ndarray  # (R, dim)
-
-    def to_dense(self, num_rows: int) -> np.ndarray:
-        dense = np.zeros((num_rows, self.values.shape[1]))
-        dense[self.rows] = self.values
-        return dense
-
-
-@dataclass
 class Gradients:
+    """The gradient of each array the batch touched, under its
+    ``ModelParams.arrays`` name: row-sparse for ``embeddings`` and
+    ``image_vectors``, dense for the MLP arrays. ``tower`` is what the image
+    tower's ``backward`` returns."""
+
     embeddings: RowGradient
-    mlp: MlpImageTower | None = None  # the gradient of each MLP weight and bias
-    images: RowGradient | None = None
+    tower: dict[str, RowGradient | np.ndarray] = field(default_factory=dict)
+
+    @property
+    def images(self) -> RowGradient | None:
+        """The lookup tower's image-vector gradient (None for the MLP tower)."""
+        return self.tower.get("image_vectors")
 
     def arrays(self) -> dict[str, RowGradient | np.ndarray]:
-        """The gradient of each array the batch touched, under its
-        ``ModelParams.arrays`` name: row-sparse for ``embeddings`` and
-        ``image_vectors``, dense for the MLP arrays."""
-        named: dict[str, RowGradient | np.ndarray] = {"embeddings": self.embeddings}
-        if self.mlp is not None:
-            named.update(self.mlp.arrays())
-        if self.images is not None:
-            named["image_vectors"] = self.images
-        return named
-
-
-class NonFiniteError(ValueError):
-    """A touched parameter, the tower output or a gradient is NaN or infinite."""
-
-    def __init__(self, what: str):
-        super().__init__(f"non-finite {what}")
-        self.what = what
+        return {"embeddings": self.embeddings, **self.tower}
 
 
 def _bow_forward(emb_rows: np.ndarray, batch: Batch) -> np.ndarray:
@@ -171,27 +153,6 @@ def _bow_forward(emb_rows: np.ndarray, batch: Batch) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def _tower_forward(params: ModelParams, batch: Batch):
-    """Image representations (B, n) plus caches for the backward pass."""
-    tower = params.tower
-    if batch.tower_kind == "mlp":
-        if not isinstance(tower, MlpImageTower):
-            raise ValueError("batch carries features but tower is lookup")
-        feats = batch.images
-        if feats.shape[1] != tower.feature_dim:
-            raise ValueError(f"feature dim {feats.shape[1]} != tower dim {tower.feature_dim}")
-        pre_hidden = feats @ tower.V.T + tower.b1
-        hidden = np.maximum(pre_hidden, 0.0)
-        pre_out = hidden @ tower.U.T + tower.b2
-        return np.maximum(pre_out, 0.0), (feats, pre_hidden, hidden, pre_out)
-    if not isinstance(tower, LookupImageTower):
-        raise ValueError("batch carries image ids but tower is mlp")
-    ids = batch.images
-    if ids.min() < 0 or ids.max() >= tower.num_images:
-        raise ValueError("image id out of range")
-    return tower.vectors[ids], (ids,)
-
-
 def _safe_unit_rows(m: np.ndarray, what: str):
     """Row-normalize; rows with norm < NORM_FLOOR become zero (inv norm 0).
 
@@ -201,12 +162,6 @@ def _safe_unit_rows(m: np.ndarray, what: str):
     _check_finite(what, norms)
     inv = np.where(norms < NORM_FLOOR, 0.0, 1.0 / np.maximum(norms, NORM_FLOOR))
     return m * inv[:, None], inv
-
-
-def _check_finite(what: str, *arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError(what)
 
 
 def _forward(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndarray | None = None, keep_logits: bool = False):
@@ -224,11 +179,8 @@ def _forward(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndar
     if touched[0] < 0 or touched[-1] >= emb.shape[0]:
         raise ValueError("token id out of range")
     _check_finite("embedding rows", emb[touched])
-    if isinstance(params.tower, MlpImageTower):
-        t = params.tower
-        _check_finite("image tower parameters", t.V, t.b1, t.U, t.b2)
     q_raw = _bow_forward(emb, batch)
-    i_raw, tower_cache = _tower_forward(params, batch)
+    i_raw, tower_cache = params.tower.forward(batch.images)
     _check_finite("image tower output", i_raw)
     q_hat, q_inv = _safe_unit_rows(q_raw, "query norm")
     i_hat, i_inv = _safe_unit_rows(i_raw, "image norm")
@@ -269,17 +221,14 @@ def batch_loss_bruteforce(params: ModelParams, batch: Batch, logit_scale: float 
             total = total + emb[int(i)].astype(ld)
         queries.append(total / ld(len(ids)))
     images = []
-    if batch.tower_kind == "mlp":
-        tower = params.tower
-        assert isinstance(tower, MlpImageTower)
+    tower = params.tower
+    if isinstance(tower, MlpImageTower):
         for f in batch.images:
             hidden = tower.V.astype(ld) @ f.astype(ld) + tower.b1.astype(ld)
             hidden = np.where(hidden > 0, hidden, ld(0.0))
             out = tower.U.astype(ld) @ hidden + tower.b2.astype(ld)
             images.append(np.where(out > 0, out, ld(0.0)))
     else:
-        tower = params.tower
-        assert isinstance(tower, LookupImageTower)
         for i in batch.images:
             images.append(tower.vectors[int(i)].astype(ld))
 
@@ -299,15 +248,6 @@ def batch_loss_bruteforce(params: ModelParams, batch: Batch, logit_scale: float 
         prob = np.exp(scale * cos(queries[q], images[q])) / denom
         total = total + ld(batch.weights[q]) * (-np.log(prob))
     return float(total / ld(batch.size))
-
-
-def _scatter_rows(inverse: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
-    """Row sums of ``values`` grouped by ``inverse``: one bincount per column,
-    each adding the rows in order."""
-    out = np.empty((num_rows, values.shape[1]))
-    for k, column in enumerate(np.ascontiguousarray(values.T)):
-        out[:, k] = np.bincount(inverse, weights=column, minlength=num_rows)
-    return out
 
 
 def _loss_and_gradients(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndarray | None = None):
@@ -334,25 +274,10 @@ def _loss_and_gradients(params: ModelParams, batch: Batch, logit_scale: float, b
     # each token occurrence receives dQ_q / token_count).
     per_query = d_q / batch.counts[:, None]
     per_token = per_query[np.repeat(np.arange(b), batch.counts)]
-    grads = Gradients(embeddings=RowGradient(rows=touched, values=_scatter_rows(inverse, per_token, touched.size)))
-
-    if batch.tower_kind == "mlp":
-        feats, pre_hidden, hidden, pre_out = tower_cache
-        tower = params.tower
-        assert isinstance(tower, MlpImageTower)
-        d_pre_out = d_i * (pre_out > 0)  # ReLU subgradient at 0 is 0
-        d_hidden = d_pre_out @ tower.U
-        d_pre_hidden = d_hidden * (pre_hidden > 0)
-        grads.mlp = MlpImageTower(
-            V=d_pre_hidden.T @ feats,
-            b1=d_pre_hidden.sum(axis=0),
-            U=d_pre_out.T @ hidden,
-            b2=d_pre_out.sum(axis=0),
-        )
-    else:
-        (ids,) = tower_cache
-        img_rows, img_inverse = np.unique(ids, return_inverse=True)
-        grads.images = RowGradient(rows=img_rows, values=_scatter_rows(img_inverse, d_i, img_rows.size))
+    grads = Gradients(
+        embeddings=RowGradient(rows=touched, values=_scatter_rows(inverse, per_token, touched.size)),
+        tower=params.tower.backward(d_i, tower_cache),
+    )
     return grads, float(weighted.mean())
 
 
@@ -478,27 +403,20 @@ def train(
     if len(examples) == 1:
         raise ValueError("a single training example has a constant in-batch softmax; need at least 2")
     corpus = Batch.from_examples(examples)
-    if corpus.tower_kind != config.tower:
-        raise ValueError(f"examples are for the {corpus.tower_kind} tower, config asks for {config.tower!r}")
-    if config.tower == "mlp":
-        params = init_params(
-            config.seed,
-            num_rows=num_embedding_rows,
-            emb_dim=config.emb_dim,
-            tower="mlp",
-            feature_dim=corpus.images.shape[1],
-            hidden_dim=config.hidden_dim,
-        )
-    else:
-        if num_images is None:
-            num_images = int(corpus.images.max()) + 1
-        params = init_params(
-            config.seed,
-            num_rows=num_embedding_rows,
-            emb_dim=config.emb_dim,
-            tower="lookup",
-            num_images=num_images,
-        )
+    # Checked before init_params, which would size a tower from the other kind of images.
+    given = "mlp" if corpus.images.ndim == 2 else "lookup"
+    if given != config.tower:
+        raise ValueError(f"examples are for the {given} tower, config asks for {config.tower!r}")
+    # init_params reads only the arguments of config.tower.
+    params = init_params(
+        config.seed,
+        num_rows=num_embedding_rows,
+        emb_dim=config.emb_dim,
+        tower=config.tower,
+        feature_dim=corpus.images.shape[-1],
+        hidden_dim=config.hidden_dim,
+        num_images=corpus.images.max() + 1 if num_images is None else num_images,
+    )
     opt = OptimizerState.for_params(params, config.learning_rate)
     n = corpus.size
     starts = list(range(0, n, config.batch_size))
@@ -547,13 +465,11 @@ def grad_check(
     batch_size: int = 8,
     logit_scale: float = 1.5,
     step: float = 1e-5,
-    corrupt: float = 0.0,
 ) -> GradCheckReport:
     """Compare every analytic gradient entry against central finite differences.
 
-    Relative error is |ga - gn| / max(1e-8, |ga| + |gn|). ``corrupt`` is a
-    test hook that offsets one analytic entry so the negative control fails.
-    Parameter count must stay small (everything is perturbed twice).
+    Relative error is |ga - gn| / max(1e-8, |ga| + |gn|). Parameter count
+    must stay small (everything is perturbed twice).
     """
     params = init_params(
         seed,
@@ -586,8 +502,6 @@ def grad_check(
         ga = grads[name]
         if isinstance(ga, RowGradient):
             ga = ga.to_dense(theta.shape[0])
-        if name == "embeddings":
-            ga.flat[0] += corrupt
         flat_theta = theta.reshape(-1)
         flat_ga = ga.reshape(-1)
         for i in range(flat_theta.size):

@@ -484,6 +484,7 @@ def test_eval_degenerate_task_exit_code(trained_embeddings, tmp_path, capsys):
     task.write_text("en:nothere\ten:alsonot\t5.0\nen:nope\ten:nada\t3.0\n", encoding="utf-8")
     code = run(["eval", "--embeddings", str(trained_embeddings), "--similarity", str(task)])
     assert code == 3
+    assert capsys.readouterr().err == "similarity task degenerate: fewer than 2 covered pairs\n"
 
 
 def test_eval_unaware_untagged_inputs(tmp_path):

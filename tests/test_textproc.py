@@ -193,3 +193,11 @@ def test_load_rejects_garbled_file(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(DataError, match=r"vocab\.txt"):
         Vocabulary.load(path)
+
+
+def test_load_names_line_and_token_of_duplicate(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_bytes(b"2 10 aware\nen:a\nen:a\n")
+    with pytest.raises(DataError) as caught:
+        Vocabulary.load(path)
+    assert str(caught.value) == f"{path}:3: duplicate token 'en:a'"

@@ -176,10 +176,10 @@ def test_singleton_batch_gradients_zero():
     batch = Batch.from_examples([TrainExample(token_ids=np.array([1, 2]), image=np.ones(5), weight=1.5)])
     grads = batch_gradients(params, batch, 5.0)
     assert np.all(grads.embeddings.values == 0.0)
-    assert np.all(grads.mlp.V == 0.0)
-    assert np.all(grads.mlp.U == 0.0)
-    assert np.all(grads.mlp.b1 == 0.0)
-    assert np.all(grads.mlp.b2 == 0.0)
+    assert np.all(grads.tower["V"] == 0.0)
+    assert np.all(grads.tower["U"] == 0.0)
+    assert np.all(grads.tower["b1"] == 0.0)
+    assert np.all(grads.tower["b2"] == 0.0)
 
 
 def test_batch_validation():
@@ -211,6 +211,25 @@ def test_batch_loss_rejects_nonfinite_params():
         batch_loss(params, batch, 1.0)
 
 
+@pytest.mark.parametrize(
+    "tower, images, message",
+    [
+        ("mlp", [0, 1], "batch carries image ids but tower is mlp"),
+        ("lookup", [np.ones(5), np.ones(5)], "batch carries features but tower is lookup"),
+        ("mlp", [np.ones(3), np.ones(3)], "feature dim 3 != tower dim 5"),
+        ("lookup", [0, -1], "image id out of range"),
+        ("lookup", [5, 6], "image id out of range"),
+    ],
+    ids=["mlp-given-ids", "lookup-given-features", "feature-width", "negative-id", "id-past-table"],
+)
+def test_batch_loss_checks_tower_inputs(tower, images, message):
+    params, _ = random_params_and_batch(np.random.default_rng(30), tower=tower)  # feature_dim 5, num_images 6
+    batch = Batch.from_examples([TrainExample(token_ids=np.array([i]), image=image, weight=1.0) for i, image in enumerate(images)])
+    with pytest.raises(ValueError) as caught:
+        batch_loss(params, batch, 1.0)
+    assert str(caught.value) == message
+
+
 def test_adagrad_hand_step():
     params = lookup_params([[0.0]], [[0.0]])
     opt = OptimizerState.for_params(params, learning_rate=0.1, epsilon=0.0)
@@ -231,14 +250,14 @@ def test_adagrad_hand_step_dense():
     g_b2 = np.array([2.0, -0.5])
     ones = MlpImageTower(V=np.ones((2, 2)), b1=np.ones(2), U=np.ones((2, 2)), b2=g_b2)
     no_rows = RowGradient(rows=np.array([], dtype=np.int64), values=np.zeros((0, 2)))
-    sgd_step(params, Gradients(embeddings=no_rows, mlp=ones), opt)
+    sgd_step(params, Gradients(embeddings=no_rows, tower=ones.arrays()), opt)
     # theta -= lr * g / sqrt(g^2) = lr * sign(g), from b2 = 0
     assert np.array_equal(params.tower.b2, [-0.1, 0.1])
     assert np.array_equal(opt.mlp_accum.b2, [4.0, 0.25])
     assert np.array_equal(params.tower.V, before["V"] - 0.1)
     assert np.array_equal(params.embeddings.rows, before["embeddings"])
     assert np.all(opt.emb_accum == 0.0)
-    sgd_step(params, Gradients(embeddings=no_rows, mlp=ones), opt)
+    sgd_step(params, Gradients(embeddings=no_rows, tower=ones.arrays()), opt)
     # G = 2 g^2: theta -= lr * g / (sqrt(2) |g|)
     assert params.tower.b2 == pytest.approx([-0.1 - 0.1 / math.sqrt(2), 0.1 + 0.1 / math.sqrt(2)], rel=1e-15)
     assert np.array_equal(opt.mlp_accum.b2, [8.0, 0.5])
@@ -290,8 +309,14 @@ def test_gradients_match_finite_differences_quick():
         assert report.max_rel_err < 1e-4, (tower, report)
 
 
-def test_grad_check_detects_corruption():
-    report = grad_check(tower="mlp", seed=0, corrupt=0.5)
+def test_grad_check_detects_corruption(monkeypatch):
+    def corrupted(*args):
+        grads = batch_gradients(*args)
+        grads.embeddings.values[0, 0] += 0.5
+        return grads
+
+    monkeypatch.setattr("imglex.training.batch_gradients", corrupted)
+    report = grad_check(tower="mlp", seed=0)
     assert report.max_rel_err > 1e-2
 
 
@@ -570,10 +595,10 @@ def test_ragged_batch_matches_oracles():
     assert list(grads.embeddings.rows) == [0, 1, 3, 5, 7, 9, 11]
     analytic = {
         "embeddings": grads.embeddings.to_dense(12),
-        "V": grads.mlp.V,
-        "b1": grads.mlp.b1,
-        "U": grads.mlp.U,
-        "b2": grads.mlp.b2,
+        "V": grads.tower["V"],
+        "b1": grads.tower["b1"],
+        "U": grads.tower["U"],
+        "b2": grads.tower["b2"],
     }
     numeric = numeric_gradients(params, batch, 2.5)
     for name, ga in analytic.items():
