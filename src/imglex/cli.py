@@ -31,10 +31,10 @@ from imglex.data import (
 from imglex.errors import ConfigError, DataError, EvalError, ImglexError, TrainingDiverged
 from imglex.evaluation import (
     ReportRow,
+    SimTask,
     emit_report,
     eval_classification,
     eval_similarity,
-    eval_similarity_aggregate,
     lexicon_retrieval,
     load_class_task,
     load_lexicon,
@@ -263,7 +263,8 @@ def cmd_eval(args) -> int:
                 errored = True
         if args.aggregate:
             try:
-                cells.append(("all", eval_similarity_aggregate(vectors, tasks, mode)))
+                pooled = SimTask(name="all", pairs=[pair for task in tasks for pair in task.pairs])
+                cells.append(("all", eval_similarity(vectors, pooled, mode)))
             except EvalError as exc:
                 print(f"aggregate: {exc}", file=sys.stderr)
                 errored = True
@@ -288,7 +289,7 @@ def cmd_eval(args) -> int:
                 f"different-concept cosine {r.diff_concept_mean:.4f} ({r.n_words} words, {r.n_pairs} pairs)"
             )
         except EvalError as exc:
-            print(exc, file=sys.stderr)  # the message starts with "lexicon"
+            print(f"lexicon: {exc}", file=sys.stderr)
             errored = True
 
     if rows:

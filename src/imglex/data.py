@@ -34,7 +34,7 @@ import numpy as np
 
 from imglex.errors import DataError
 from imglex.fileio import read_rows, write_lines
-from imglex.textproc import Vocabulary, tokenize
+from imglex.textproc import Vocabulary, is_language_code, tokenize
 from imglex.training import TrainExample
 
 
@@ -60,6 +60,8 @@ def load_triples(path: str | Path) -> list[TripleRecord]:
             raise DataError(f"{path}:{lineno}: negative weight {raw_weight!r}")
         if not image_id:
             raise DataError(f"{path}:{lineno}: empty image id")
+        if not is_language_code(lang):
+            raise DataError(f"{path}:{lineno}: invalid language code {lang!r}")
         records.append(TripleRecord(weight=weight, lang=lang, query=query, image_id=image_id))
     return records
 

@@ -7,7 +7,11 @@ bucket row aliases unrelated words), and every result carries a coverage:
 the fraction of the task the embeddings could score.
 
 Task words may be language-tagged ("en:dog") or bare ("dog"); bare words are
-only meaningful in language-unaware embeddings.
+only meaningful in language-unaware embeddings. A pooled score over several
+tasks is eval_similarity on one task holding all their pairs in task order.
+
+An EvalError's message never names the task it comes from: the caller adds
+that name once.
 
 Lexicon retrieval (translation precision@1 and the same- versus
 different-concept cosine means) compares every covered lexicon word with
@@ -29,7 +33,7 @@ import numpy as np
 from imglex.errors import DataError, EvalError
 from imglex.fileio import read_rows
 from imglex.model import cosine
-from imglex.textproc import LangMode, tokenize
+from imglex.textproc import LangMode, is_language_code, tokenize
 
 Vectors = Mapping[str, np.ndarray]
 
@@ -61,18 +65,10 @@ class ScoredResult:
 
 
 def _fractional_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties averaged (fractional ranks)."""
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n with ties averaged (fractional ranks); -0.0 ties with 0.0."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (0.5 * (ends - counts + ends - 1) + 1.0)[group]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -81,6 +77,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape:
         raise ValueError(f"length mismatch: {xa.shape} vs {ya.shape}")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("non-finite input")
     if xa.size < 2:
         raise EvalError("degenerate ranking")
     rx = _fractional_ranks(xa)
@@ -98,11 +96,14 @@ def task_token(word: str, mode: LangMode) -> str | None:
     """Normalize a task word to its vocabulary token, or None if unusable.
 
     "lang:surface" words are tokenized in the given mode; bare words require
-    UNAWARE mode. Words that do not normalize to exactly one token are
-    unusable (multiword entries are out of scope for word-pair tasks).
+    UNAWARE mode, and AWARE mode requires a valid language code. Words that
+    do not normalize to exactly one token are unusable (multiword entries
+    are out of scope for word-pair tasks).
     """
     if ":" in word:
         lang, surface = word.split(":", 1)
+        if mode is LangMode.AWARE and not is_language_code(lang):
+            raise EvalError(f"word {word!r} has an invalid language tag")
     else:
         if mode is LangMode.AWARE:
             raise EvalError(f"word {word!r} has no language tag (required in aware mode)")
@@ -111,7 +112,10 @@ def task_token(word: str, mode: LangMode) -> str | None:
     return tokens[0] if len(tokens) == 1 else None
 
 
-def _covered_pair_scores(vectors: Vectors, task: SimTask, mode: LangMode) -> tuple[list[float], list[float]]:
+def eval_similarity(vectors: Vectors, task: SimTask, mode: LangMode = LangMode.AWARE) -> ScoredResult:
+    """Spearman between model cosines and human ratings over covered pairs."""
+    if not task.pairs:
+        raise EvalError("no pairs")
     model_scores: list[float] = []
     human_scores: list[float] = []
     for word1, word2, human in task.pairs:
@@ -125,18 +129,6 @@ def _covered_pair_scores(vectors: Vectors, task: SimTask, mode: LangMode) -> tup
             continue
         model_scores.append(cosine(v1, v2))
         human_scores.append(human)
-    return model_scores, human_scores
-
-
-def eval_similarity(vectors: Vectors, task: SimTask, mode: LangMode = LangMode.AWARE) -> ScoredResult:
-    """Spearman between model cosines and human ratings over covered pairs.
-
-    An EvalError's message does not name the task, as spearman's and
-    task_token's do not; the caller adds the name once.
-    """
-    if not task.pairs:
-        raise EvalError("no pairs")
-    model_scores, human_scores = _covered_pair_scores(vectors, task, mode)
     if len(model_scores) < 2:
         raise EvalError("fewer than 2 covered pairs")
     return ScoredResult(
@@ -144,34 +136,6 @@ def eval_similarity(vectors: Vectors, task: SimTask, mode: LangMode = LangMode.A
         coverage=len(model_scores) / len(task.pairs),
         n_used=len(model_scores),
         n_total=len(task.pairs),
-    )
-
-
-def eval_similarity_aggregate(
-    vectors: Vectors, subtasks: Sequence[SimTask], mode: LangMode = LangMode.AWARE
-) -> ScoredResult:
-    """Pool covered pairs from all subtasks, then score once.
-
-    A subtask with zero covered pairs contributes nothing but does not fail
-    the aggregate.
-    """
-    if not subtasks:
-        raise EvalError("aggregate needs at least one subtask")
-    model_scores: list[float] = []
-    human_scores: list[float] = []
-    total = 0
-    for task in subtasks:
-        m, h = _covered_pair_scores(vectors, task, mode)
-        model_scores.extend(m)
-        human_scores.extend(h)
-        total += len(task.pairs)
-    if len(model_scores) < 2:
-        raise EvalError("aggregate: fewer than 2 covered pairs")
-    return ScoredResult(
-        score=spearman(model_scores, human_scores),
-        coverage=len(model_scores) / total,
-        n_used=len(model_scores),
-        n_total=total,
     )
 
 
@@ -251,7 +215,7 @@ def eval_classification(
     label_index = {label: i for i, label in enumerate(label_set)}
     for label, _, _ in task.test_docs:
         if label not in label_index:
-            raise EvalError(f"task {task.name}: test label {label!r} missing from train set")
+            raise EvalError(f"test label {label!r} missing from train set")
 
     train_x: list[np.ndarray] = []
     train_y: list[int] = []
@@ -261,9 +225,9 @@ def eval_classification(
             train_x.append(rep)
             train_y.append(label_index[label])
     if not train_x:
-        raise EvalError(f"task {task.name}: no covered training documents")
+        raise EvalError("no covered training documents")
     if len(set(train_y)) < 2:
-        raise EvalError(f"task {task.name}: fewer than 2 labels among covered training documents")
+        raise EvalError("fewer than 2 labels among covered training documents")
     weights, biases, _ = train_softmax_regression(
         np.asarray(train_x), np.asarray(train_y), len(label_set), max_iter=max_iter, tol=tol
     )
@@ -284,7 +248,7 @@ def eval_classification(
         if predicted == label_index[label]:
             correct += 1
     if covered == 0:
-        raise EvalError(f"task {task.name}: no covered test documents")
+        raise EvalError("no covered test documents")
     return ScoredResult(
         score=correct / covered,
         coverage=covered / len(task.test_docs),
@@ -303,6 +267,8 @@ def load_sim_task(path: str | Path) -> SimTask:
             score = float(raw_score)
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-numeric score {raw_score!r}") from None
+        if not math.isfinite(score):
+            raise DataError(f"{path}:{lineno}: non-finite score {raw_score!r}")
         pairs.append((word1, word2, score))
     if not pairs:
         raise DataError(f"{path}: empty task file")
@@ -313,7 +279,11 @@ def load_class_task(train_path: str | Path, test_path: str | Path, name: str = "
     """Load train/test "label<TAB>lang<TAB>text" document files."""
 
     def read_docs(path: str | Path) -> list[tuple[str, str, str]]:
-        docs = [(label, lang, text) for _, (label, lang, text) in read_rows(path, "classification file", ncols=3)]
+        docs = []
+        for lineno, (label, lang, text) in read_rows(path, "classification file", ncols=3):
+            if not is_language_code(lang):
+                raise DataError(f"{path}:{lineno}: invalid language code {lang!r}")
+            docs.append((label, lang, text))
         if not docs:
             raise DataError(f"{path}: empty document file")
         return docs
@@ -371,7 +341,7 @@ def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: Lang
             lang = word.split(":", 1)[0]
             previous = info.get(word)
             if previous is not None and previous[1] != pair.concept:
-                raise EvalError(f"lexicon word {word!r} listed under two concepts")
+                raise EvalError(f"word {word!r} listed under two concepts")
             info[word] = (lang, pair.concept)
     words = []
     rows = []
@@ -388,7 +358,7 @@ def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: Lang
         words.append((word, lang, concept))
         rows.append(vec / norm)
     if len(words) < 2:
-        raise EvalError("lexicon: fewer than 2 covered words")
+        raise EvalError("fewer than 2 covered words")
     unit = np.asarray(rows)
 
     index = {word: i for i, (word, _, _) in enumerate(words)}
@@ -419,7 +389,7 @@ def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: Lang
         considered += int(np.count_nonzero(has_cross))
         hits += int(np.count_nonzero(has_cross & same_concept[np.arange(stop - start), nearest]))
     if same.size == 0 or diff_count == 0 or considered == 0:
-        raise EvalError("lexicon: not enough covered crosslingual pairs")
+        raise EvalError("not enough covered crosslingual pairs")
     return RetrievalResult(
         same_concept_mean=float(np.mean(same)),
         diff_concept_mean=float(diff_sum / diff_count),

@@ -61,17 +61,21 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+def is_language_code(lang: str | None) -> bool:
+    """Whether ``lang`` can prefix a token: non-empty, lowercase, no ':' or ' '."""
+    return bool(lang) and lang == lang.lower() and ":" not in lang and " " not in lang
+
+
 def tokenize(raw_query: str, lang: str | None, mode: LangMode) -> list[str]:
     """Split ``raw_query`` into normalized tokens.
 
     Non-alphanumeric characters (any script) become spaces, whitespace runs
     collapse, the text is lowercased. In AWARE mode each token is returned as
-    "<lang>:<surface>" and ``lang`` must be a non-empty lowercase code.
+    "<lang>:<surface>" and ``lang`` must pass :func:`is_language_code`.
     An all-separator query yields an empty list.
     """
-    if mode is LangMode.AWARE:
-        if not lang or lang != lang.lower() or ":" in lang or " " in lang:
-            raise ValueError(f"aware mode requires a non-empty lowercase language code, got {lang!r}")
+    if mode is LangMode.AWARE and not is_language_code(lang):
+        raise ValueError(f"aware mode requires a non-empty lowercase language code, got {lang!r}")
     surfaces = _SEPARATORS.sub(" ", raw_query.lower()).split()
     if mode is LangMode.AWARE:
         return [f"{lang}:{surface}" for surface in surfaces]
@@ -87,7 +91,6 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     num_buckets: int
-    min_count: int
     mode: LangMode
     index: dict[str, int] = field(repr=False, default_factory=dict)
 
@@ -130,11 +133,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        """Load a vocabulary saved by :meth:`save`.
-
-        min_count is not persisted in the file format; loaded vocabularies
-        report min_count=1.
-        """
+        """Load a vocabulary saved by :meth:`save`."""
         rows = read_rows(path, "vocabulary", ncols=1)
         _, (header,) = next(rows, (1, [""]))
         try:
@@ -151,7 +150,7 @@ class Vocabulary:
             index[token] = len(index)
         if len(index) != vocab_size:
             raise DataError(f"{path}:1: header claims {vocab_size} tokens, found {len(index)}")
-        return cls(tokens=tuple(index), num_buckets=num_buckets, min_count=1, mode=mode, index=index)
+        return cls(tokens=tuple(index), num_buckets=num_buckets, mode=mode, index=index)
 
 
 def build_vocab(
@@ -175,4 +174,4 @@ def build_vocab(
         (token for token, n in counts.items() if n >= min_count),
         key=lambda token: (-counts[token], token),
     )
-    return Vocabulary(tokens=tuple(kept), num_buckets=num_buckets, min_count=min_count, mode=mode)
+    return Vocabulary(tokens=tuple(kept), num_buckets=num_buckets, mode=mode)

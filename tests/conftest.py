@@ -7,23 +7,24 @@ from imglex.textproc import LangMode, build_vocab, tokenize
 from imglex.training import TrainConfig, train
 
 
+def naive_ranks(vals):
+    """Independent oracle: 1-based ranks, ties averaged, by sorting and a loop."""
+    order = sorted(range(len(vals)), key=lambda i: vals[i])
+    out = [0.0] * len(vals)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and vals[order[j + 1]] == vals[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            out[order[k]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return out
+
+
 def naive_spearman(x, y):
     """Independent oracle: average-rank ties by sorting, then plain Pearson."""
-
-    def ranks(vals):
-        order = sorted(range(len(vals)), key=lambda i: vals[i])
-        out = [0.0] * len(vals)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and vals[order[j + 1]] == vals[order[i]]:
-                j += 1
-            for k in range(i, j + 1):
-                out[order[k]] = 0.5 * (i + j) + 1.0
-            i = j + 1
-        return out
-
-    rx, ry = ranks(list(x)), ranks(list(y))
+    rx, ry = naive_ranks(list(x)), naive_ranks(list(y))
     mx = sum(rx) / len(rx)
     my = sum(ry) / len(ry)
     num = math.fsum((a - mx) * (b - my) for a, b in zip(rx, ry))

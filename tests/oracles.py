@@ -57,7 +57,7 @@ def lexicon_retrieval_loop(vectors: Vectors, pairs: Sequence[LexiconPair], mode:
             lang = word.split(":", 1)[0]
             previous = info.get(word)
             if previous is not None and previous[1] != pair.concept:
-                raise EvalError(f"lexicon word {word!r} listed under two concepts")
+                raise EvalError(f"word {word!r} listed under two concepts")
             info[word] = (lang, pair.concept)
     words = []
     rows = []
@@ -74,7 +74,7 @@ def lexicon_retrieval_loop(vectors: Vectors, pairs: Sequence[LexiconPair], mode:
         words.append((word, lang, concept))
         rows.append(vec / norm)
     if len(words) < 2:
-        raise EvalError("lexicon: fewer than 2 covered words")
+        raise EvalError("fewer than 2 covered words")
     unit = np.asarray(rows)
     sims = unit @ unit.T
 
@@ -110,7 +110,7 @@ def lexicon_retrieval_loop(vectors: Vectors, pairs: Sequence[LexiconPair], mode:
             if words[best_j][2] == concept_i:
                 hits += 1
     if not same or not diff or considered == 0:
-        raise EvalError("lexicon: not enough covered crosslingual pairs")
+        raise EvalError("not enough covered crosslingual pairs")
     return RetrievalResult(
         same_concept_mean=float(np.mean(same)),
         diff_concept_mean=float(np.mean(diff)),

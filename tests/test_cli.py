@@ -500,6 +500,47 @@ def test_eval_unaware_untagged_inputs(tmp_path):
     assert code == 0
 
 
+
+EVAL = ["eval", "--embeddings", "{vec}"]
+TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, content, code, err",
+    [
+        (TRAIN + ["--triples"], "1.0\tEN\ta b\timg1\n", 2, "data error: {path}:1: invalid language code 'EN'"),
+        (TRAIN + ["--triples"], "1.0\t\ta b\timg1\n", 2, "data error: {path}:1: invalid language code ''"),
+        (EVAL + ["--similarity"], "EN:a\ten:b\t1\n", 3, "similarity task bad: word 'EN:a' has an invalid language tag"),
+        (EVAL + ["--similarity"], ":a\ten:b\t1\n", 3, "similarity task bad: word ':a' has an invalid language tag"),
+        (EVAL + ["--similarity"], "en:a\ten:b\tnan\nen:a\ten:c\t1\nen:b\ten:c\tinf\n", 2,
+         "data error: {path}:1: non-finite score 'nan'"),
+        (EVAL + ["--aggregate", "--similarity"], "en:a\ten:b\t1\nen:a\ten:zz\t2\n", 3,
+         "similarity task bad: fewer than 2 covered pairs\naggregate: fewer than 2 covered pairs"),
+        (EVAL + ["--classify-test", "{path}", "--classify-train"], "x\tEN\ta\n", 2,
+         "data error: {path}:1: invalid language code 'EN'"),
+        (EVAL + ["--classify-test", "{path}", "--classify-train"], "x\t\ta\n", 2,
+         "data error: {path}:1: invalid language code ''"),
+        (EVAL + ["--classify-test", "{path}", "--classify-train"], "x\ten\tzz\n", 3,
+         "classification: no covered training documents"),
+        (EVAL + ["--lexicon"], "EN:a\ten:b\t0\n", 3, "lexicon: word 'EN:a' has an invalid language tag"),
+        (EVAL + ["--lexicon"], ":a\ten:b\t0\n", 3, "lexicon: word ':a' has an invalid language tag"),
+        (EVAL + ["--lexicon"], "en:a\tde:b\t0\nen:a\tde:c\t1\n", 3, "lexicon: word 'en:a' listed under two concepts"),
+    ],
+    ids=[
+        "triples-upper", "triples-empty", "similarity-upper", "similarity-empty", "similarity-nan",
+        "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
+        "lexicon-upper", "lexicon-empty", "lexicon-two-concepts",
+    ],
+)
+def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, content, code, err):
+    path = tmp_path / "bad.tsv"
+    path.write_text(content, encoding="utf-8")
+    vec = tmp_path / "emb.vec"
+    vec.write_text("4 2\nen:a 1 0\nen:b 0 1\nen:c 1 1\nde:b 1 0.5\n", encoding="utf-8")
+    names = {"vec": vec, "out": tmp_path / "out", "path": path}
+    assert run([arg.format(**names) for arg in argv] + [str(path)]) == code
+    assert capsys.readouterr().err == err.format(**names) + "\n"
+
 def test_gradcheck_cli(capsys):
     assert run(["gradcheck"]) == 0
     printed = capsys.readouterr().out

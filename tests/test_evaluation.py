@@ -20,7 +20,6 @@ from imglex.evaluation import (
     emit_report,
     eval_classification,
     eval_similarity,
-    eval_similarity_aggregate,
     format_cell,
     format_score,
     lexicon_retrieval,
@@ -32,7 +31,7 @@ from imglex.evaluation import (
 )
 from imglex.textproc import LangMode
 
-from conftest import naive_spearman
+from conftest import naive_ranks, naive_spearman
 from oracles import lexicon_retrieval_loop
 
 
@@ -58,16 +57,25 @@ def test_spearman_degenerate():
         spearman([3, 3, 3], [1, 2, 3])
     with pytest.raises(ValueError):
         spearman([1, 2], [1, 2, 3])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite input"):
+            spearman([1, 2, bad], [1, 2, 3])
+        with pytest.raises(ValueError, match="non-finite input"):
+            spearman([1, 2, 3], [bad, 2, 3])
 
 
 def test_spearman_matches_naive_oracle():
     rng = random.Random(1)
+    cases = [([0.0, -0.0, 1.0, -1.0, 0.0], [2, 1, 3, 1, 5])]  # -0.0 ties with 0.0
     for _ in range(300):
         n = rng.randrange(2, 51)
         x = [rng.randrange(8) for _ in range(n)]
         y = [rng.randrange(8) for _ in range(n)]
         if len(set(x)) < 2 or len(set(y)) < 2:
             continue
+        cases.append((x, y))
+    for x, y in cases:
+        assert evaluation._fractional_ranks(np.asarray(x, dtype=np.float64)).tolist() == naive_ranks(x)
         assert spearman(x, y) == pytest.approx(naive_spearman(x, y), abs=1e-12)
 
 
@@ -184,7 +192,7 @@ def test_aggregate_single_subtask_matches_eval_similarity():
     vectors = {"en:a": unit(1, 0), "de:b": unit(1, 0.3), "fr:c": unit(0, 1)}
     task = SimTask(name="t", pairs=[("en:a", "de:b", 3.0), ("en:a", "fr:c", 1.0), ("de:b", "fr:c", 2.0)])
     single = eval_similarity(vectors, task, LangMode.AWARE)
-    pooled = eval_similarity_aggregate(vectors, [task], LangMode.AWARE)
+    pooled = eval_similarity(vectors, SimTask(name="all", pairs=task.pairs), LangMode.AWARE)
     assert pooled.score == pytest.approx(single.score)
     assert pooled.coverage == single.coverage
 
@@ -193,7 +201,7 @@ def test_aggregate_pools_pairs():
     vectors = {"en:a": unit(1, 0), "de:b": unit(1, 0.5), "en:c": unit(0, 1), "de:d": unit(0.2, 1)}
     t1 = SimTask(name="t1", pairs=[("en:a", "de:b", 4.0), ("en:a", "en:c", 1.0)])
     t2 = SimTask(name="t2", pairs=[("en:c", "de:d", 9.0), ("de:b", "de:d", 2.0)])
-    pooled = eval_similarity_aggregate(vectors, [t1, t2], LangMode.AWARE)
+    pooled = eval_similarity(vectors, SimTask(name="all", pairs=t1.pairs + t2.pairs), LangMode.AWARE)
     model = []
     human = []
     for task in (t1, t2):
@@ -209,7 +217,7 @@ def test_aggregate_tolerates_uncovered_subtask():
     vectors = {"en:a": unit(1, 0), "de:b": unit(1, 0.5), "en:c": unit(0, 1)}
     good = SimTask(name="good", pairs=[("en:a", "de:b", 2.0), ("en:a", "en:c", 1.0), ("de:b", "en:c", 3.0)])
     empty = SimTask(name="empty", pairs=[("en:nope", "de:nada", 1.0)])
-    pooled = eval_similarity_aggregate(vectors, [good, empty], LangMode.AWARE)
+    pooled = eval_similarity(vectors, SimTask(name="all", pairs=good.pairs + empty.pairs), LangMode.AWARE)
     assert pooled.n_used == 3
     assert pooled.n_total == 4
 
@@ -492,7 +500,7 @@ def test_lexicon_retrieval_blocked_matches_loop_oracle(monkeypatch, block):
         except EvalError as exc:
             want.append(str(exc))
     assert want[0].precision_at_1 == 0.75 and want[1].precision_at_1 == 0.5
-    assert want[2].n_pairs == 4 and want[3] == "lexicon: not enough covered crosslingual pairs"
+    assert want[2].n_pairs == 4 and want[3] == "not enough covered crosslingual pairs"
     monkeypatch.setattr(evaluation, "RETRIEVAL_BLOCK_ROWS", block)
     for k, ((vectors, pairs), expected) in enumerate(zip(cases, want)):
         try:
