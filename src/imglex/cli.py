@@ -8,6 +8,12 @@ Subcommands:
              and on a ground-truth lexicon (translation retrieval)
   gradcheck  compare analytic gradients against finite differences
 
+train resolves its settings in one merge: TRAIN_DEFAULTS, then the --preset,
+then every flag given explicitly. Each train flag's dest is the setting's
+name, the TrainConfig field where there is one (--m sets hidden_dim, --lr
+learning_rate), and TrainConfig receives only the fields that are set, so
+its own defaults apply otherwise. The MLP output width is --emb-dim.
+
 Exit codes: 0 success, 1 usage/config error or diverged training, 2 data
 error, 3 failed check or degenerate evaluation. All outputs are written
 atomically, so a failed run leaves no partial files.
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from imglex.data import (
@@ -53,14 +60,19 @@ from imglex.training import TrainConfig, grad_check, save_checkpoint, save_loss_
 
 GRADCHECK_THRESHOLD = 1e-4
 
-# Named configurations; flags given explicitly override preset values.
+# Named configurations, keyed by train flag dests; flags given explicitly
+# override preset values.
 PRESETS: dict[str, dict] = {
-    "mlp-100": {"tower": "mlp", "lang_mode": "aware", "emb_dim": 100, "m": 200, "n": 100},
-    "mlp-300": {"tower": "mlp", "lang_mode": "aware", "emb_dim": 300, "m": 300, "n": 300},
+    "mlp-100": {"tower": "mlp", "lang_mode": "aware", "emb_dim": 100, "hidden_dim": 200},
+    "mlp-300": {"tower": "mlp", "lang_mode": "aware", "emb_dim": 300, "hidden_dim": 300},
     "baseline": {"tower": "lookup", "lang_mode": "aware", "emb_dim": 100},
     "baseline-2lang": {"tower": "lookup", "lang_mode": "aware", "emb_dim": 100, "filter_multilingual": True},
-    "unaware-100": {"tower": "mlp", "lang_mode": "unaware", "emb_dim": 100, "m": 200, "n": 100},
+    "unaware-100": {"tower": "mlp", "lang_mode": "unaware", "emb_dim": 100, "hidden_dim": 200},
 }
+
+# Defaults of the train settings TrainConfig has no default for, and of those only the CLI reads.
+TRAIN_DEFAULTS = {"tower": "mlp", "emb_dim": 100, "hidden_dim": 200, "lang_mode": "aware", "filter_multilingual": False,
+                  "min_count": DEFAULT_MIN_COUNT, "buckets": DEFAULT_NUM_BUCKETS}
 
 
 class UsageError(ImglexError):
@@ -101,11 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--tower", choices=["mlp", "lookup"])
     p_train.add_argument("--lang-mode", choices=["aware", "unaware"])
     p_train.add_argument("--emb-dim", type=int)
-    p_train.add_argument("--m", type=int, help="MLP hidden width")
-    p_train.add_argument("--n", type=int, help="MLP output width (must equal --emb-dim)")
+    p_train.add_argument("--m", dest="hidden_dim", type=int, help="MLP hidden width (the output width is --emb-dim)")
     p_train.add_argument("--batch-size", type=int)
     p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--lr", type=float)
+    p_train.add_argument("--lr", dest="learning_rate", type=float)
     p_train.add_argument("--logit-scale", type=float)
     p_train.add_argument("--min-count", type=int)
     p_train.add_argument("--buckets", type=int)
@@ -165,50 +176,30 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def _resolved(args, name: str, preset: dict, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return preset.get(name, default)
-
-
 def cmd_train(args) -> int:
-    preset = PRESETS.get(args.preset, {}) if args.preset else {}
-    tower = _resolved(args, "tower", preset, "mlp")
-    lang_mode = LangMode.from_string(_resolved(args, "lang_mode", preset, "aware"))
-    emb_dim = _resolved(args, "emb_dim", preset, 100)
-    hidden = _resolved(args, "m", preset, 200)
-    out_width = _resolved(args, "n", preset, None)
-    apply_filter = bool(_resolved(args, "filter_multilingual", preset, False))
-    min_count = _resolved(args, "min_count", preset, DEFAULT_MIN_COUNT)
-    num_buckets = _resolved(args, "buckets", preset, DEFAULT_NUM_BUCKETS)
-    config = TrainConfig(
-        tower=tower,
-        emb_dim=emb_dim,
-        hidden_dim=hidden if tower == "mlp" else None,
-        out_dim=out_width,
-        batch_size=_resolved(args, "batch_size", preset, 1000),
-        epochs=_resolved(args, "epochs", preset, 5),
-        learning_rate=_resolved(args, "lr", preset, 0.5),
-        logit_scale=_resolved(args, "logit_scale", preset, 1.0),
-        seed=_resolved(args, "seed", preset, 0),
-    )
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    settings = {**TRAIN_DEFAULTS, **PRESETS.get(args.preset, {}), **given}
+    tower = settings["tower"]
+    if tower != "mlp":
+        del settings["hidden_dim"]  # a lookup config keeps hidden_dim=None
+    config = TrainConfig(**{f.name: settings[f.name] for f in fields(TrainConfig) if f.name in settings})
     config.validate()  # reject bad configs before touching any input or output
-    if min_count < 1 or num_buckets < 1:
+    if settings["min_count"] < 1 or settings["buckets"] < 1:
         raise ConfigError("min-count and buckets must be >= 1")
     if tower == "mlp" and not args.features:
         raise ConfigError("mlp tower requires --features")
 
     triples = load_triples(args.triples)
-    if apply_filter:
+    if settings["filter_multilingual"]:
         before = len(triples)
         triples = filter_multilingual(triples)
         print(f"multilingual filter: kept {len(triples)} of {before} triples")
     features = load_features(args.features) if tower == "mlp" else None
+    lang_mode = LangMode.from_string(settings["lang_mode"])
     vocab = build_vocab(
         (token for t in triples for token in tokenize(t.query, t.lang, lang_mode)),
-        min_count=min_count,
-        num_buckets=num_buckets,
+        min_count=settings["min_count"],
+        num_buckets=settings["buckets"],
         mode=lang_mode,
     )
     prepared = prepare_examples(triples, vocab, tower=tower, features=features)

@@ -7,7 +7,8 @@ bucket row aliases unrelated words), and every result carries a coverage:
 the fraction of the task the embeddings could score.
 
 Task words may be language-tagged ("en:dog") or bare ("dog"); bare words are
-only meaningful in language-unaware embeddings. A pooled score over several
+only meaningful in language-unaware embeddings, and never in a lexicon, whose
+tags decide which word pairs are crosslingual. A pooled score over several
 tasks is eval_similarity on one task holding all their pairs in task order.
 
 An EvalError's message never names the task it comes from: the caller adds
@@ -150,18 +151,18 @@ def doc_repr(vectors: Vectors, lang: str | None, text: str, mode: LangMode) -> n
     return np.mean(rows, axis=0)
 
 
+SOFTMAX_MAX_ITER = 1000
+SOFTMAX_TOL = 1e-6
+
+
 def train_softmax_regression(
-    features: np.ndarray,
-    labels: np.ndarray,
-    num_classes: int,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
+    features: np.ndarray, labels: np.ndarray, num_classes: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Multinomial logistic regression by full-batch gradient descent.
 
-    Runs until the loss improves by less than ``tol`` or ``max_iter`` steps,
-    with backtracking step halving so the loss never increases. Returns
-    (weights (C, D), biases (C,), final loss).
+    Runs until the loss improves by less than SOFTMAX_TOL or for
+    SOFTMAX_MAX_ITER steps, with backtracking step halving so the loss never
+    increases. Returns (weights (C, D), biases (C,), final loss).
     """
     n, dim = features.shape
     weights = np.zeros((num_classes, dim))
@@ -179,7 +180,7 @@ def train_softmax_regression(
 
     loss, grad_w, grad_b = loss_and_grad(weights, biases)
     step = 10.0
-    for _ in range(max_iter):
+    for _ in range(SOFTMAX_MAX_ITER):
         while step > 1e-12:
             cand_w = weights - step * grad_w
             cand_b = biases - step * grad_b
@@ -193,18 +194,12 @@ def train_softmax_regression(
         weights, biases = cand_w, cand_b
         loss, grad_w, grad_b = cand_loss, cand_gw, cand_gb
         step *= 1.2
-        if improvement < tol:
+        if improvement < SOFTMAX_TOL:
             break
     return weights, biases, loss
 
 
-def eval_classification(
-    vectors: Vectors,
-    task: ClassTask,
-    mode: LangMode = LangMode.AWARE,
-    max_iter: int = 1000,
-    tol: float = 1e-6,
-) -> ScoredResult:
+def eval_classification(vectors: Vectors, task: ClassTask, mode: LangMode = LangMode.AWARE) -> ScoredResult:
     """Accuracy of a softmax classifier over averaged embeddings.
 
     Embeddings are frozen; the classifier sees only covered documents.
@@ -228,9 +223,7 @@ def eval_classification(
         raise EvalError("no covered training documents")
     if len(set(train_y)) < 2:
         raise EvalError("fewer than 2 labels among covered training documents")
-    weights, biases, _ = train_softmax_regression(
-        np.asarray(train_x), np.asarray(train_y), len(label_set), max_iter=max_iter, tol=tol
-    )
+    weights, biases, _ = train_softmax_regression(np.asarray(train_x), np.asarray(train_y), len(label_set))
 
     covered = 0
     correct = 0
@@ -238,13 +231,13 @@ def eval_classification(
     tokens_in_vocab = 0
     for label, lang, text in task.test_docs:
         tokens = tokenize(text, lang, mode)
+        rows = [vectors[tok] for tok in tokens if tok in vectors]  # as in doc_repr
         tokens_total += len(tokens)
-        tokens_in_vocab += sum(1 for tok in tokens if tok in vectors)
-        rep = doc_repr(vectors, lang, text, mode)
-        if rep is None:
+        tokens_in_vocab += len(rows)
+        if not rows:
             continue
         covered += 1
-        predicted = int(np.argmax(weights @ rep + biases))
+        predicted = int(np.argmax(weights @ np.mean(rows, axis=0) + biases))
         if predicted == label_index[label]:
             correct += 1
     if covered == 0:
@@ -275,7 +268,7 @@ def load_sim_task(path: str | Path) -> SimTask:
     return SimTask(name=path.stem, pairs=pairs)
 
 
-def load_class_task(train_path: str | Path, test_path: str | Path, name: str = "classification") -> ClassTask:
+def load_class_task(train_path: str | Path, test_path: str | Path) -> ClassTask:
     """Load train/test "label<TAB>lang<TAB>text" document files."""
 
     def read_docs(path: str | Path) -> list[tuple[str, str, str]]:
@@ -288,7 +281,7 @@ def load_class_task(train_path: str | Path, test_path: str | Path, name: str = "
             raise DataError(f"{path}: empty document file")
         return docs
 
-    return ClassTask(name=name, train_docs=read_docs(train_path), test_docs=read_docs(test_path))
+    return ClassTask(name="classification", train_docs=read_docs(train_path), test_docs=read_docs(test_path))
 
 
 # --- Lexicon-based diagnostics (synthetic ground truth) ---------------------
@@ -322,9 +315,10 @@ class RetrievalResult:
 def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: LangMode) -> RetrievalResult:
     """Concept-separation and translation-retrieval diagnostics.
 
-    Every lexicon word carries its language tag and concept. precision@1: for
-    each covered word, the nearest covered word of another language (by
-    cosine) must share its concept; a tie goes to the word listed first.
+    Every lexicon word carries its language tag, in either mode (a bare word
+    raises EvalError), and its concept. precision@1: for each covered word,
+    the nearest covered word of another language (by cosine) must share its
+    concept; a tie goes to the word listed first.
 
     The n x n cosine matrix is walked in blocks of RETRIEVAL_BLOCK_ROWS rows
     and never held whole, so the extra memory is O(block * n + n * d). Each
@@ -338,7 +332,9 @@ def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: Lang
     info: dict[str, tuple[str, str]] = {}  # tagged word -> (lang, concept)
     for pair in pairs:
         for word in (pair.word1, pair.word2):
-            lang = word.split(":", 1)[0]
+            lang, tagged, _ = word.partition(":")
+            if not tagged:
+                raise EvalError(f"word {word!r} has no language tag")
             previous = info.get(word)
             if previous is not None and previous[1] != pair.concept:
                 raise EvalError(f"word {word!r} listed under two concepts")

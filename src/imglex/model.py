@@ -96,10 +96,6 @@ class MlpImageTower:
     def hidden_dim(self) -> int:
         return self.V.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.U.shape[0]
-
     def arrays(self) -> dict[str, np.ndarray]:
         return {"V": self.V, "b1": self.b1, "U": self.U, "b2": self.b2}
 
@@ -143,10 +139,6 @@ class LookupImageTower:
     @property
     def num_images(self) -> int:
         return self.vectors.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.vectors.shape[1]
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"image_vectors": self.vectors}

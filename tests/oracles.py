@@ -54,7 +54,9 @@ def lexicon_retrieval_loop(vectors: Vectors, pairs: Sequence[LexiconPair], mode:
     info: dict[str, tuple[str, str]] = {}  # tagged word -> (lang, concept)
     for pair in pairs:
         for word in (pair.word1, pair.word2):
-            lang = word.split(":", 1)[0]
+            lang, tagged, _ = word.partition(":")
+            if not tagged:
+                raise EvalError(f"word {word!r} has no language tag")
             previous = info.get(word)
             if previous is not None and previous[1] != pair.concept:
                 raise EvalError(f"word {word!r} listed under two concepts")

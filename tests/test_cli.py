@@ -1,13 +1,17 @@
 """End-to-end command-line tests (invoking main() in process)."""
 
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
-from imglex.cli import main
+from imglex.cli import PRESETS, TRAIN_DEFAULTS, build_parser, main
 from imglex.data import load_triples
 from imglex.evaluation import lexicon_retrieval, load_lexicon
 from imglex.model import load_word2vec
 from imglex.textproc import LangMode, Vocabulary, tokenize
+from imglex.training import TrainConfig, load_checkpoint
 
 
 def run(argv):
@@ -143,6 +147,41 @@ def synth64_dir(tmp_path_factory):
     return out
 
 
+def test_train_preset_follows_emb_dim_override(synth64_dir, tmp_path):
+    # The MLP output width is --emb-dim, so overriding a preset's emb_dim
+    # needs no other flag.
+    out = tmp_path / "preset_emb24"
+    code = run(
+        [
+            "train",
+            "--triples", str(synth64_dir / "triples.tsv"),
+            "--features", str(synth64_dir / "features.tsv"),
+            "--preset", "mlp-100",
+            "--emb-dim", "24",
+            "--epochs", "1",
+            "--buckets", "200",
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 0
+    checkpoint = load_checkpoint(out / "checkpoint.npz")
+    assert checkpoint.config.emb_dim == 24 and checkpoint.config.hidden_dim == 200
+    assert checkpoint.params.tower.U.shape == (24, 200)
+    assert (out / "embeddings.vec").read_text().splitlines()[0].endswith(" 24")
+
+
+def test_every_train_setting_has_one_flag_named_after_it():
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = [a for a in subcommands.choices["train"]._actions if a.option_strings]
+    dests = [a.dest for a in flags]
+    for field in dataclasses.fields(TrainConfig):
+        assert dests.count(field.name) == 1, field.name
+    for preset in PRESETS.values():
+        assert set(preset) <= set(dests)
+    assert set(TRAIN_DEFAULTS) <= set(dests)
+
+
 def test_train_config_rejected_before_any_output(synth_dir, tmp_path):
     out = tmp_path / "invalid"
     code = run(
@@ -153,7 +192,7 @@ def test_train_config_rejected_before_any_output(synth_dir, tmp_path):
             "--tower", "mlp",
             "--emb-dim", "8",
             "--m", "16",
-            "--n", "50",
+            "--batch-size", "1",
             "--out-dir", str(out),
         ]
     )
@@ -525,11 +564,13 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
         (EVAL + ["--lexicon"], "EN:a\ten:b\t0\n", 3, "lexicon: word 'EN:a' has an invalid language tag"),
         (EVAL + ["--lexicon"], ":a\ten:b\t0\n", 3, "lexicon: word ':a' has an invalid language tag"),
         (EVAL + ["--lexicon"], "en:a\tde:b\t0\nen:a\tde:c\t1\n", 3, "lexicon: word 'en:a' listed under two concepts"),
+        (EVAL + ["--lang-mode", "unaware", "--lexicon"], "a\tde:b\t0\nen:c\tde:b\t0\n", 3,
+         "lexicon: word 'a' has no language tag"),
     ],
     ids=[
         "triples-upper", "triples-empty", "similarity-upper", "similarity-empty", "similarity-nan",
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
-        "lexicon-upper", "lexicon-empty", "lexicon-two-concepts",
+        "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word",
     ],
 )
 def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, content, code, err):

@@ -385,6 +385,22 @@ def test_lexicon_retrieval_hand_built():
 
 
 
+@pytest.mark.parametrize("mode", [LangMode.AWARE, LangMode.UNAWARE])
+def test_lexicon_retrieval_bare_word_has_no_language(mode):
+    # A bare word's language is unknown, so it cannot tell crosslingual pairs
+    # from same-language ones, in either mode.
+    vectors = {"dog": unit(1, 0), "hund": unit(0.9, 0.1), "cat": unit(0, 1), "katze": unit(0.1, 0.9)}
+    bare = [LexiconPair("dog", "hund", "0"), LexiconPair("cat", "katze", "1")]
+    for retrieval in (lexicon_retrieval, lexicon_retrieval_loop):
+        with pytest.raises(EvalError, match="^word 'dog' has no language tag$"):
+            retrieval(vectors, bare, mode)
+    if mode is LangMode.UNAWARE:
+        tagged = [LexiconPair("en:dog", "de:hund", "0"), LexiconPair("en:cat", "de:katze", "1")]
+        result = lexicon_retrieval(vectors, tagged, mode)
+        assert result == lexicon_retrieval_loop(vectors, tagged, mode)
+        assert result.precision_at_1 == 1.0 and result.n_words == 4
+
+
 def test_lexicon_retrieval_ties_go_to_the_first_word():
     # en:hot is equally close to de:warm (listed first, concept 1) and to
     # de:heiss (its own concept): the first listed word wins, a miss.

@@ -329,8 +329,6 @@ def test_grad_check_singleton_batch_trivial():
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(tower="cnn", emb_dim=4).validate()
-    with pytest.raises(ConfigError, match="equal emb_dim"):
-        TrainConfig(tower="mlp", emb_dim=8, hidden_dim=4, out_dim=6).validate()
     with pytest.raises(ConfigError):
         TrainConfig(tower="mlp", emb_dim=8, hidden_dim=4, batch_size=0).validate()
     TrainConfig(tower="mlp", emb_dim=8, hidden_dim=4).validate()
@@ -497,6 +495,8 @@ MALFORMED_META = {
         "checkpoint meta 'config' is invalid: batch_size must be >= 2",
     ),
     "config-wrong-type": (lambda meta: config_entry(meta, emb_dim="4"), "checkpoint meta 'config' is invalid: "),
+    # Checkpoints written while the MLP output width was a setting of its own.
+    "config-out-dim": (lambda meta: config_entry(meta, out_dim=4), "checkpoint meta 'config' has unknown field 'out_dim'"),
     "config-tower-mismatch": (
         lambda meta: config_entry(meta, tower="mlp", hidden_dim=5),
         "checkpoint meta 'config.tower' is 'mlp', but the arrays hold a lookup tower",
