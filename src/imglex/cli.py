@@ -14,6 +14,10 @@ name, the TrainConfig field where there is one (--m sets hidden_dim, --lr
 learning_rate), and TrainConfig receives only the fields that are set, so
 its own defaults apply otherwise. The MLP output width is --emb-dim.
 
+gensynth resolves the same way: each flag's dest is a SyntheticSpec field
+(--concepts sets num_concepts, --sigma noise_sigma), SyntheticSpec receives
+only the flags given, and its defaults are the only ones.
+
 Exit codes: 0 success, 1 usage/config error or diverged training, 2 data
 error, 3 failed check or degenerate evaluation. All outputs are written
 atomically, so a failed run leaves no partial files.
@@ -49,13 +53,7 @@ from imglex.evaluation import (
 )
 from imglex.fileio import atomic_write_text
 from imglex.model import load_word2vec, save_word2vec
-from imglex.textproc import (
-    DEFAULT_MIN_COUNT,
-    DEFAULT_NUM_BUCKETS,
-    LangMode,
-    build_vocab,
-    tokenize,
-)
+from imglex.textproc import LangMode, build_vocab, tokenize
 from imglex.training import TrainConfig, grad_check, save_checkpoint, save_loss_curve, train
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -72,7 +70,7 @@ PRESETS: dict[str, dict] = {
 
 # Defaults of the train settings TrainConfig has no default for, and of those only the CLI reads.
 TRAIN_DEFAULTS = {"tower": "mlp", "emb_dim": 100, "hidden_dim": 200, "lang_mode": "aware", "filter_multilingual": False,
-                  "min_count": DEFAULT_MIN_COUNT, "buckets": DEFAULT_NUM_BUCKETS}
+                  "min_count": 6, "buckets": 1_000_000}
 
 
 class UsageError(ImglexError):
@@ -89,15 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("gensynth", help="generate a synthetic multilingual corpus")
-    p_gen.add_argument("--concepts", type=int, default=20)
-    p_gen.add_argument("--languages", type=int, default=3)
-    p_gen.add_argument("--words-per-concept", type=int, default=2)
-    p_gen.add_argument("--feature-dim", type=int, default=64)
-    p_gen.add_argument("--sigma", type=float, default=0.1)
-    p_gen.add_argument("--num-examples", type=int, default=1000)
-    p_gen.add_argument("--images-per-concept", type=int, default=200)
-    p_gen.add_argument("--isolated-fraction", type=float, default=0.6)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--concepts", dest="num_concepts", type=int)
+    p_gen.add_argument("--languages", dest="num_languages", type=int)
+    p_gen.add_argument("--words-per-concept", type=int)
+    p_gen.add_argument("--feature-dim", type=int)
+    p_gen.add_argument("--sigma", dest="noise_sigma", type=float)
+    p_gen.add_argument("--num-examples", type=int)
+    p_gen.add_argument("--images-per-concept", type=int)
+    p_gen.add_argument("--isolated-fraction", dest="isolated_image_fraction", type=float)
+    p_gen.add_argument("--seed", type=int)
     p_gen.add_argument("--out-dir", required=True)
     p_gen.set_defaults(func=cmd_gensynth)
 
@@ -122,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--buckets", type=int)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--filter-multilingual", action="store_true", default=None)
-    p_train.add_argument("--deterministic", action="store_true",
-                         help="fixed reduction order (always on; flag kept for interface stability)")
     p_train.add_argument("--out-dir", required=True)
     p_train.set_defaults(func=cmd_train)
 
@@ -146,21 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gensynth(args) -> int:
-    spec = SyntheticSpec(
-        num_concepts=args.concepts,
-        num_languages=args.languages,
-        words_per_concept=args.words_per_concept,
-        feature_dim=args.feature_dim,
-        noise_sigma=args.sigma,
-        num_examples=args.num_examples,
-        seed=args.seed,
-        images_per_concept=args.images_per_concept,
-        isolated_image_fraction=args.isolated_fraction,
-    )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    given = vars(args)
+    spec = SyntheticSpec(**{f.name: given[f.name] for f in fields(SyntheticSpec) if given[f.name] is not None})
     paths = gen_synthetic(spec, args.out_dir)
     print(f"wrote {paths.triples}")
     print(f"wrote {paths.features}")

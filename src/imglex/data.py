@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from imglex.errors import DataError
+from imglex.errors import ConfigError, DataError
 from imglex.fileio import read_rows, write_lines
 from imglex.textproc import Vocabulary, is_language_code, tokenize
 from imglex.training import TrainExample
@@ -146,9 +146,9 @@ def filter_multilingual(triples: Sequence[TripleRecord]) -> list[TripleRecord]:
 class SyntheticSpec:
     """Configuration for the synthetic multilingual corpus generator."""
 
-    num_concepts: int
-    num_languages: int
-    words_per_concept: int  # per language
+    num_concepts: int = 20
+    num_languages: int = 3
+    words_per_concept: int = 2  # per language
     feature_dim: int = 64
     noise_sigma: float = 0.1
     num_examples: int = 1000
@@ -158,13 +158,13 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         if min(self.num_concepts, self.num_languages, self.num_examples) < 1:
-            raise ValueError("num_concepts, num_languages, num_examples must be >= 1")
+            raise ConfigError("num_concepts, num_languages, num_examples must be >= 1")
         if self.words_per_concept < 1 or self.feature_dim < 1 or self.images_per_concept < 1:
-            raise ValueError("words_per_concept, feature_dim, images_per_concept must be >= 1")
+            raise ConfigError("words_per_concept, feature_dim, images_per_concept must be >= 1")
         if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+            raise ConfigError("noise_sigma must be >= 0")
         if not 0.0 <= self.isolated_image_fraction <= 1.0:
-            raise ValueError("isolated_image_fraction must be in [0, 1]")
+            raise ConfigError("isolated_image_fraction must be in [0, 1]")
 
 
 def synthetic_word(lang: int, concept: int, slot: int) -> str:
@@ -266,7 +266,6 @@ class PreparedCorpus:
     dropped: int  # triples whose query tokenized to nothing
     feature_dim: int | None = None
     num_images: int | None = None
-    image_ids: list[str] | None = None  # dense index -> original image id
 
 
 def prepare_examples(
@@ -307,4 +306,4 @@ def prepare_examples(
             examples.append(TrainExample(token_ids=ids, image=dense, weight=t.weight))
     if tower == "mlp":
         return PreparedCorpus(examples=examples, dropped=dropped, feature_dim=feature_dim)
-    return PreparedCorpus(examples=examples, dropped=dropped, num_images=len(image_index), image_ids=list(image_index))
+    return PreparedCorpus(examples=examples, dropped=dropped, num_images=len(image_index))

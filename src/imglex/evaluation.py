@@ -315,10 +315,11 @@ class RetrievalResult:
 def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: LangMode) -> RetrievalResult:
     """Concept-separation and translation-retrieval diagnostics.
 
-    Every lexicon word carries its language tag, in either mode (a bare word
-    raises EvalError), and its concept. precision@1: for each covered word,
-    the nearest covered word of another language (by cosine) must share its
-    concept; a tie goes to the word listed first.
+    Every lexicon word carries a valid language tag, in either mode (a bare
+    word or an invalid tag such as ``EN:`` raises EvalError), and its
+    concept. precision@1: for each covered word, the nearest covered word of
+    another language (by cosine) must share its concept; a tie goes to the
+    word listed first.
 
     The n x n cosine matrix is walked in blocks of RETRIEVAL_BLOCK_ROWS rows
     and never held whole, so the extra memory is O(block * n + n * d). Each
@@ -335,6 +336,8 @@ def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: Lang
             lang, tagged, _ = word.partition(":")
             if not tagged:
                 raise EvalError(f"word {word!r} has no language tag")
+            if not is_language_code(lang):
+                raise EvalError(f"word {word!r} has an invalid language tag")
             previous = info.get(word)
             if previous is not None and previous[1] != pair.concept:
                 raise EvalError(f"word {word!r} listed under two concepts")

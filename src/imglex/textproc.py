@@ -21,9 +21,6 @@ from typing import Iterable
 from imglex.errors import DataError
 from imglex.fileio import atomic_write, encode_lines, read_rows
 
-DEFAULT_MIN_COUNT = 6
-DEFAULT_NUM_BUCKETS = 1_000_000
-
 # Separators are everything that is not a Unicode letter or digit; underscore
 # is explicitly a separator even though regex \w would keep it.
 _SEPARATORS = re.compile(r"[\W_]+")
@@ -92,13 +89,12 @@ class Vocabulary:
     tokens: tuple[str, ...]
     num_buckets: int
     mode: LangMode
-    index: dict[str, int] = field(repr=False, default_factory=dict)
+    index: dict[str, int] = field(repr=False, init=False)
 
     def __post_init__(self):
         if self.num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
-        if not self.index:
-            object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
 
@@ -150,13 +146,13 @@ class Vocabulary:
             index[token] = len(index)
         if len(index) != vocab_size:
             raise DataError(f"{path}:1: header claims {vocab_size} tokens, found {len(index)}")
-        return cls(tokens=tuple(index), num_buckets=num_buckets, mode=mode, index=index)
+        return cls(tokens=tuple(index), num_buckets=num_buckets, mode=mode)
 
 
 def build_vocab(
     token_stream: Iterable[str],
-    min_count: int = DEFAULT_MIN_COUNT,
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
+    min_count: int,
+    num_buckets: int,
     mode: LangMode = LangMode.AWARE,
 ) -> Vocabulary:
     """Count tokens and keep those with frequency >= ``min_count``.

@@ -44,6 +44,7 @@ from imglex.model import (
 )
 
 BRUTEFORCE_MAX_BATCH = 64
+ADAGRAD_EPSILON = 1e-8
 
 
 @dataclass
@@ -197,13 +198,13 @@ def _forward(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndar
     return weighted, logits, cache
 
 
-def batch_loss(params: ModelParams, batch: Batch, logit_scale: float = 1.0) -> LossReport:
+def batch_loss(params: ModelParams, batch: Batch, logit_scale: float) -> LossReport:
     """Mean weighted in-batch softmax cosine loss plus the full logit matrix."""
     weighted, logits, _ = _forward(params, batch, logit_scale, keep_logits=True)
     return LossReport(mean_weighted_loss=float(weighted.mean()), logits=logits, example_losses=weighted)
 
 
-def batch_loss_bruteforce(params: ModelParams, batch: Batch, logit_scale: float = 1.0) -> float:
+def batch_loss_bruteforce(params: ModelParams, batch: Batch, logit_scale: float) -> float:
     """Oracle re-computation: naive double loop in extended precision.
 
     Independent of the vectorized path: query means, tower forward, cosines,
@@ -281,7 +282,7 @@ def _loss_and_gradients(params: ModelParams, batch: Batch, logit_scale: float, b
     return grads, float(weighted.mean())
 
 
-def batch_gradients(params: ModelParams, batch: Batch, logit_scale: float = 1.0) -> Gradients:
+def batch_gradients(params: ModelParams, batch: Batch, logit_scale: float) -> Gradients:
     """Analytic gradient of the mean weighted batch loss for every parameter
     the batch touches; untouched rows are absent (exactly zero)."""
     grads, _ = _loss_and_gradients(params, batch, logit_scale)
@@ -294,14 +295,13 @@ class OptimizerState:
     ModelParams of the same shapes (``accum.arrays()`` names them)."""
 
     learning_rate: float
-    epsilon: float
     accum: ModelParams = field(repr=False)
 
     @classmethod
-    def for_params(cls, params: ModelParams, learning_rate: float, epsilon: float = 1e-8) -> "OptimizerState":
+    def for_params(cls, params: ModelParams, learning_rate: float) -> "OptimizerState":
         # np.zeros maps untouched pages lazily; zeros_like would write every page of the table.
         zeros = {name: np.zeros(theta.shape, theta.dtype) for name, theta in params.arrays().items()}
-        return cls(learning_rate, epsilon, ModelParams.from_arrays(zeros))
+        return cls(learning_rate, ModelParams.from_arrays(zeros))
 
     @property
     def emb_accum(self) -> np.ndarray:
@@ -315,7 +315,7 @@ class OptimizerState:
 
 
 def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None:
-    """Adagrad update in place: G += g^2, then theta -= lr * g / (sqrt(G) + eps).
+    """Adagrad update in place: G += g^2, then theta -= lr * g / (sqrt(G) + ADAGRAD_EPSILON).
 
     A dense gradient updates every row; a row-sparse one only its rows, so
     rows with no gradient entry are untouched.
@@ -332,7 +332,7 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
         accum = accums[name]
         new_accum = accum[rows] + g * g
         accum[rows] = new_accum
-        thetas[name][rows] -= opt.learning_rate * g / (np.sqrt(new_accum) + opt.epsilon)
+        thetas[name][rows] -= opt.learning_rate * g / (np.sqrt(new_accum) + ADAGRAD_EPSILON)
 
 
 @dataclass
@@ -518,16 +518,10 @@ def save_checkpoint(
     epoch: int,
 ) -> None:
     """Single-file checkpoint: config, vocabulary hash, parameters, optimizer
-    state, epoch counter."""
+    accumulators, epoch counter. The optimizer's rate is config.learning_rate."""
     arrays = params.arrays()
     arrays.update((f"{name}_accum", accum) for name, accum in opt.accum.arrays().items())
-    meta = {
-        "config": asdict(config),
-        "vocab_hash": vocab_hash,
-        "epoch": epoch,
-        "learning_rate": opt.learning_rate,
-        "epsilon": opt.epsilon,
-    }
+    meta = {"config": asdict(config), "vocab_hash": vocab_hash, "epoch": epoch}
     with atomic_write(path) as fh:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
 
@@ -593,7 +587,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     archive without an entry save_checkpoint writes and a ``meta`` entry that
     is not the JSON object save_checkpoint writes (with a ``config`` that
     TrainConfig.validate accepts and whose tower matches the arrays) each
-    raise DataError naming the file and the entry or field.
+    raise DataError naming the file and the entry or field. Other ``meta``
+    keys are ignored. The optimizer's rate is ``config.learning_rate``.
     """
     try:
         fh = open(path, "rb")  # opened here: np.load leaks the handle of a bad zip
@@ -621,10 +616,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataError(f"{path}: checkpoint has no {exc.args[0]!r} entry") from None
     meta = _checkpoint_meta(path, raw_meta)
     tower = "mlp" if isinstance(params.tower, MlpImageTower) else "lookup"
+    config = _checkpoint_config(path, meta, tower)
     return Checkpoint(
         params=params,
-        optimizer=OptimizerState(_meta_field(path, meta, "learning_rate"), _meta_field(path, meta, "epsilon"), accum),
-        config=_checkpoint_config(path, meta, tower),
+        optimizer=OptimizerState(config.learning_rate, accum),
+        config=config,
         vocab_hash=_meta_field(path, meta, "vocab_hash"),
         epoch=_meta_field(path, meta, "epoch"),
     )

@@ -13,7 +13,7 @@ from imglex.errors import DataError, EvalError
 from imglex.evaluation import LexiconPair, RetrievalResult, Vectors, task_token
 from imglex.fileio import read_rows
 from imglex.model import EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams
-from imglex.textproc import LangMode
+from imglex.textproc import LangMode, is_language_code
 from imglex.training import Batch, batch_loss
 
 
@@ -57,6 +57,8 @@ def lexicon_retrieval_loop(vectors: Vectors, pairs: Sequence[LexiconPair], mode:
             lang, tagged, _ = word.partition(":")
             if not tagged:
                 raise EvalError(f"word {word!r} has no language tag")
+            if not is_language_code(lang):
+                raise EvalError(f"word {word!r} has an invalid language tag")
             previous = info.get(word)
             if previous is not None and previous[1] != pair.concept:
                 raise EvalError(f"word {word!r} listed under two concepts")

@@ -370,7 +370,6 @@ def test_criterion_8_determinism(tmp_path):
         "--logit-scale", "10",
         "--buckets", "128",
         "--seed", "11",
-        "--deterministic",
     ]
     assert cli_main(argv + ["--out-dir", str(tmp_path / "run_a")]) == 0
     assert cli_main(argv + ["--out-dir", str(tmp_path / "run_b")]) == 0

@@ -2,12 +2,14 @@
 
 import argparse
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from imglex.cli import PRESETS, TRAIN_DEFAULTS, build_parser, main
-from imglex.data import load_triples
+from imglex.data import SyntheticSpec, gen_synthetic, load_triples
 from imglex.evaluation import lexicon_retrieval, load_lexicon
 from imglex.model import load_word2vec
 from imglex.textproc import LangMode, Vocabulary, tokenize
@@ -51,6 +53,36 @@ def test_gensynth_deterministic(tmp_path):
     assert run(args + ["--out-dir", str(tmp_path / "b")]) == 0
     for name in ("triples.tsv", "features.tsv", "lexicon.tsv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_gensynth_defaults_are_the_spec_defaults(tmp_path):
+    assert run(["gensynth", "--out-dir", str(tmp_path / "a")]) == 0
+    gen_synthetic(SyntheticSpec(), tmp_path / "b")
+    for name in ("triples.tsv", "features.tsv", "lexicon.tsv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_every_synthetic_setting_has_one_flag_named_after_it():
+    dests = [a.dest for a in subcommands()["gensynth"]._actions if a.option_strings]
+    for field in dataclasses.fields(SyntheticSpec):
+        assert dests.count(field.name) == 1, field.name
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--concepts", "0", "num_concepts, num_languages, num_examples must be >= 1"),
+        ("--words-per-concept", "0", "words_per_concept, feature_dim, images_per_concept must be >= 1"),
+        ("--sigma", "-0.1", "noise_sigma must be >= 0"),
+        ("--isolated-fraction", "1.5", "isolated_image_fraction must be in [0, 1]"),
+    ],
+    ids=["concepts", "words-per-concept", "sigma", "isolated-fraction"],
+)
+def test_gensynth_config_error_is_one_line_and_writes_nothing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "corpus"
+    assert run(["gensynth", flag, value, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_filter_command(synth_dir, tmp_path, capsys):
@@ -170,16 +202,24 @@ def test_train_preset_follows_emb_dim_override(synth64_dir, tmp_path):
     assert (out / "embeddings.vec").read_text().splitlines()[0].endswith(" 24")
 
 
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_train_setting_has_one_flag_named_after_it():
-    parser = build_parser()
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = [a for a in subcommands.choices["train"]._actions if a.option_strings]
-    dests = [a.dest for a in flags]
+    dests = [a.dest for a in subcommands()["train"]._actions if a.option_strings]
     for field in dataclasses.fields(TrainConfig):
         assert dests.count(field.name) == 1, field.name
     for preset in PRESETS.values():
         assert set(preset) <= set(dests)
     assert set(TRAIN_DEFAULTS) <= set(dests)
+
+
+def test_readme_names_only_existing_flags():
+    options = {opt for sub in subcommands().values() for a in sub._actions for opt in a.option_strings}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = {flag for line in readme.splitlines() if "pip" not in line for flag in re.findall(r"--[a-z][a-z0-9-]*", line)}
+    assert named and sorted(named - options) == []
 
 
 def test_train_config_rejected_before_any_output(synth_dir, tmp_path):
@@ -566,11 +606,13 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
         (EVAL + ["--lexicon"], "en:a\tde:b\t0\nen:a\tde:c\t1\n", 3, "lexicon: word 'en:a' listed under two concepts"),
         (EVAL + ["--lang-mode", "unaware", "--lexicon"], "a\tde:b\t0\nen:c\tde:b\t0\n", 3,
          "lexicon: word 'a' has no language tag"),
+        (EVAL + ["--lang-mode", "unaware", "--lexicon"], "en:a\tde:b\t0\nEN:c\tde:b\t1\n", 3,
+         "lexicon: word 'EN:c' has an invalid language tag"),
     ],
     ids=[
         "triples-upper", "triples-empty", "similarity-upper", "similarity-empty", "similarity-nan",
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
-        "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word",
+        "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word", "lexicon-unaware-upper",
     ],
 )
 def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, content, code, err):

@@ -233,7 +233,6 @@ def test_prepare_examples_lookup_dense_reindex():
     prep, _ = prepared_fixture("lookup", triples=triples)
     assert [ex.image for ex in prep.examples] == [0, 1, 0]
     assert prep.num_images == 2
-    assert prep.image_ids == ["a", "b"]
 
 
 def test_prepare_examples_hashes_oov_tokens():

@@ -401,6 +401,18 @@ def test_lexicon_retrieval_bare_word_has_no_language(mode):
         assert result.precision_at_1 == 1.0 and result.n_words == 4
 
 
+@pytest.mark.parametrize("mode", [LangMode.AWARE, LangMode.UNAWARE])
+def test_lexicon_retrieval_invalid_language_tag(mode):
+    # An invalid tag would otherwise count as a language of its own: "EN:c"
+    # next to "en:a" would make their pair crosslingual.
+    vectors = {"a": unit(1, 0), "b": unit(0.9, 0.1), "c": unit(0, 1), "d": unit(0.1, 0.9)}
+    vectors.update({f"{lang}:{w}": vectors[w] for lang, w in (("en", "a"), ("de", "b"), ("en", "c"), ("de", "d"))})
+    pairs = [LexiconPair("en:a", "de:b", "0"), LexiconPair("EN:c", "de:d", "1")]
+    for retrieval in (lexicon_retrieval, lexicon_retrieval_loop):
+        with pytest.raises(EvalError, match="^word 'EN:c' has an invalid language tag$"):
+            retrieval(vectors, pairs, mode)
+
+
 def test_lexicon_retrieval_ties_go_to_the_first_word():
     # en:hot is equally close to de:warm (listed first, concept 1) and to
     # de:heiss (its own concept): the first listed word wins, a miss.

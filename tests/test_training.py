@@ -14,6 +14,7 @@ from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.model import EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams, cosine, init_params
 from imglex.textproc import LangMode, build_vocab, tokenize
 from imglex.training import (
+    ADAGRAD_EPSILON,
     Batch,
     Gradients,
     OptimizerState,
@@ -232,11 +233,11 @@ def test_batch_loss_checks_tower_inputs(tower, images, message):
 
 def test_adagrad_hand_step():
     params = lookup_params([[0.0]], [[0.0]])
-    opt = OptimizerState.for_params(params, learning_rate=0.1, epsilon=0.0)
+    opt = OptimizerState.for_params(params, learning_rate=0.1)
     grads_first = RowGradient(rows=np.array([0]), values=np.array([[2.0]]))
     sgd_step(params, Gradients(embeddings=grads_first), opt)
-    # theta -= lr * g / sqrt(G + g^2) = 0.1 * 2 / 2
-    assert params.embeddings.rows[0, 0] == pytest.approx(-0.1, abs=1e-15)
+    # theta -= lr * g / (sqrt(G + g^2) + eps) = 0.1 * 2 / (2 + eps)
+    assert params.embeddings.rows[0, 0] == pytest.approx(-0.1 * 2.0 / (math.sqrt(4.0) + ADAGRAD_EPSILON), abs=1e-15)
     assert opt.emb_accum[0, 0] == pytest.approx(4.0)
     sgd_step(params, Gradients(embeddings=RowGradient(rows=np.array([0]), values=np.array([[2.0]]))), opt)
     assert opt.emb_accum[0, 0] == pytest.approx(8.0)
@@ -246,20 +247,21 @@ def test_adagrad_hand_step_dense():
     # A dense array (b2) takes the same update as a sparse row, on every row.
     params = init_params(0, num_rows=3, emb_dim=2, tower="mlp", feature_dim=2, hidden_dim=2)
     before = {name: theta.copy() for name, theta in params.arrays().items()}
-    opt = OptimizerState.for_params(params, learning_rate=0.1, epsilon=0.0)
+    opt = OptimizerState.for_params(params, learning_rate=0.1)
     g_b2 = np.array([2.0, -0.5])
     ones = MlpImageTower(V=np.ones((2, 2)), b1=np.ones(2), U=np.ones((2, 2)), b2=g_b2)
     no_rows = RowGradient(rows=np.array([], dtype=np.int64), values=np.zeros((0, 2)))
     sgd_step(params, Gradients(embeddings=no_rows, tower=ones.arrays()), opt)
-    # theta -= lr * g / sqrt(g^2) = lr * sign(g), from b2 = 0
-    assert np.array_equal(params.tower.b2, [-0.1, 0.1])
+    # theta -= lr * g / (sqrt(g^2) + eps), about lr * sign(g), from b2 = 0
+    first_b2 = before["b2"] - 0.1 * g_b2 / (np.sqrt(g_b2 * g_b2) + ADAGRAD_EPSILON)
+    assert np.array_equal(params.tower.b2, first_b2)
     assert np.array_equal(opt.mlp_accum.b2, [4.0, 0.25])
-    assert np.array_equal(params.tower.V, before["V"] - 0.1)
+    assert np.array_equal(params.tower.V, before["V"] - 0.1 * 1.0 / (1.0 + ADAGRAD_EPSILON))
     assert np.array_equal(params.embeddings.rows, before["embeddings"])
     assert np.all(opt.emb_accum == 0.0)
     sgd_step(params, Gradients(embeddings=no_rows, tower=ones.arrays()), opt)
-    # G = 2 g^2: theta -= lr * g / (sqrt(2) |g|)
-    assert params.tower.b2 == pytest.approx([-0.1 - 0.1 / math.sqrt(2), 0.1 + 0.1 / math.sqrt(2)], rel=1e-15)
+    # G = 2 g^2: theta -= lr * g / (sqrt(2) |g| + eps)
+    assert params.tower.b2 == pytest.approx(first_b2 - 0.1 * g_b2 / (np.sqrt(2 * g_b2 * g_b2) + ADAGRAD_EPSILON), rel=1e-15)
     assert np.array_equal(opt.mlp_accum.b2, [8.0, 0.5])
 
 
@@ -387,7 +389,7 @@ def assert_same_checkpoint_arrays(path, loaded, params, opt):
         assert list(got_arrays) == names
         for name, theta in want.arrays().items():
             assert np.array_equal(got_arrays[name], theta) and got_arrays[name].dtype == theta.dtype, name
-    assert (loaded.optimizer.learning_rate, loaded.optimizer.epsilon) == (opt.learning_rate, opt.epsilon)
+    assert loaded.optimizer.learning_rate == loaded.config.learning_rate == opt.learning_rate
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -412,7 +414,7 @@ def test_checkpoint_round_trip_mlp(tmp_path):
     rng = np.random.default_rng(15)
     for accum in opt.accum.arrays().values():  # distinct values, so no two arrays can be swapped unseen
         accum[:] = rng.uniform(0.0, 1.0, size=accum.shape)
-    config = TrainConfig(tower="mlp", emb_dim=4, hidden_dim=5)
+    config = TrainConfig(tower="mlp", emb_dim=4, hidden_dim=5, learning_rate=0.25)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=0)
     loaded = load_checkpoint(path)
@@ -420,6 +422,23 @@ def test_checkpoint_round_trip_mlp(tmp_path):
     assert isinstance(loaded.params.tower, MlpImageTower)
     assert_same_checkpoint_arrays(path, loaded, params, opt)
 
+
+
+def test_checkpoint_meta_holds_each_value_once_and_older_meta_loads(tmp_path):
+    params = init_params(1, num_rows=6, emb_dim=4, tower="lookup", num_images=3)
+    config = TrainConfig(tower="lookup", emb_dim=4, learning_rate=0.25)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, OptimizerState.for_params(params, 0.25), config, vocab_hash="h", epoch=3)
+    with np.load(path) as data:
+        kept = {name: data[name] for name in data.files if name != "meta"}
+        meta = json.loads(data["meta"].tobytes())
+    assert sorted(meta) == ["config", "epoch", "vocab_hash"]
+    # Earlier checkpoints also stored the optimizer's rate and epsilon in meta; they are ignored.
+    np.savez(path, meta=json_entry({**meta, "learning_rate": 0.75, "epsilon": 0.0}), **kept)
+    loaded = load_checkpoint(path)
+    assert loaded.config == config
+    assert loaded.optimizer.learning_rate == config.learning_rate
+    assert (loaded.vocab_hash, loaded.epoch) == ("h", 3)
 
 
 def test_load_checkpoint_missing_file_is_data_error(tmp_path):
@@ -477,10 +496,7 @@ MALFORMED_META = {
     "int-scalar": (lambda meta: np.array(2**62), "checkpoint 'meta' entry is not UTF-8 JSON"),
     "not-object": (lambda meta: json_entry([1, 2]), "checkpoint 'meta' entry is not a JSON object"),
     "object-array": (lambda meta: np.array([{}], dtype=object), "checkpoint entry 'meta' cannot be read"),
-    "no-learning-rate": (
-        lambda meta: json_entry(without(meta, "learning_rate")),
-        "checkpoint meta has no 'learning_rate' field",
-    ),
+    "no-vocab-hash": (lambda meta: json_entry(without(meta, "vocab_hash")), "checkpoint meta has no 'vocab_hash' field"),
     "config-not-object": (lambda meta: json_entry({**meta, "config": [1]}), "checkpoint meta 'config' is not a JSON object"),
     "config-unknown-key": (
         lambda meta: config_entry(meta, colour="red"),
