@@ -282,6 +282,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
     failed = False
     for tower in ("mlp", "lookup"):
         report = grad_check(tower=tower, seed=args.seed)

@@ -5,10 +5,6 @@ File formats (UTF-8, LF, '.' decimal separator):
   features.tsv  image_id<TAB>f1,f2,...,fd
   lexicon.tsv   lang1:word1<TAB>lang2:word2<TAB>concept_id
 
-load_features converts every feature value in one np.loadtxt pass into one
-(N, d) float64 matrix and maps each image id to a row view of it; the values
-are bit-identical to one float() call per value.
-
 The synthetic generator provides ground truth the real corpus cannot: it
 draws unit-norm concept prototype vectors, gives every concept a few words
 per language, and emits (query, image, weight) triples whose image features
@@ -24,16 +20,14 @@ also has a shared image pool so co-occurrence-only training has signal.
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from imglex.errors import ConfigError, DataError
-from imglex.fileio import read_rows, write_lines
+from imglex.fileio import parse_number, read_rows, read_vectors, vector_row, write_lines
 from imglex.textproc import Vocabulary, is_language_code, tokenize
 from imglex.training import TrainExample
 
@@ -50,12 +44,7 @@ def load_triples(path: str | Path) -> list[TripleRecord]:
     """Parse a triples TSV; malformed lines raise DataError naming the line."""
     records: list[TripleRecord] = []
     for lineno, (raw_weight, lang, query, image_id) in read_rows(path, "triples file", ncols=4):
-        try:
-            weight = float(raw_weight)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric weight {raw_weight!r}") from None
-        if not np.isfinite(weight):
-            raise DataError(f"{path}:{lineno}: non-finite weight {raw_weight!r}")
+        weight = parse_number(raw_weight, path, lineno, "weight")
         if weight < 0:
             raise DataError(f"{path}:{lineno}: negative weight {raw_weight!r}")
         if not image_id:
@@ -71,63 +60,14 @@ def save_triples(path: str | Path, triples: Iterable[TripleRecord]) -> None:
 
 
 def load_features(path: str | Path) -> dict[str, np.ndarray]:
-    """Parse a features TSV into image_id -> d-vector; d must be consistent.
-
-    The vectors are row views of one (N, d) float64 matrix, converted in a
-    single np.loadtxt pass. For the ASCII syntax it accepts, loadtxt gives
-    exactly float()'s doubles. A file it rejects, or one that fails a check,
-    goes through the per-line parser instead, which raises the first bad
-    line's DataError, or returns float()'s values for syntax only float()
-    accepts (``1_0``, non-ASCII digits).
-    """
-    ids: list[str] = []
-
-    def value_fields() -> Iterator[str]:
-        for _, (image_id, raw_values) in read_rows(path, "features file", ncols=2):
-            if not raw_values:
-                # loadtxt would skip the empty line and shift every later row onto the wrong id.
-                raise ValueError("empty feature values")
-            ids.append(image_id)
-            yield raw_values
-
-    try:
-        with closing(value_fields()) as fields:
-            first = next(fields, None)
-            if first is None:
-                return {}  # loadtxt warns on input without rows
-            matrix = np.loadtxt(chain([first], fields), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except ValueError:  # a DataError from read_rows too: the per-line pass raises the first one in file order
-        return _load_features_per_line(path)
-    features = dict(zip(ids, matrix))
-    if len(matrix) != len(ids) or len(features) != len(ids) or not np.isfinite(matrix).all():
-        return _load_features_per_line(path)
-    return features
-
-
-def _load_features_per_line(path: str | Path) -> dict[str, np.ndarray]:
-    """One float() call per value and each line checked in file order: the
-    path for a file the single loadtxt pass rejects."""
-    features: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for lineno, (image_id, raw_values) in read_rows(path, "features file", ncols=2):
-        if image_id in features:
-            raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
-        try:
-            vec = np.array([float(x) for x in raw_values.split(",")], dtype=np.float64)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
-        if not np.all(np.isfinite(vec)):
-            raise DataError(f"{path}:{lineno}: non-finite feature value")
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise DataError(f"{path}:{lineno}: feature length {vec.size} != {dim} seen earlier")
-        features[image_id] = vec
-    return features
+    """Parse a features TSV into image_id -> d-vector, d set by the first row:
+    row views of the matrix imglex.fileio.read_vectors reads."""
+    ids, matrix = read_vectors(path, lambda: read_rows(path, "features file", ncols=2), ",", "feature value")
+    return dict(zip(ids, matrix))
 
 
 def save_features(path: str | Path, features: dict[str, np.ndarray]) -> None:
-    write_lines(path, (f"{image_id}\t{','.join(repr(float(x)) for x in vec)}" for image_id, vec in features.items()))
+    write_lines(path, (vector_row(image_id, vec, "\t", ",") for image_id, vec in features.items()))
 
 
 def filter_multilingual(triples: Sequence[TripleRecord]) -> list[TripleRecord]:
@@ -165,6 +105,8 @@ class SyntheticSpec:
             raise ConfigError("noise_sigma must be >= 0")
         if not 0.0 <= self.isolated_image_fraction <= 1.0:
             raise ConfigError("isolated_image_fraction must be in [0, 1]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def synthetic_word(lang: int, concept: int, slot: int) -> str:

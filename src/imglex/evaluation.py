@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from imglex.errors import DataError, EvalError
-from imglex.fileio import read_rows
+from imglex.fileio import parse_number, read_rows
 from imglex.model import cosine
 from imglex.textproc import LangMode, is_language_code, tokenize
 
@@ -254,15 +254,8 @@ def eval_classification(vectors: Vectors, task: ClassTask, mode: LangMode = Lang
 def load_sim_task(path: str | Path) -> SimTask:
     """Load "word1<TAB>word2<TAB>score" rows; name is the file stem."""
     path = Path(path)
-    pairs: list[tuple[str, str, float]] = []
-    for lineno, (word1, word2, raw_score) in read_rows(path, "similarity task", ncols=3):
-        try:
-            score = float(raw_score)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric score {raw_score!r}") from None
-        if not math.isfinite(score):
-            raise DataError(f"{path}:{lineno}: non-finite score {raw_score!r}")
-        pairs.append((word1, word2, score))
+    rows = read_rows(path, "similarity task", ncols=3)
+    pairs = [(word1, word2, parse_number(score, path, lineno, "score")) for lineno, (word1, word2, score) in rows]
     if not pairs:
         raise DataError(f"{path}: empty task file")
     return SimTask(name=path.stem, pairs=pairs)

@@ -14,13 +14,15 @@ single-example forms for tests live in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from imglex.errors import DataError
-from imglex.fileio import read_rows, write_lines
+from imglex.fileio import read_rows, read_vectors, vector_row, write_lines
 from imglex.textproc import Vocabulary
 
 # Cosine of a vector with norm below this is defined as 0 and contributes
@@ -245,36 +247,30 @@ def save_word2vec(path: str | Path, vocab: Vocabulary, table: EmbeddingTable) ->
     """Export in-vocabulary embeddings as word2vec text (buckets excluded).
 
     First line is "<row_count> <emb_dim>", then one "<token> <v1> ... <vdim>"
-    line per in-vocabulary token in id order. Values use shortest exact
-    decimal repr, so the file round-trips bit-for-bit.
+    line per in-vocabulary token in id order, written by
+    imglex.fileio.vector_row, so the file round-trips bit-for-bit.
     """
     if table.num_rows < vocab.vocab_size:
         raise ValueError("embedding table smaller than vocabulary")
-    lines = [f"{vocab.vocab_size} {table.emb_dim}"]
-    for i, token in enumerate(vocab.tokens):
-        values = " ".join(repr(float(x)) for x in table.rows[i])
-        lines.append(f"{token} {values}")
-    write_lines(path, lines)
+    rows = (vector_row(token, row, " ", " ") for token, row in zip(vocab.tokens, table.rows))
+    write_lines(path, chain([f"{vocab.vocab_size} {table.emb_dim}"], rows))
 
 
 def load_word2vec(path: str | Path) -> dict[str, np.ndarray]:
-    """Load a word2vec text export into a token -> vector map."""
-    rows = read_rows(path, "embeddings file", sep=" ")
-    header = " ".join(next(rows, (1, []))[1])
+    """Load a word2vec text export into a token -> vector map: the rows are
+    read by imglex.fileio.read_vectors, d from the header, and a row whose
+    L2 norm overflows is a DataError, so no cosine of two rows overflows."""
+    rows = partial(read_rows, path, "embeddings file", sep=" ", maxsplit=1)
+    header = " ".join(next(rows(), (1, []))[1])
     try:
         count, dim = (int(x) for x in header.split())
     except ValueError:
         raise DataError(f"{path}:1: malformed word2vec header {header!r}, expected '<count> <dim>'") from None
-    vectors: dict[str, np.ndarray] = {}
-    for lineno, fields in rows:
-        if len(fields) != dim + 1:
-            raise DataError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}")
-        if fields[0] in vectors:
-            raise DataError(f"{path}:{lineno}: duplicate token {fields[0]!r}")
-        try:
-            vectors[fields[0]] = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric vector value") from None
-    if len(vectors) != count:
-        raise DataError(f"{path}:1: header claims {count} rows, found {len(vectors)}")
-    return vectors
+    tokens, matrix = read_vectors(path, lambda: islice(rows(), 1, None), " ", "vector value", dim)
+    if len(tokens) != count:
+        raise DataError(f"{path}:1: header claims {count} rows, found {len(tokens)}")
+    with np.errstate(over="ignore"):
+        overflow = np.flatnonzero(~np.isfinite(np.linalg.norm(matrix, axis=1)))
+    if overflow.size:
+        raise DataError(f"{path}:{overflow[0] + 2}: L2 norm of {tokens[overflow[0]]!r} overflows")
+    return dict(zip(tokens, matrix))

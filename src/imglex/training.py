@@ -361,6 +361,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.tower == "mlp" and (self.hidden_dim is None or self.hidden_dim < 1):
             raise ConfigError("mlp tower requires hidden_dim >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass

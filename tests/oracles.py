@@ -5,6 +5,7 @@ The brute-force batch loss stays in ``imglex.training`` (the benchmark's
 correctness gate imports it); everything here is used by tests only.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -143,6 +144,16 @@ def numeric_gradients(params: ModelParams, batch: Batch, logit_scale: float, ste
     return numeric
 
 
+def _parse_value(raw, path, lineno, what) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: non-numeric {what} {raw!r}") from None
+    if not math.isfinite(value):
+        raise DataError(f"{path}:{lineno}: non-finite {what} {raw!r}")
+    return value
+
+
 def load_features_per_value(path) -> dict[str, np.ndarray]:
     """features.tsv read one float() call per value, each line checked in
     file order: load_features must return the same bits or raise the same
@@ -151,16 +162,38 @@ def load_features_per_value(path) -> dict[str, np.ndarray]:
     dim = None
     for lineno, (image_id, raw_values) in read_rows(path, "features file", ncols=2):
         if image_id in features:
-            raise DataError(f"{path}:{lineno}: duplicate image id {image_id!r}")
-        try:
-            vec = np.array([float(x) for x in raw_values.split(",")], dtype=np.float64)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
-        if not np.all(np.isfinite(vec)):
-            raise DataError(f"{path}:{lineno}: non-finite feature value")
+            raise DataError(f"{path}:{lineno}: duplicate key {image_id!r}")
+        vec = np.array([_parse_value(x, path, lineno, "feature value") for x in raw_values.split(",")], dtype=np.float64)
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
-            raise DataError(f"{path}:{lineno}: feature length {vec.size} != {dim} seen earlier")
+            raise DataError(f"{path}:{lineno}: expected {dim} feature values, got {vec.size}")
         features[image_id] = vec
     return features
+
+
+def load_word2vec_per_value(path) -> dict[str, np.ndarray]:
+    """embeddings.vec read one float() call per value, each line checked in
+    file order, then the header's row count, then each row's L2 norm:
+    load_word2vec must return the same bits or raise the same DataError
+    message."""
+    lines = read_rows(path, "embeddings file", sep=" ")
+    header = " ".join(next(lines, (1, []))[1])
+    try:
+        count, dim = (int(x) for x in header.split())
+    except ValueError:
+        raise DataError(f"{path}:1: malformed word2vec header {header!r}, expected '<count> <dim>'") from None
+    vectors: dict[str, np.ndarray] = {}
+    for lineno, (token, *raw_values) in lines:
+        if token in vectors:
+            raise DataError(f"{path}:{lineno}: duplicate key {token!r}")
+        values = [_parse_value(x, path, lineno, "vector value") for x in raw_values]
+        if len(values) != dim:
+            raise DataError(f"{path}:{lineno}: expected {dim} vector values, got {len(values)}")
+        vectors[token] = np.array(values, dtype=np.float64)
+    if len(vectors) != count:
+        raise DataError(f"{path}:1: header claims {count} rows, found {len(vectors)}")
+    for lineno, (token, vec) in enumerate(vectors.items(), start=2):
+        if not math.isfinite(sum(x * x for x in vec.tolist())):
+            raise DataError(f"{path}:{lineno}: L2 norm of {token!r} overflows")
+    return vectors

@@ -85,6 +85,20 @@ def test_gensynth_config_error_is_one_line_and_writes_nothing(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gensynth", "--out-dir", "{out}"], ["train", "--triples", "{triples}", "--tower", "lookup", "--out-dir", "{out}"],
+     ["gradcheck"]],
+    ids=["gensynth", "train", "gradcheck"],
+)
+def test_negative_seed_is_config_error(synth_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    argv = [arg.format(out=out, triples=synth_dir / "triples.tsv") for arg in argv]
+    assert run(argv + ["--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "config error: seed must be >= 0\n")
+    assert not out.exists()
+
+
 def test_filter_command(synth_dir, tmp_path, capsys):
     out = tmp_path / "filtered.tsv"
     assert run(["filter", str(synth_dir / "triples.tsv"), str(out)]) == 0
@@ -460,21 +474,32 @@ def test_eval_missing_embeddings(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize(
-    "content",
-    ["", "in \n", "2 x\n", "2 3\nw1 0.5 0.25\n", "1 2\nw1 0.5 oops\n", "3 2\nw1 0.5 0.25\n"],
-    ids=["empty", "header-not-int", "dim-not-int", "short-row", "non-numeric", "row-count"],
-)
-def test_eval_malformed_embeddings_is_data_error(tmp_path, capsys, content):
+# (case, embeddings.vec content, line the one data error names)
+MALFORMED_EMBEDDINGS = [
+    ("empty", "", 1),
+    ("header-not-int", "in \n", 1),
+    ("dim-not-int", "2 x\n", 1),
+    ("short-row", "2 3\nw1 0.5 0.25\n", 2),
+    ("non-numeric", "1 2\nw1 0.5 oops\n", 2),
+    ("row-count", "3 2\nw1 0.5 0.25\n", 1),
+    ("nan", "2 2\nen:a 1 0\nde:x nan 1\n", 3),
+    ("minus-inf", "2 2\nen:a -inf 0\nde:x 0 1\n", 2),
+    ("overflow", "2 2\nen:a 1 0\nde:x 1e400 1\n", 3),
+    ("norm-overflow", "3 2\nen:a 1e200 1e200\nde:x 1e200 0\nen:b 0 1\n", 2),
+]
+
+
+@pytest.mark.parametrize("content, line", [case[1:] for case in MALFORMED_EMBEDDINGS], ids=[case[0] for case in MALFORMED_EMBEDDINGS])
+def test_eval_malformed_embeddings_is_data_error(tmp_path, capsys, content, line):
     bad = tmp_path / "bad.vec"
     bad.write_text(content, encoding="utf-8")
-    task = tmp_path / "t.tsv"
-    task.write_text("en:a\ten:b\t1.0\n", encoding="utf-8")
-    code = run(["eval", "--embeddings", str(bad), "--similarity", str(task)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("data error: ") and err.count("\n") == 1
-    assert "bad.vec:" in err
+    pairs = tmp_path / "pairs.tsv"  # a similarity task and a lexicon both
+    pairs.write_text("en:a\tde:x\t1\nen:b\tde:x\t2\n", encoding="utf-8")
+    for task in ("--similarity", "--lexicon"):
+        code = run(["eval", "--embeddings", str(bad), task, str(pairs)])
+        err = capsys.readouterr().err
+        assert code == 2, task
+        assert err.startswith(f"data error: {bad}:{line}: ") and err.count("\n") == 1, task
 
 
 def test_eval_duplicate_embedding_token_is_data_error(tmp_path, capsys):
@@ -483,7 +508,7 @@ def test_eval_duplicate_embedding_token_is_data_error(tmp_path, capsys):
     task = tmp_path / "t.tsv"
     task.write_text("en:a\ten:b\t1.0\n", encoding="utf-8")
     assert run(["eval", "--embeddings", str(vec), "--similarity", str(task)]) == 2
-    assert capsys.readouterr().err == f"data error: {vec}:3: duplicate token 'a'\n"
+    assert capsys.readouterr().err == f"data error: {vec}:3: duplicate key 'a'\n"
 
 
 def test_eval_lexicon_reports_retrieval(trained_embeddings, synth_dir, capsys):

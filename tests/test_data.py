@@ -80,14 +80,14 @@ def test_load_features_basic(tmp_path):
 def test_load_features_dimension_mismatch(tmp_path):
     path = tmp_path / "f.tsv"
     path.write_text("img1\t0.1,0.2\nimg2\t0.3,0.4,0.5\n", encoding="utf-8")
-    with pytest.raises(DataError, match="feature length"):
+    with pytest.raises(DataError, match="expected 2 feature values, got 3"):
         load_features(path)
 
 
 def test_load_features_duplicate_id(tmp_path):
     path = tmp_path / "f.tsv"
     path.write_text("img1\t0.1,0.2\nimg1\t0.3,0.4\n", encoding="utf-8")
-    with pytest.raises(DataError, match="duplicate image id"):
+    with pytest.raises(DataError, match="duplicate key 'img1'"):
         load_features(path)
 
 
@@ -252,22 +252,22 @@ FEATURE_CASES = [
     ("empty file", "", {}),
     ("single row", "a\t0.5,-1\n", {"a": [0.5, -1.0]}),
     ("one value per row", "a\t1\nb\t2e-3\n", {"a": [1.0], "b": [0.002]}),
-    ("empty value field", "a\t1,2\nb\t\nc\t3,4\n", "2: non-numeric feature value"),
-    ("empty first value field", "a\t\n", "1: non-numeric feature value"),
-    ("blank value field", "a\t1\nb\t  \n", "2: non-numeric feature value"),
-    ("hash in a value", "a\t1,2\nb\t3,4#5\n", "2: non-numeric feature value"),
-    ("hash starts a value", "a\t1,#2\n", "1: non-numeric feature value"),
+    ("empty value field", "a\t1,2\nb\t\nc\t3,4\n", "2: non-numeric feature value ''"),
+    ("empty first value field", "a\t\n", "1: non-numeric feature value ''"),
+    ("blank value field", "a\t1\nb\t  \n", "2: non-numeric feature value '  '"),
+    ("hash in a value", "a\t1,2\nb\t3,4#5\n", "2: non-numeric feature value '4#5'"),
+    ("hash starts a value", "a\t1,#2\n", "1: non-numeric feature value '#2'"),
     ("spaces around a value", "a\t 1.5 ,2 \n", {"a": [1.5, 2.0]}),
-    ("trailing comma", "a\t1,2,\n", "1: non-numeric feature value"),
+    ("trailing comma", "a\t1,2,\n", "1: non-numeric feature value ''"),
     ("underscore digits", "a\t1_0,2\n", {"a": [10.0, 2.0]}),
     ("non-ASCII digits", "a\t١٢,3\n", {"a": [12.0, 3.0]}),
-    ("hex", "a\t0x10,2\n", "1: non-numeric feature value"),
-    ("nan", "a\t1,2\nb\tnan,1\n", "2: non-finite feature value"),
-    ("inf", "a\t-inf,1\n", "1: non-finite feature value"),
-    ("overflow to inf", "a\t1,1e400\n", "1: non-finite feature value"),
-    ("length change mid-file", "a\t1,2\nb\t3,4\nc\t5\n", "3: feature length 1 != 2 seen earlier"),
-    ("duplicate id", "a\t1,2\nb\t3,4\na\t5,6\n", "3: duplicate image id 'a'"),
-    ("first bad line wins", "a\t1\nb\tx\nc\n", "2: non-numeric feature value"),
+    ("hex", "a\t0x10,2\n", "1: non-numeric feature value '0x10'"),
+    ("nan", "a\t1,2\nb\tnan,1\n", "2: non-finite feature value 'nan'"),
+    ("inf", "a\t-inf,1\n", "1: non-finite feature value '-inf'"),
+    ("overflow to inf", "a\t1,1e400\n", "1: non-finite feature value '1e400'"),
+    ("length change mid-file", "a\t1,2\nb\t3,4\nc\t5\n", "3: expected 2 feature values, got 1"),
+    ("duplicate id", "a\t1,2\nb\t3,4\na\t5,6\n", "3: duplicate key 'a'"),
+    ("first bad line wins", "a\t1\nb\tx\nc\n", "2: non-numeric feature value 'x'"),
     ("column count", "a\t1\nb\t2\t3\n", "2: expected 2 tab-separated columns, got 3"),
 ]
 

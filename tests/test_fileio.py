@@ -1,17 +1,21 @@
-"""The shared line-file reader and atomic writer, through every loader that uses them."""
+"""The shared line-file reader, number rule, vector-row reader and writer and
+atomic writer, through every loader and writer that uses them."""
 
+import dataclasses
+import math
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from imglex.data import load_features, load_triples
+from imglex.data import load_features, load_triples, save_features
 from imglex.errors import DataError
 from imglex.evaluation import load_class_task, load_lexicon, load_sim_task
 from imglex.fileio import atomic_write
-from imglex.model import load_word2vec
-from imglex.textproc import Vocabulary
+from imglex.model import EmbeddingTable, load_word2vec, save_word2vec
+from imglex.textproc import LangMode, Vocabulary
 
 LOADERS = {
     "load_triples": load_triples,
@@ -58,15 +62,92 @@ def fuzz_path(tmp_path_factory):
 FORMAT_TEXT = st.text(alphabet="0123456789 \t\n\r.,:-+eEinfa_xé", max_size=60)
 
 
+def numbers(value):
+    """Every float in a loader's result."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, np.ndarray):
+        yield from value.ravel().tolist()
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from numbers(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from numbers(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from numbers(getattr(value, f.name))
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.one_of(FORMAT_TEXT.map(str.encode), st.text(max_size=40).map(str.encode), st.binary(max_size=40)))
+@example(data=b"1 1\nw nan\n")
 def test_loaders_return_or_raise_data_error(fuzz_path, data):
     fuzz_path.write_bytes(data)
-    for load in LOADERS.values():
+    for name, load in LOADERS.items():
         try:
-            load(fuzz_path)
+            result = load(fuzz_path)
         except DataError:
-            pass  # any other exception, a bare ValueError included, fails the test
+            continue  # any other exception, a bare ValueError included, fails the test
+        assert all(math.isfinite(x) for x in numbers(result)), name
+
+
+# (loader, file name, content with {} where the number goes, that line, what the number is)
+NUMBER_FIELDS = [
+    ("load_triples", "triples.tsv", "1.0\ten\tq\timg\n{}\ten\tq\timg\n", 2, "weight"),
+    ("load_sim_task", "sim.tsv", "en:a\ten:b\t{}\n", 1, "score"),
+    ("load_features", "features.tsv", "a\t0.5,{}\n", 1, "feature value"),
+    ("load_word2vec", "emb.vec", "1 2\nw 0.5 {}\n", 2, "vector value"),
+]
+
+
+@pytest.mark.parametrize("raw, problem", [("x", "non-numeric"), ("0x10", "non-numeric"), ("nan", "non-finite"),
+                                          ("-inf", "non-finite"), ("1e400", "non-finite")])
+@pytest.mark.parametrize("name, filename, content, line, what", NUMBER_FIELDS, ids=[case[0] for case in NUMBER_FIELDS])
+def test_bad_number_names_file_line_and_text(tmp_path, name, filename, content, line, what, raw, problem):
+    path = tmp_path / filename
+    path.write_text(content.format(raw), encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        LOADERS[name](path)
+    assert str(err.value) == f"{path}:{line}: {problem} {what} {raw!r}"
+
+
+# Finite doubles, any exponent, with the edges weighted in; values up to
+# 1e150 keep most rows' L2 norms finite, so most .vec files load.
+FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e150, max_value=1e150),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("round_trip")
+
+
+def assert_same_rows(loaded, keys, matrix):
+    assert list(loaded) == keys
+    for key, row in zip(keys, matrix):
+        assert loaded[key].dtype == np.float64 and loaded[key].tobytes() == row.tobytes(), key
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 12).flatmap(lambda d: st.lists(st.lists(FINITE_DOUBLES, min_size=d, max_size=d), min_size=1, max_size=5)))
+def test_vector_files_round_trip_bit_for_bit(round_trip_dir, rows):
+    matrix = np.array(rows, dtype=np.float64)
+    keys = [f"en:w{n}" for n in range(len(rows))]
+    features, vec = round_trip_dir / "features.tsv", round_trip_dir / "emb.vec"
+    save_features(features, dict(zip(keys, matrix)))
+    save_word2vec(vec, Vocabulary(tuple(keys), 1, LangMode.AWARE), EmbeddingTable(matrix))
+    assert_same_rows(load_features(features), keys, matrix)
+    with np.errstate(over="ignore"):
+        overflow = np.flatnonzero(~np.isfinite(np.linalg.norm(matrix, axis=1)))
+    if overflow.size:
+        with pytest.raises(DataError, match=rf"emb\.vec:{overflow[0] + 2}: L2 norm of '{keys[overflow[0]]}' overflows$"):
+            load_word2vec(vec)
+    else:
+        assert_same_rows(load_word2vec(vec), keys, matrix)
 
 
 def test_atomic_write_failure_keeps_existing_file(tmp_path):

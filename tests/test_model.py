@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imglex.errors import DataError
 from imglex.model import (
     EmbeddingTable,
     LookupImageTower,
@@ -15,7 +18,7 @@ from imglex.model import (
     save_word2vec,
 )
 from imglex.textproc import LangMode, build_vocab
-from oracles import image_repr_lookup, image_repr_mlp, query_repr
+from oracles import image_repr_lookup, image_repr_mlp, load_word2vec_per_value, query_repr
 
 
 def table(rows):
@@ -168,6 +171,41 @@ def test_word2vec_round_trip(tmp_path):
     assert set(vectors) == {"en:a", "en:b"}
     for token, idx in vocab.index.items():
         assert np.array_equal(vectors[token], params.embeddings.rows[idx])
+
+
+@pytest.fixture(scope="module")
+def vec_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("vec") / "emb.vec"
+
+
+# Values are mostly numbers, some large enough to overflow a row's L2 norm,
+# so many rows load; the rest is text the value syntax gives meaning to.
+VEC_VALUES = st.one_of(
+    st.lists(st.one_of(st.floats(allow_nan=False).map(repr), st.floats(-1e3, 1e3).map("{:.3E}".format)), max_size=3).map(" ".join),
+    st.text(alphabet="0123456789 .-+eEinfa_#x١\t", max_size=14),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(0, 3),
+    lines=st.lists(st.tuples(st.sampled_from(["a", "b", "c", ""]), VEC_VALUES), max_size=4),
+    extra_count=st.sampled_from([0, 0, 0, 1, -1]),
+)
+def test_load_word2vec_agrees_with_per_value_parse(vec_path, dim, lines, extra_count):
+    header = f"{len(lines) + extra_count} {dim}\n"
+    vec_path.write_text(header + "".join(f"{token} {values}\n" for token, values in lines), encoding="utf-8")
+    try:
+        want = load_word2vec_per_value(vec_path)
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            load_word2vec(vec_path)
+        assert str(err.value) == str(exc)
+    else:
+        got = load_word2vec(vec_path)
+        assert list(got) == list(want)
+        for token, vec in want.items():
+            assert got[token].dtype == vec.dtype and got[token].tobytes() == vec.tobytes(), token
 
 
 def test_load_word2vec_rejects_malformed(tmp_path):
