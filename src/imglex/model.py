@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -28,6 +28,10 @@ from imglex.textproc import Vocabulary
 # Cosine of a vector with norm below this is defined as 0 and contributes
 # zero gradient (the final ReLU can output an all-zero image representation).
 NORM_FLOOR = 1e-12
+
+# Rows per chunk in which the initial embedding rows are drawn, and in which
+# checkpoints regenerate and write embedding rows.
+INIT_CHUNK_ROWS = 1024
 
 
 class NonFiniteError(ValueError):
@@ -205,6 +209,19 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
+def initial_row_chunks(rng: np.random.Generator, num_rows: int, emb_dim: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The initial embedding table, ``(start, rows)`` for each chunk of at most
+    INIT_CHUNK_ROWS rows: Uniform(-0.5/emb_dim, 0.5/emb_dim) drawn from ``rng``.
+
+    Chunked draws equal one draw of the whole table bit for bit and leave
+    ``rng`` in the same state, so ``init_params`` fills its table from here
+    and ``save_checkpoint`` regenerates any row of it from the seed alone.
+    """
+    half = 0.5 / emb_dim
+    for start in range(0, num_rows, INIT_CHUNK_ROWS):
+        yield start, rng.uniform(-half, half, size=(min(INIT_CHUNK_ROWS, num_rows - start), emb_dim))
+
+
 def init_params(
     seed: int,
     *,
@@ -217,12 +234,15 @@ def init_params(
 ) -> ModelParams:
     """Seed-determined initialization of all parameters.
 
-    Embedding and lookup-image rows ~ Uniform(-0.5/emb_dim, 0.5/emb_dim);
+    Embedding rows come first from the seeded stream (initial_row_chunks),
+    then the tower's: lookup-image rows ~ Uniform(-0.5/emb_dim, 0.5/emb_dim);
     MLP weights Glorot-uniform (bound sqrt(6/(fan_in+fan_out))); biases zero.
     """
     rng = np.random.default_rng(seed)
     half = 0.5 / emb_dim
-    embeddings = EmbeddingTable(rows=rng.uniform(-half, half, size=(num_rows, emb_dim)))
+    embeddings = EmbeddingTable(rows=np.empty((num_rows, emb_dim)))
+    for start, rows in initial_row_chunks(rng, num_rows, emb_dim):
+        embeddings.rows[start : start + len(rows)] = rows
     if tower == "mlp":
         if feature_dim is None or hidden_dim is None:
             raise ValueError("mlp tower requires feature_dim and hidden_dim")

@@ -33,6 +33,7 @@ import numpy as np
 from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.fileio import atomic_write, write_lines
 from imglex.model import (
+    INIT_CHUNK_ROWS,
     NORM_FLOOR,
     MlpImageTower,
     ModelParams,
@@ -41,6 +42,7 @@ from imglex.model import (
     _check_finite,
     _scatter_rows,
     init_params,
+    initial_row_chunks,
 )
 
 BRUTEFORCE_MAX_BATCH = 64
@@ -511,6 +513,19 @@ def save_loss_curve(path: str | Path, epoch_losses: Sequence[float]) -> None:
     write_lines(path, lines)
 
 
+def _changed_rows(table: np.ndarray, accum: np.ndarray, seed: int) -> np.ndarray:
+    """Ascending ids of the rows of ``table`` that differ bit for bit from the
+    initial rows drawn from ``seed``, or whose ``accum`` row has a set bit.
+    The initial rows are regenerated one chunk at a time."""
+    bits, accum_bits = table.view(np.uint64), accum.view(np.uint64)
+    ids = [np.zeros(0, dtype=np.int64)]
+    for start, initial in initial_row_chunks(np.random.default_rng(seed), *table.shape):
+        rows = slice(start, start + len(initial))
+        changed = (bits[rows] != initial.view(np.uint64)).any(axis=1) | accum_bits[rows].any(axis=1)
+        ids.append(start + np.flatnonzero(changed))
+    return np.concatenate(ids)
+
+
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
@@ -520,12 +535,35 @@ def save_checkpoint(
     epoch: int,
 ) -> None:
     """Single-file checkpoint: config, vocabulary hash, parameters, optimizer
-    accumulators, epoch counter. The optimizer's rate is config.learning_rate."""
-    arrays = params.arrays()
-    arrays.update((f"{name}_accum", accum) for name, accum in opt.accum.arrays().items())
+    accumulators, epoch counter. The optimizer's rate is config.learning_rate.
+
+    The tower's arrays are stored whole. Of the embedding table and its
+    accumulator, only the rows ``embeddings_ids`` are stored: those that
+    differ in any bit from their initial value (drawn from config.seed) or
+    whose accumulator is not all zero bits. ``embeddings_num_rows`` is the
+    table's row count.
+    The stored rows are gathered and written one chunk at a time.
+    """
+    table, table_accum = params.embeddings.rows, opt.accum.embeddings.rows
+    ids = _changed_rows(table, table_accum, config.seed)
     meta = {"config": asdict(config), "vocab_hash": vocab_hash, "epoch": epoch}
-    with atomic_write(path) as fh:
-        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8), **arrays)
+    whole = {
+        "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        "embeddings_ids": ids,
+        "embeddings_num_rows": np.array(table.shape[0], dtype=np.int64),
+        **params.tower.arrays(),
+    }
+    whole.update((f"{name}_accum", accum) for name, accum in opt.accum.tower.arrays().items())
+    header = {"descr": np.lib.format.dtype_to_descr(table.dtype), "fortran_order": False, "shape": (ids.size, table.shape[1])}
+    with atomic_write(path) as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
+        for name, array in whole.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
+        for name, rows in (("embeddings", table), ("embeddings_accum", table_accum)):
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                for start in range(0, ids.size, INIT_CHUNK_ROWS):
+                    member.write(rows[ids[start : start + INIT_CHUNK_ROWS]].tobytes())
 
 
 @dataclass
@@ -582,15 +620,51 @@ def _checkpoint_config(path: str | Path, meta: dict, tower: str) -> TrainConfig:
     return config
 
 
+def _check_checkpoint_arrays(path: str | Path, arrays: dict[str, np.ndarray], names: list[str], config: TrainConfig) -> None:
+    """DataError naming the entry unless each array has the dtype and shape
+    save_checkpoint writes for ``config``, and the stored embedding rows'
+    ids and the table's row count fit each other."""
+    n, h = config.emb_dim, config.hidden_dim
+    # None marks a size the config does not fix.
+    shapes = {"embeddings": (None, n), "V": (h, None), "b1": (h,), "U": (n, h), "b2": (n,), "image_vectors": (None, n)}
+    for name in names:
+        accum = f"{name}_accum"
+        for entry in (name, accum):
+            if arrays[entry].dtype != np.float64:
+                raise DataError(f"{path}: checkpoint entry {entry!r} is {arrays[entry].dtype}, not float64")
+        shape, want = arrays[name].shape, shapes[name]
+        if len(shape) != len(want) or any(w not in (None, s) for s, w in zip(shape, want)):
+            expected = str(tuple("?" if w is None else w for w in want)).replace("'", "")
+            raise DataError(f"{path}: checkpoint entry {name!r} has shape {shape}, but the config needs {expected}")
+        if arrays[accum].shape != shape:
+            raise DataError(f"{path}: checkpoint entry {accum!r} has shape {arrays[accum].shape}, but {name!r} has {shape}")
+    ids, num_rows = arrays["embeddings_ids"], arrays["embeddings_num_rows"]
+    if num_rows.shape != () or num_rows.dtype.kind not in "iu" or num_rows < 0:
+        raise DataError(f"{path}: checkpoint entry 'embeddings_num_rows' is not a non-negative integer scalar")
+    if ids.dtype != np.int64:
+        raise DataError(f"{path}: checkpoint entry 'embeddings_ids' is {ids.dtype}, not int64")
+    stored = arrays["embeddings"].shape[0]
+    if ids.shape != (stored,):
+        raise DataError(f"{path}: checkpoint entry 'embeddings_ids' has shape {ids.shape}, but 'embeddings' stores {stored} rows")
+    if np.any(ids[1:] <= ids[:-1]):
+        raise DataError(f"{path}: checkpoint entry 'embeddings_ids' is not strictly ascending")
+    if stored and (ids[0] < 0 or ids[-1] >= num_rows):
+        raise DataError(f"{path}: checkpoint entry 'embeddings_ids' holds an id outside [0, {num_rows})")
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
+    The model is rebuilt with init_params(config.seed) and zero
+    accumulators, then the stored arrays and embedding rows are written in.
     A missing or unreadable file, a file that is not an ``.npz`` archive, an
-    archive without an entry save_checkpoint writes and a ``meta`` entry that
+    archive without an entry save_checkpoint writes, a ``meta`` entry that
     is not the JSON object save_checkpoint writes (with a ``config`` that
-    TrainConfig.validate accepts and whose tower matches the arrays) each
-    raise DataError naming the file and the entry or field. Other ``meta``
-    keys are ignored. The optimizer's rate is ``config.learning_rate``.
+    TrainConfig.validate accepts and whose tower matches the arrays), an
+    array whose dtype or shape save_checkpoint would not write for that
+    config and a table row count too large to allocate each raise DataError
+    naming the file and the entry or field. Other ``meta`` keys are ignored.
+    The optimizer's rate is ``config.learning_rate``.
     """
     try:
         fh = open(path, "rb")  # opened here: np.load leaks the handle of a bad zip
@@ -612,16 +686,31 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                     raise DataError(f"{path}: checkpoint entry {name!r} cannot be read: {exc}") from None
     try:
         raw_meta = arrays.pop("meta")
-        params = ModelParams.from_arrays(arrays)
-        accum = ModelParams.from_arrays({name: arrays[f"{name}_accum"] for name in params.arrays()})
+        stored = ModelParams.from_arrays(arrays)
+        accums = {name: arrays[f"{name}_accum"] for name in stored.arrays()}
+        ids, num_rows = arrays["embeddings_ids"], arrays["embeddings_num_rows"]
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no {exc.args[0]!r} entry") from None
     meta = _checkpoint_meta(path, raw_meta)
-    tower = "mlp" if isinstance(params.tower, MlpImageTower) else "lookup"
+    tower = "mlp" if isinstance(stored.tower, MlpImageTower) else "lookup"
     config = _checkpoint_config(path, meta, tower)
+    _check_checkpoint_arrays(path, arrays, list(stored.arrays()), config)
+    # init_params reads only the sizes of config.tower.
+    sizes = {"feature_dim": stored.tower.feature_dim} if tower == "mlp" else {"num_images": stored.tower.num_images}
+    try:
+        params = init_params(
+            config.seed, num_rows=int(num_rows), emb_dim=config.emb_dim, tower=tower, hidden_dim=config.hidden_dim, **sizes
+        )
+    except MemoryError:  # the row count is read from the file, not from the stored rows
+        raise DataError(f"{path}: checkpoint entry 'embeddings_num_rows' is {num_rows}: the table cannot be allocated") from None
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    for name, accum in opt.accum.arrays().items():
+        rows = ids if name == "embeddings" else slice(None)
+        params.arrays()[name][rows] = arrays[name]
+        accum[rows] = accums[name]
     return Checkpoint(
         params=params,
-        optimizer=OptimizerState(config.learning_rate, accum),
+        optimizer=opt,
         config=config,
         vocab_hash=_meta_field(path, meta, "vocab_hash"),
         epoch=_meta_field(path, meta, "epoch"),

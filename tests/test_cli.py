@@ -216,6 +216,21 @@ def test_train_preset_follows_emb_dim_override(synth64_dir, tmp_path):
     assert (out / "embeddings.vec").read_text().splitlines()[0].endswith(" 24")
 
 
+def test_train_checkpoint_table_is_the_export(synth64_dir, tmp_path):
+    # The checkpoint stores only the embedding rows training changed; the
+    # table load_checkpoint rebuilds still holds the exported vectors.
+    out = tmp_path / "buckets200"
+    argv = ["train", "--triples", str(synth64_dir / "triples.tsv"), "--features", str(synth64_dir / "features.tsv")]
+    assert run(argv + ["--preset", "mlp-100", "--epochs", "1", "--buckets", "200", "--out-dir", str(out)]) == 0
+    vocab = Vocabulary.load(out / "vocab.txt")
+    vectors = load_word2vec(out / "embeddings.vec")
+    table = load_checkpoint(out / "checkpoint.npz").params.embeddings.rows
+    assert table.shape[0] == vocab.vocab_size + 200
+    assert np.stack([vectors[token] for token in vocab.tokens]).tobytes() == table[: vocab.vocab_size].tobytes()
+    with np.load(out / "checkpoint.npz") as data:
+        assert data["embeddings_ids"].size < vocab.vocab_size + 200
+
+
 def subcommands() -> dict[str, argparse.ArgumentParser]:
     return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from imglex.errors import DataError
 from imglex.model import (
+    INIT_CHUNK_ROWS,
     EmbeddingTable,
     LookupImageTower,
     MlpImageTower,
     cosine,
     init_params,
+    initial_row_chunks,
     load_word2vec,
     save_word2vec,
 )
@@ -138,6 +140,25 @@ def test_init_params_embedding_range():
     params = init_params(0, num_rows=500, emb_dim=100, tower="lookup", num_images=20)
     assert np.all(np.abs(params.embeddings.rows) < 0.005)
     assert np.all(np.abs(params.tower.vectors) < 0.005)
+
+
+@pytest.mark.parametrize("tower", ["mlp", "lookup"])
+def test_initial_row_chunks_are_init_params_table(tower):
+    # One seeded stream: the table is drawn first, in chunks that equal one
+    # draw of the whole table, and the tower's arrays follow it.
+    num_rows, emb_dim, half = 2 * INIT_CHUNK_ROWS + 5, 3, 0.5 / 3
+    params = init_params(4, num_rows=num_rows, emb_dim=emb_dim, tower=tower, feature_dim=2, hidden_dim=6, num_images=7)
+    chunks = list(initial_row_chunks(np.random.default_rng(4), num_rows, emb_dim))
+    assert [start for start, _ in chunks] == [0, INIT_CHUNK_ROWS, 2 * INIT_CHUNK_ROWS]
+    assert np.concatenate([rows for _, rows in chunks]).tobytes() == params.embeddings.rows.tobytes()
+    rng = np.random.default_rng(4)
+    assert rng.uniform(-half, half, size=(num_rows, emb_dim)).tobytes() == params.embeddings.rows.tobytes()
+    if tower == "lookup":
+        assert rng.uniform(-half, half, size=(7, emb_dim)).tobytes() == params.tower.vectors.tobytes()
+    else:
+        bound1, bound2 = math.sqrt(6.0 / (2 + 6)), math.sqrt(6.0 / (6 + emb_dim))
+        assert rng.uniform(-bound1, bound1, size=(6, 2)).tobytes() == params.tower.V.tobytes()
+        assert rng.uniform(-bound2, bound2, size=(emb_dim, 6)).tobytes() == params.tower.U.tobytes()
 
 
 def test_init_params_glorot_bound_and_zero_biases():

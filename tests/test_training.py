@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from imglex.data import SyntheticSpec, generate_synthetic, prepare_examples
 from imglex.errors import ConfigError, DataError, TrainingDiverged
-from imglex.model import EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams, cosine, init_params
+from imglex.model import INIT_CHUNK_ROWS, EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams, cosine, init_params
 from imglex.textproc import LangMode, build_vocab, tokenize
 from imglex.training import (
     ADAGRAD_EPSILON,
@@ -380,15 +381,19 @@ def test_train_rejects_empty_corpus():
 
 
 def assert_same_checkpoint_arrays(path, loaded, params, opt):
-    """Every parameter and accumulator round-trips bit for bit under its name."""
+    """Every parameter and accumulator round-trips bit for bit under its name
+    (compared as bytes, so -0.0 and 0.0 differ); the archive holds each of
+    them plus the ids of the stored embedding rows and the table's row count."""
     names = list(params.arrays())
     with np.load(path) as data:
-        assert sorted(data.files) == sorted(["meta", *names, *(f"{name}_accum" for name in names)])
+        assert sorted(data.files) == sorted(["meta", "embeddings_ids", "embeddings_num_rows", *names, *(f"{name}_accum" for name in names)])
     for got, want in ((loaded.params, params), (loaded.optimizer.accum, opt.accum)):
         got_arrays = got.arrays()
         assert list(got_arrays) == names
         for name, theta in want.arrays().items():
-            assert np.array_equal(got_arrays[name], theta) and got_arrays[name].dtype == theta.dtype, name
+            got_theta = got_arrays[name]
+            assert (got_theta.shape, got_theta.dtype) == (theta.shape, theta.dtype), name
+            assert got_theta.tobytes() == theta.tobytes(), name
     assert loaded.optimizer.learning_rate == loaded.config.learning_rate == opt.learning_rate
 
 
@@ -424,11 +429,69 @@ def test_checkpoint_round_trip_mlp(tmp_path):
 
 
 
+def stored_row_ids(path):
+    with np.load(path) as data:
+        return data["embeddings_ids"].tolist()
+
+
+@pytest.mark.parametrize("tower", ["lookup", "mlp"])
+def test_checkpoint_stores_only_changed_embedding_rows(tmp_path, tower):
+    # A row is stored if its value differs from its initial one in any bit,
+    # or if its accumulator does; every other row is rebuilt from the seed.
+    config = TrainConfig(tower=tower, emb_dim=4, hidden_dim=5 if tower == "mlp" else None, learning_rate=0.25, seed=7)
+    params = init_params(7, num_rows=10, emb_dim=4, tower=tower, feature_dim=3, hidden_dim=5, num_images=3)
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    table, table_accum = params.embeddings.rows, opt.accum.embeddings.rows
+    table[2, 1] = -table[2, 1]  # value changed, accumulator zero
+    table[4, 3] = np.nextafter(table[4, 3], 1.0)  # one unit in the last place
+    table_accum[6, 0] = 0.25  # accumulator nonzero, value initial
+    for accum in opt.accum.tower.arrays().values():  # stored whole
+        accum.flat[0] = 1.5
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
+    assert stored_row_ids(path) == [2, 4, 6]
+    assert_same_checkpoint_arrays(path, load_checkpoint(path), params, opt)
+
+
+def test_checkpoint_stores_no_rows_of_an_untrained_table(tmp_path):
+    config = TrainConfig(tower="lookup", emb_dim=4, seed=3)
+    params = init_params(3, num_rows=9, emb_dim=4, tower="lookup", num_images=2)
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=0)
+    assert stored_row_ids(path) == []
+    assert_same_checkpoint_arrays(path, load_checkpoint(path), params, opt)
+
+
+def test_save_checkpoint_memory_is_a_few_chunks(tmp_path):
+    # A 200k-row table with three changed rows: saving regenerates the
+    # initial rows and gathers the stored ones a chunk at a time, so it never
+    # allocates the size of the table (12.8 MB here).
+    params = init_params(0, num_rows=200_000, emb_dim=8, tower="lookup", num_images=2)
+    opt = OptimizerState.for_params(params, learning_rate=0.5)
+    changed = [5, 70_000, 199_999]
+    params.embeddings.rows[changed] += 1.0
+    opt.accum.embeddings.rows[changed] = 1.0
+    path = tmp_path / "ckpt.npz"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, params, opt, TrainConfig(tower="lookup", emb_dim=8), vocab_hash="h", epoch=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = INIT_CHUNK_ROWS * 8 * params.embeddings.rows.itemsize
+    assert peak < 4 * chunk_bytes, (peak, chunk_bytes)
+    assert stored_row_ids(path) == changed
+
+
 def test_checkpoint_meta_holds_each_value_once_and_older_meta_loads(tmp_path):
+    # The params are drawn from seed 1 under a seed-0 config: every row
+    # differs from the config's initial rows, so every row is stored.
     params = init_params(1, num_rows=6, emb_dim=4, tower="lookup", num_images=3)
+    opt = OptimizerState.for_params(params, 0.25)
     config = TrainConfig(tower="lookup", emb_dim=4, learning_rate=0.25)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params, OptimizerState.for_params(params, 0.25), config, vocab_hash="h", epoch=3)
+    save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=3)
     with np.load(path) as data:
         kept = {name: data[name] for name in data.files if name != "meta"}
         meta = json.loads(data["meta"].tobytes())
@@ -439,6 +502,8 @@ def test_checkpoint_meta_holds_each_value_once_and_older_meta_loads(tmp_path):
     assert loaded.config == config
     assert loaded.optimizer.learning_rate == config.learning_rate
     assert (loaded.vocab_hash, loaded.epoch) == ("h", 3)
+    assert stored_row_ids(path) == list(range(6))
+    assert_same_checkpoint_arrays(path, loaded, params, opt)
 
 
 def test_load_checkpoint_missing_file_is_data_error(tmp_path):
@@ -464,15 +529,26 @@ def test_load_checkpoint_not_npz_is_data_error(tmp_path, content):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("dropped", ["meta", "embeddings_accum"])
-def test_load_checkpoint_missing_entry_is_data_error(tmp_path, dropped):
-    params = init_params(1, num_rows=6, emb_dim=4, tower="lookup", num_images=3)
+def saved_checkpoint_entries(tmp_path, tower="lookup"):
+    """The path of a valid checkpoint and its entries by name: emb_dim 4, 6
+    table rows, 3 images (lookup) or hidden_dim 5 and feature_dim 3 (MLP).
+    The params are drawn from seed 1 under a seed-0 config, so all 6 rows
+    are stored."""
+    hidden_dim = 5 if tower == "mlp" else None
+    params = init_params(1, num_rows=6, emb_dim=4, tower=tower, feature_dim=3, hidden_dim=hidden_dim, num_images=3)
     opt = OptimizerState.for_params(params, learning_rate=0.25)
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params, opt, TrainConfig(tower="lookup", emb_dim=4), vocab_hash="h", epoch=0)
+    save_checkpoint(path, params, opt, TrainConfig(tower=tower, emb_dim=4, hidden_dim=hidden_dim), vocab_hash="h", epoch=0)
     with np.load(path) as data:
-        kept = {name: data[name] for name in data.files if name != dropped}
-    np.savez(path, **kept)
+        return path, {name: data[name] for name in data.files}
+
+
+# A dense checkpoint, written before only changed embedding rows were
+# stored, has no 'embeddings_ids' entry.
+@pytest.mark.parametrize("dropped", ["meta", "embeddings_accum", "embeddings_ids", "embeddings_num_rows"])
+def test_load_checkpoint_missing_entry_is_data_error(tmp_path, dropped):
+    path, entries = saved_checkpoint_entries(tmp_path)
+    np.savez(path, **without(entries, dropped))
     with pytest.raises(DataError, match=rf"ckpt\.npz: checkpoint has no '{dropped}' entry"):
         load_checkpoint(path)
 
@@ -523,28 +599,119 @@ MALFORMED_META = {
 @pytest.mark.parametrize("case", sorted(MALFORMED_META))
 def test_load_checkpoint_malformed_meta_is_data_error(tmp_path, case):
     make_entry, message = MALFORMED_META[case]
-    params = init_params(1, num_rows=6, emb_dim=4, tower="lookup", num_images=3)
-    opt = OptimizerState.for_params(params, learning_rate=0.25)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params, opt, TrainConfig(tower="lookup", emb_dim=4), vocab_hash="h", epoch=0)
-    with np.load(path) as data:
-        kept = {name: data[name] for name in data.files if name != "meta"}
-        meta = json.loads(data["meta"].tobytes())
-    np.savez(path, meta=make_entry(meta), **kept)
+    path, entries = saved_checkpoint_entries(tmp_path)
+    np.savez(path, **{**entries, "meta": make_entry(json.loads(entries["meta"].tobytes()))})
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
+
+
+# case -> (tower, the entries replacing those of saved_checkpoint_entries,
+# the DataError message after "ckpt.npz: ")
+MALFORMED_ARRAYS = {
+    "accum-shape": (
+        "lookup",
+        dict(embeddings_accum=np.zeros((2, 9))),
+        "checkpoint entry 'embeddings_accum' has shape (2, 9), but 'embeddings' has (6, 4)",
+    ),
+    "float32-U": ("mlp", dict(U=np.zeros((4, 5), dtype=np.float32)), "checkpoint entry 'U' is float32, not float64"),
+    "int64-b1": ("mlp", dict(b1=np.zeros(5, dtype=np.int64)), "checkpoint entry 'b1' is int64, not float64"),
+    "float32-accum": (
+        "lookup",
+        dict(image_vectors_accum=np.zeros((3, 4), dtype=np.float32)),
+        "checkpoint entry 'image_vectors_accum' is float32, not float64",
+    ),
+    "table-width": (
+        "lookup",
+        dict(embeddings=np.zeros((6, 7)), embeddings_accum=np.zeros((6, 7))),
+        "checkpoint entry 'embeddings' has shape (6, 7), but the config needs (?, 4)",
+    ),
+    "image-width": (
+        "lookup",
+        dict(image_vectors=np.zeros((3, 5)), image_vectors_accum=np.zeros((3, 5))),
+        "checkpoint entry 'image_vectors' has shape (3, 5), but the config needs (?, 4)",
+    ),
+    "V-hidden": (
+        "mlp",
+        dict(V=np.zeros((6, 3)), V_accum=np.zeros((6, 3))),
+        "checkpoint entry 'V' has shape (6, 3), but the config needs (5, ?)",
+    ),
+    "U-hidden": (
+        "mlp",
+        dict(U=np.zeros((4, 6)), U_accum=np.zeros((4, 6))),
+        "checkpoint entry 'U' has shape (4, 6), but the config needs (4, 5)",
+    ),
+    "b2-matrix": (
+        "mlp",
+        dict(b2=np.zeros((4, 1)), b2_accum=np.zeros((4, 1))),
+        "checkpoint entry 'b2' has shape (4, 1), but the config needs (4,)",
+    ),
+    "ids-too-few": (
+        "lookup",
+        dict(embeddings_ids=np.arange(5)),
+        "checkpoint entry 'embeddings_ids' has shape (5,), but 'embeddings' stores 6 rows",
+    ),
+    "ids-float": (
+        "lookup",
+        dict(embeddings_ids=np.arange(6.0)),
+        "checkpoint entry 'embeddings_ids' is float64, not int64",
+    ),
+    "ids-not-ascending": (
+        "lookup",
+        dict(embeddings_ids=np.array([0, 2, 1, 3, 4, 5])),
+        "checkpoint entry 'embeddings_ids' is not strictly ascending",
+    ),
+    "ids-repeated": (
+        "lookup",
+        dict(embeddings_ids=np.array([0, 1, 1, 3, 4, 5])),
+        "checkpoint entry 'embeddings_ids' is not strictly ascending",
+    ),
+    "ids-negative": (
+        "lookup",
+        dict(embeddings_ids=np.arange(-1, 5)),
+        "checkpoint entry 'embeddings_ids' holds an id outside [0, 6)",
+    ),
+    "ids-past-end": (
+        "lookup",
+        dict(embeddings_num_rows=np.array(5)),
+        "checkpoint entry 'embeddings_ids' holds an id outside [0, 5)",
+    ),
+    "num-rows-negative": (
+        "lookup",
+        dict(embeddings_num_rows=np.array(-1)),
+        "checkpoint entry 'embeddings_num_rows' is not a non-negative integer scalar",
+    ),
+    "num-rows-float": (
+        "lookup",
+        dict(embeddings_num_rows=np.array(6.0)),
+        "checkpoint entry 'embeddings_num_rows' is not a non-negative integer scalar",
+    ),
+    "num-rows-huge": (
+        "lookup",
+        dict(embeddings_num_rows=np.array(2**45)),
+        "checkpoint entry 'embeddings_num_rows' is 35184372088832: the table cannot be allocated",
+    ),
+    "num-rows-array": (
+        "lookup",
+        dict(embeddings_num_rows=np.array([6])),
+        "checkpoint entry 'embeddings_num_rows' is not a non-negative integer scalar",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ARRAYS))
+def test_load_checkpoint_malformed_array_is_data_error(tmp_path, case):
+    tower, replaced, message = MALFORMED_ARRAYS[case]
+    path, entries = saved_checkpoint_entries(tmp_path, tower)
+    np.savez(path, **{**entries, **replaced})
     with pytest.raises(DataError, match="^" + re.escape(f"{path}: {message}")):
         load_checkpoint(path)
 
 
 def test_load_checkpoint_meta_member_not_npy_is_data_error(tmp_path):
     # np.load hands back the raw bytes of a member that is not an .npy file.
-    params = init_params(1, num_rows=6, emb_dim=4, tower="lookup", num_images=3)
-    opt = OptimizerState.for_params(params, learning_rate=0.25)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params, opt, TrainConfig(tower="lookup", emb_dim=4), vocab_hash="h", epoch=0)
-    with np.load(path) as data:
-        kept = {name: data[name] for name in data.files if name != "meta"}
+    path, entries = saved_checkpoint_entries(tmp_path)
     with zipfile.ZipFile(path, "w") as archive:
-        for name, array in kept.items():
+        for name, array in without(entries, "meta").items():
             archive.writestr(f"{name}.npy", npy_bytes(array))
         archive.writestr("meta.npy", b"\x93garbage\xff")
     with pytest.raises(DataError, match=r"ckpt\.npz: checkpoint 'meta' entry is not UTF-8 JSON"):
