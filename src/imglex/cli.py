@@ -191,12 +191,10 @@ def cmd_train(args) -> int:
             f"{len(prepared.examples)} usable training examples, the in-batch softmax needs at least 2 "
             "(every query tokenized to nothing?)"
         )
-    result = train(
-        prepared.examples,
-        config,
-        num_embedding_rows=vocab.total_ids,
-        num_images=prepared.num_images,
-    )
+    try:
+        result = train(prepared.examples, config, num_embedding_rows=vocab.total_ids, num_images=prepared.num_images)
+    except ConfigError as exc:  # config was validated above: the table is too large to allocate
+        raise ConfigError(f"--buckets {settings['buckets']}: {exc}") from None
 
     out = Path(args.out_dir)
     vocab.save(out / "vocab.txt")

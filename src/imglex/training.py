@@ -18,6 +18,11 @@ for both towers.
 counts and offsets) and gathers every mini-batch from it by index. A step's
 forward and backward share one B x B float64 buffer: it holds the cosines,
 then the logits, then their shifted exponentials, then the logit gradient.
+
+Adagrad keeps an accumulator only for the embedding rows it covers. ``train``
+covers the distinct token ids of the corpus, the only rows any step can give
+a gradient to, so its accumulator memory grows with the rows the corpus
+holds, not with the hash buckets. The tower's accumulators are whole.
 """
 
 from __future__ import annotations
@@ -294,20 +299,56 @@ def batch_gradients(params: ModelParams, batch: Batch, logit_scale: float) -> Gr
 @dataclass
 class OptimizerState:
     """Adagrad: per-parameter accumulated squared gradients, held in a
-    ModelParams of the same shapes (``accum.arrays()`` names them)."""
+    ModelParams (``accum.arrays()`` names them). The tower's accumulators
+    have their parameters' shapes. The embedding table's are a block of one
+    row per covered row: ``accum.embeddings.rows[k]`` belongs to table row
+    ``covered_rows[k]`` of a table of ``num_rows`` rows. A row not covered
+    has a zero accumulator and takes no update."""
 
     learning_rate: float
     accum: ModelParams = field(repr=False)
+    covered_rows: np.ndarray = field(repr=False)  # (R,) int64, ascending, in [0, num_rows)
+    num_rows: int
 
     @classmethod
-    def for_params(cls, params: ModelParams, learning_rate: float) -> "OptimizerState":
-        # np.zeros maps untouched pages lazily; zeros_like would write every page of the table.
-        zeros = {name: np.zeros(theta.shape, theta.dtype) for name, theta in params.arrays().items()}
-        return cls(learning_rate, ModelParams.from_arrays(zeros))
+    def for_params(cls, params: ModelParams, learning_rate: float, rows: np.ndarray | None = None) -> "OptimizerState":
+        """Zero accumulators covering the embedding rows ``rows`` (ascending,
+        distinct, in range), or every row if None."""
+        num_rows = params.embeddings.num_rows
+        covered = np.arange(num_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+        if covered.size and (covered[0] < 0 or covered[-1] >= num_rows or np.any(covered[1:] <= covered[:-1])):
+            raise ValueError(f"covered rows must be ascending, distinct and in [0, {num_rows})")
+        # np.zeros maps a page only when it is first written, but numpy asks
+        # for huge pages for large arrays: under transparent huge pages in
+        # "madvise" mode, scattered hash-bucket updates fault in every 2 MB
+        # page of a table-sized array. Hence a block of the covered rows.
+        zeros = {name: np.zeros(theta.shape, theta.dtype) for name, theta in params.tower.arrays().items()}
+        zeros["embeddings"] = np.zeros((covered.size, params.emb_dim))
+        return cls(learning_rate, ModelParams.from_arrays(zeros), covered, num_rows)
+
+    def emb_slots(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each of the ascending embedding ``rows`` sits in the
+        accumulator block, and a mask of the rows that are covered."""
+        slots = np.searchsorted(self.covered_rows, rows)
+        covered = slots < self.covered_rows.size
+        covered[covered] = self.covered_rows[slots[covered]] == rows[covered]
+        return slots, covered
+
+    def emb_accum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The accumulators of the ascending embedding ``rows``, as a new
+        array; an uncovered row's is zero."""
+        block = self.accum.embeddings.rows
+        slots, covered = self.emb_slots(rows)
+        out = np.zeros((rows.size, block.shape[1]))
+        out[covered] = block[slots[covered]]
+        return out
 
     @property
     def emb_accum(self) -> np.ndarray:
-        return self.accum.embeddings.rows
+        """The embedding accumulators as a dense (num_rows, emb_dim) array:
+        the live block when it covers every row, otherwise a copy."""
+        block = self.accum.embeddings.rows
+        return block if len(block) == self.num_rows else self.emb_accum_rows(np.arange(self.num_rows))
 
     @property
     def mlp_accum(self) -> MlpImageTower | None:
@@ -320,8 +361,13 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
     """Adagrad update in place: G += g^2, then theta -= lr * g / (sqrt(G) + ADAGRAD_EPSILON).
 
     A dense gradient updates every row; a row-sparse one only its rows, so
-    rows with no gradient entry are untouched.
+    rows with no gradient entry are untouched. An embedding row the
+    optimizer does not cover raises ValueError before anything is written.
     """
+    emb_rows = grads.embeddings.rows
+    emb_slots, covered = opt.emb_slots(emb_rows)
+    if not covered.all():
+        raise ValueError(f"embedding row {emb_rows[~covered][0]} has no Adagrad accumulator")
     thetas, accums = params.arrays(), opt.accum.arrays()
     for name, grad in grads.arrays().items():
         if isinstance(grad, RowGradient):
@@ -331,9 +377,10 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
         else:
             rows, g = slice(None), grad
         _check_finite("gradient", g)
+        slots = emb_slots if name == "embeddings" else rows
         accum = accums[name]
-        new_accum = accum[rows] + g * g
-        accum[rows] = new_accum
+        new_accum = accum[slots] + g * g
+        accum[slots] = new_accum
         thetas[name][rows] -= opt.learning_rate * g / (np.sqrt(new_accum) + ADAGRAD_EPSILON)
 
 
@@ -387,10 +434,13 @@ def train(
     with a seeded RNG and gathers batches of config.batch_size from it; the
     final partial batch is kept, but a single leftover example joins the
     batch before it (alone, its in-batch softmax is constant: zero loss and
-    zero gradient). Returns the trained parameters and the per-epoch mean
-    weighted loss. Raises TrainingDiverged, naming the epoch and batch
-    (both from 0), when a touched parameter, the tower output or a gradient
-    goes non-finite.
+    zero gradient). Returns the trained parameters, the optimizer (covering
+    the corpus's distinct token ids) and the per-epoch mean weighted loss.
+    A token id outside [0, num_embedding_rows) is a ValueError naming the
+    smallest such id, and a table too large to allocate a ConfigError; both
+    are raised before the table is drawn. Raises TrainingDiverged, naming
+    the epoch and batch (both from 0), when a touched parameter, the tower
+    output or a gradient goes non-finite.
     """
     config.validate()
     examples = list(examples)
@@ -403,17 +453,25 @@ def train(
     given = "mlp" if corpus.images.ndim == 2 else "lookup"
     if given != config.tower:
         raise ValueError(f"examples are for the {given} tower, config asks for {config.tower!r}")
+    # The only embedding rows any step can give a gradient to.
+    covered = np.unique(corpus.token_ids)
+    outside = covered[(covered < 0) | (covered >= num_embedding_rows)]
+    if outside.size:
+        raise ValueError(f"token id {outside[0]} is outside the embedding table's rows [0, {num_embedding_rows})")
     # init_params reads only the arguments of config.tower.
-    params = init_params(
-        config.seed,
-        num_rows=num_embedding_rows,
-        emb_dim=config.emb_dim,
-        tower=config.tower,
-        feature_dim=corpus.images.shape[-1],
-        hidden_dim=config.hidden_dim,
-        num_images=corpus.images.max() + 1 if num_images is None else num_images,
-    )
-    opt = OptimizerState.for_params(params, config.learning_rate)
+    try:
+        params = init_params(
+            config.seed,
+            num_rows=num_embedding_rows,
+            emb_dim=config.emb_dim,
+            tower=config.tower,
+            feature_dim=corpus.images.shape[-1],
+            hidden_dim=config.hidden_dim,
+            num_images=corpus.images.max() + 1 if num_images is None else num_images,
+        )
+    except (MemoryError, ValueError):  # with a valid config, ValueError is numpy's "array is too big"
+        raise ConfigError(f"the {num_embedding_rows} x {config.emb_dim} float64 embedding table cannot be allocated") from None
+    opt = OptimizerState.for_params(params, config.learning_rate, rows=covered)
     n = corpus.size
     starts = list(range(0, n, config.batch_size))
     if n % config.batch_size == 1:
@@ -513,15 +571,19 @@ def save_loss_curve(path: str | Path, epoch_losses: Sequence[float]) -> None:
     write_lines(path, lines)
 
 
-def _changed_rows(table: np.ndarray, accum: np.ndarray, seed: int) -> np.ndarray:
+def _changed_rows(table: np.ndarray, opt: OptimizerState, seed: int) -> np.ndarray:
     """Ascending ids of the rows of ``table`` that differ bit for bit from the
-    initial rows drawn from ``seed``, or whose ``accum`` row has a set bit.
-    The initial rows are regenerated one chunk at a time."""
-    bits, accum_bits = table.view(np.uint64), accum.view(np.uint64)
+    initial rows drawn from ``seed``, or that ``opt`` covers with an
+    accumulator row that has a set bit. The initial rows are regenerated one
+    chunk at a time."""
+    bits, covered = table.view(np.uint64), opt.covered_rows
+    accum_bits = opt.accum.embeddings.rows.view(np.uint64)
     ids = [np.zeros(0, dtype=np.int64)]
     for start, initial in initial_row_chunks(np.random.default_rng(seed), *table.shape):
-        rows = slice(start, start + len(initial))
-        changed = (bits[rows] != initial.view(np.uint64)).any(axis=1) | accum_bits[rows].any(axis=1)
+        end = start + len(initial)
+        changed = (bits[start:end] != initial.view(np.uint64)).any(axis=1)
+        lo, hi = np.searchsorted(covered, (start, end))
+        changed[covered[lo:hi][accum_bits[lo:hi].any(axis=1)] - start] = True
         ids.append(start + np.flatnonzero(changed))
     return np.concatenate(ids)
 
@@ -541,11 +603,12 @@ def save_checkpoint(
     accumulator, only the rows ``embeddings_ids`` are stored: those that
     differ in any bit from their initial value (drawn from config.seed) or
     whose accumulator is not all zero bits. ``embeddings_num_rows`` is the
-    table's row count.
+    table's row count. A stored row the optimizer does not cover gets a zero
+    accumulator, so the file does not depend on the optimizer's coverage.
     The stored rows are gathered and written one chunk at a time.
     """
-    table, table_accum = params.embeddings.rows, opt.accum.embeddings.rows
-    ids = _changed_rows(table, table_accum, config.seed)
+    table = params.embeddings.rows
+    ids = _changed_rows(table, opt, config.seed)
     meta = {"config": asdict(config), "vocab_hash": vocab_hash, "epoch": epoch}
     whole = {
         "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
@@ -559,11 +622,11 @@ def save_checkpoint(
         for name, array in whole.items():
             with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array(member, array, allow_pickle=False)
-        for name, rows in (("embeddings", table), ("embeddings_accum", table_accum)):
+        for name, gather in (("embeddings", table.__getitem__), ("embeddings_accum", opt.emb_accum_rows)):
             with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(member, header)
                 for start in range(0, ids.size, INIT_CHUNK_ROWS):
-                    member.write(rows[ids[start : start + INIT_CHUNK_ROWS]].tobytes())
+                    member.write(gather(ids[start : start + INIT_CHUNK_ROWS]).tobytes())
 
 
 @dataclass
@@ -701,7 +764,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         params = init_params(
             config.seed, num_rows=int(num_rows), emb_dim=config.emb_dim, tower=tower, hidden_dim=config.hidden_dim, **sizes
         )
-    except MemoryError:  # the row count is read from the file, not from the stored rows
+    except (MemoryError, ValueError):  # the row count is read from the file; ValueError: its byte count overflows
         raise DataError(f"{path}: checkpoint entry 'embeddings_num_rows' is {num_rows}: the table cannot be allocated") from None
     opt = OptimizerState.for_params(params, config.learning_rate)
     for name, accum in opt.accum.arrays().items():

@@ -629,6 +629,8 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
     [
         (TRAIN + ["--triples"], "1.0\tEN\ta b\timg1\n", 2, "data error: {path}:1: invalid language code 'EN'"),
         (TRAIN + ["--triples"], "1.0\t\ta b\timg1\n", 2, "data error: {path}:1: invalid language code ''"),
+        (TRAIN + ["--buckets", "100000000000", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 1,
+         "config error: --buckets 100000000000: the 100000000000 x 100 float64 embedding table cannot be allocated"),
         (EVAL + ["--similarity"], "EN:a\ten:b\t1\n", 3, "similarity task bad: word 'EN:a' has an invalid language tag"),
         (EVAL + ["--similarity"], ":a\ten:b\t1\n", 3, "similarity task bad: word ':a' has an invalid language tag"),
         (EVAL + ["--similarity"], "en:a\ten:b\tnan\nen:a\ten:c\t1\nen:b\ten:c\tinf\n", 2,
@@ -650,7 +652,7 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
          "lexicon: word 'EN:c' has an invalid language tag"),
     ],
     ids=[
-        "triples-upper", "triples-empty", "similarity-upper", "similarity-empty", "similarity-nan",
+        "triples-upper", "triples-empty", "buckets-too-many", "similarity-upper", "similarity-empty", "similarity-nan",
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
         "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word", "lexicon-unaware-upper",
     ],
@@ -663,6 +665,7 @@ def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, co
     names = {"vec": vec, "out": tmp_path / "out", "path": path}
     assert run([arg.format(**names) for arg in argv] + [str(path)]) == code
     assert capsys.readouterr().err == err.format(**names) + "\n"
+    assert not names["out"].exists()
 
 def test_gradcheck_cli(capsys):
     assert run(["gradcheck"]) == 0

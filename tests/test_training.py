@@ -380,6 +380,12 @@ def test_train_rejects_empty_corpus():
         train([], config, num_embedding_rows=4)
 
 
+def dense_accumulators(opt):
+    """Every accumulator under its parameter's name, the embedding table's
+    as a dense (num_rows, emb_dim) array whatever rows the optimizer covers."""
+    return {"embeddings": opt.emb_accum, **opt.accum.tower.arrays()}
+
+
 def assert_same_checkpoint_arrays(path, loaded, params, opt):
     """Every parameter and accumulator round-trips bit for bit under its name
     (compared as bytes, so -0.0 and 0.0 differ); the archive holds each of
@@ -387,10 +393,10 @@ def assert_same_checkpoint_arrays(path, loaded, params, opt):
     names = list(params.arrays())
     with np.load(path) as data:
         assert sorted(data.files) == sorted(["meta", "embeddings_ids", "embeddings_num_rows", *names, *(f"{name}_accum" for name in names)])
-    for got, want in ((loaded.params, params), (loaded.optimizer.accum, opt.accum)):
-        got_arrays = got.arrays()
+    pairs = ((loaded.params.arrays(), params.arrays()), (dense_accumulators(loaded.optimizer), dense_accumulators(opt)))
+    for got_arrays, want_arrays in pairs:
         assert list(got_arrays) == names
-        for name, theta in want.arrays().items():
+        for name, theta in want_arrays.items():
             got_theta = got_arrays[name]
             assert (got_theta.shape, got_theta.dtype) == (theta.shape, theta.dtype), name
             assert got_theta.tobytes() == theta.tobytes(), name
@@ -690,6 +696,11 @@ MALFORMED_ARRAYS = {
         dict(embeddings_num_rows=np.array(2**45)),
         "checkpoint entry 'embeddings_num_rows' is 35184372088832: the table cannot be allocated",
     ),
+    "num-rows-byte-overflow": (
+        "lookup",
+        dict(embeddings_num_rows=np.array(2**62)),
+        "checkpoint entry 'embeddings_num_rows' is 4611686018427387904: the table cannot be allocated",
+    ),
     "num-rows-array": (
         "lookup",
         dict(embeddings_num_rows=np.array([6])),
@@ -725,6 +736,150 @@ def test_optimizer_state_is_zero_and_owns_its_arrays():
         accum = opt.accum.arrays()[name]
         assert accum.shape == theta.shape and accum.dtype == theta.dtype, name
         assert not accum.any() and not np.shares_memory(accum, theta), name
+
+
+def test_dense_optimizer_serves_the_bench_contract():
+    # bench/counts.py reads opt.emb_accum and opt.mlp_accum of a for_params
+    # optimizer and compares their nbytes with the parameters' (the --trace 1
+    # param_bytes gate): without rows, the accumulators are table-sized.
+    params = init_params(2, num_rows=7, emb_dim=4, tower="mlp", feature_dim=3, hidden_dim=5)
+    opt = OptimizerState.for_params(params, learning_rate=0.5)
+    table = params.embeddings.rows
+    assert opt.emb_accum.shape == table.shape and opt.emb_accum.nbytes == table.nbytes
+    assert opt.num_rows == 7 and opt.covered_rows.tolist() == list(range(7))
+    t, a = params.tower, opt.mlp_accum
+    measured = sum(x.nbytes for x in [table, opt.emb_accum, t.V, t.b1, t.U, t.b2, a.V, a.b1, a.U, a.b2])
+    assert measured == 2 * sum(theta.nbytes for theta in params.arrays().values())
+    opt.accum.embeddings.rows[3, 1] = 2.5  # the dense view of a full block is the block itself
+    assert opt.emb_accum[3, 1] == 2.5
+
+
+def test_compact_optimizer_dense_view_scatters_the_block():
+    params = init_params(2, num_rows=12, emb_dim=3, tower="lookup", num_images=2)
+    rows = np.array([1, 4, 5, 11])
+    opt = OptimizerState.for_params(params, learning_rate=0.5, rows=rows)
+    block = opt.accum.embeddings.rows
+    assert block.shape == (4, 3) and opt.num_rows == 12
+    block[:] = np.random.default_rng(40).uniform(0.1, 1.0, size=block.shape)
+    want = np.zeros((12, 3))
+    for slot, row in enumerate(rows):
+        want[row] = block[slot]
+    assert opt.emb_accum.shape == params.embeddings.rows.shape
+    assert opt.emb_accum.nbytes == params.embeddings.rows.nbytes
+    assert np.array_equal(opt.emb_accum, want)
+    assert np.array_equal(opt.emb_accum_rows(np.array([0, 4, 11])), want[[0, 4, 11]])
+
+
+@pytest.mark.parametrize("rows", [[3, 1], [1, 1], [-1, 2], [2, 12]], ids=["descending", "repeated", "negative", "past-table"])
+def test_optimizer_rejects_bad_covered_rows(rows):
+    params = init_params(2, num_rows=12, emb_dim=3, tower="lookup", num_images=2)
+    with pytest.raises(ValueError, match=r"covered rows must be ascending, distinct and in \[0, 12\)"):
+        OptimizerState.for_params(params, learning_rate=0.5, rows=np.array(rows))
+
+
+def test_sgd_step_on_an_uncovered_row_raises_and_writes_nothing():
+    params = init_params(3, num_rows=8, emb_dim=2, tower="mlp", feature_dim=2, hidden_dim=2)
+    opt = OptimizerState.for_params(params, learning_rate=0.1, rows=np.array([1, 4, 6]))
+    ones = MlpImageTower(V=np.ones((2, 2)), b1=np.ones(2), U=np.ones((2, 2)), b2=np.ones(2))
+    sgd_step(params, Gradients(embeddings=RowGradient(rows=np.array([1, 6]), values=np.ones((2, 2))), tower=ones.arrays()), opt)
+    before = [a.copy() for a in [*params.arrays().values(), *opt.accum.arrays().values()]]
+    bad = Gradients(embeddings=RowGradient(rows=np.array([1, 5]), values=np.ones((2, 2))), tower=ones.arrays())
+    with pytest.raises(ValueError, match="embedding row 5 has no Adagrad accumulator"):
+        sgd_step(params, bad, opt)
+    after = [*params.arrays().values(), *opt.accum.arrays().values()]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after, strict=True))
+
+
+def test_compact_and_dense_optimizers_step_bit_identically():
+    rng = np.random.default_rng(41)
+    params, batch = random_params_and_batch(rng, tower="lookup", num_rows=20)
+    dense_params = ModelParams.from_arrays({name: theta.copy() for name, theta in params.arrays().items()})
+    compact = OptimizerState.for_params(params, learning_rate=0.5, rows=np.unique(batch.token_ids))
+    dense = OptimizerState.for_params(dense_params, learning_rate=0.5)
+    for _ in range(3):
+        sgd_step(params, batch_gradients(params, batch, 2.0), compact)
+        sgd_step(dense_params, batch_gradients(dense_params, batch, 2.0), dense)
+    for theta, dense_theta in zip(params.arrays().values(), dense_params.arrays().values(), strict=True):
+        assert theta.tobytes() == dense_theta.tobytes()
+    assert compact.emb_accum.tobytes() == dense.emb_accum.tobytes()
+
+
+def test_train_accumulates_only_the_corpus_rows():
+    # 40 distinct token ids spread over a 200k-row table: the optimizer
+    # covers those 40 rows, so training allocates the 12.8 MB table and
+    # little else, not a second table-sized accumulator.
+    rng = np.random.default_rng(42)
+    ids = np.sort(rng.choice(200_000, size=40, replace=False))
+    examples = [TrainExample(token_ids=rng.choice(ids, size=2), image=int(rng.integers(3)), weight=1.0) for _ in range(64)]
+    config = TrainConfig(tower="lookup", emb_dim=8, epochs=1, batch_size=16, seed=5)
+    tracemalloc.start()
+    try:
+        result = train(examples, config, num_embedding_rows=200_000, num_images=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = result.params.embeddings.rows.nbytes
+    assert peak - table_bytes < table_bytes / 10, (peak, table_bytes)
+    covered = np.unique(np.concatenate([ex.token_ids for ex in examples]))
+    assert result.optimizer.covered_rows.tolist() == covered.tolist()
+    assert result.optimizer.accum.embeddings.rows.shape == (covered.size, 8)
+
+
+def test_train_rejects_token_ids_outside_the_table_before_drawing_it(monkeypatch):
+    def no_init(*args, **kwargs):
+        raise AssertionError("init_params ran")
+
+    monkeypatch.setattr("imglex.training.init_params", no_init)
+    examples = make_toy_examples(np.random.default_rng(43), 8, 5, 2)
+    examples[3] = TrainExample(token_ids=np.array([1, 9]), image=0, weight=1.0)
+    examples[5] = TrainExample(token_ids=np.array([7]), image=1, weight=1.0)
+    config = TrainConfig(tower="lookup", emb_dim=4, batch_size=4)
+    with pytest.raises(ValueError) as caught:
+        train(examples, config, num_embedding_rows=5, num_images=2)
+    assert str(caught.value) == "token id 7 is outside the embedding table's rows [0, 5)"
+    examples[5] = TrainExample(token_ids=np.array([-2]), image=1, weight=1.0)
+    with pytest.raises(ValueError, match=r"token id -2 is outside"):
+        train(examples, config, num_embedding_rows=5, num_images=2)
+
+
+def test_train_reports_a_table_too_large_to_allocate():
+    examples = make_toy_examples(np.random.default_rng(44), 8, 5, 2)
+    config = TrainConfig(tower="lookup", emb_dim=100, batch_size=4)
+    for rows in (10**11, 10**17):  # 80 TB, and a byte count past int64
+        with pytest.raises(ConfigError) as caught:
+            train(examples, config, num_embedding_rows=rows, num_images=2)
+        assert str(caught.value) == f"the {rows} x 100 float64 embedding table cannot be allocated"
+
+
+@pytest.mark.parametrize("tower", ["lookup", "mlp"])
+def test_checkpoint_of_the_compact_optimizer_equals_the_dense_one(tmp_path, tower):
+    # train() covers only the corpus rows, here every 250th row of a table
+    # spanning three checkpoint chunks; a dense optimizer holding the same
+    # accumulators must give the same file, byte for byte. Row 500 is reset
+    # to its initial value but keeps its accumulator; row 2049, never in the
+    # corpus, has a changed value and no accumulator.
+    rng = np.random.default_rng(45)
+    examples = make_toy_examples(rng, 40, 12, 3)
+    image = (lambda ex: rng.normal(size=4)) if tower == "mlp" else (lambda ex: ex.image)
+    examples = [TrainExample(token_ids=250 * ex.token_ids, image=image(ex), weight=1.0) for ex in examples]
+    config = TrainConfig(tower=tower, emb_dim=4, hidden_dim=5 if tower == "mlp" else None, epochs=2, batch_size=16, seed=6)
+    result = train(examples, config, num_embedding_rows=3000, num_images=3)
+    params, compact = result.params, result.optimizer
+    assert compact.covered_rows.tolist() == list(range(0, 3000, 250))
+    initial = init_params(6, num_rows=3000, emb_dim=4, tower=tower, feature_dim=4, hidden_dim=5, num_images=3)
+    params.embeddings.rows[500] = initial.embeddings.rows[500]
+    assert compact.accum.embeddings.rows[2].any()  # row 500's slot
+    params.embeddings.rows[2049, 0] += 1.0
+    dense = OptimizerState.for_params(params, config.learning_rate)
+    dense.accum.embeddings.rows[compact.covered_rows] = compact.accum.embeddings.rows
+    for name, accum in compact.accum.tower.arrays().items():
+        dense.accum.tower.arrays()[name][:] = accum
+    paths = tmp_path / "compact.npz", tmp_path / "dense.npz"
+    for path, opt in zip(paths, (compact, dense)):
+        save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=2)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert stored_row_ids(paths[0]) == sorted([*range(0, 3000, 250), 2049])
+    assert_same_checkpoint_arrays(paths[0], load_checkpoint(paths[0]), params, compact)
 
 
 # Epoch losses of the conftest corpus as the unpacked per-batch step computed
