@@ -5,7 +5,8 @@ Subcommands:
   filter     keep only triples whose image spans >= 2 languages
   train      build a vocabulary, train embeddings, export artifacts
   eval       score an embedding export on similarity/classification tasks
-             and on a ground-truth lexicon (translation retrieval)
+             and on a ground-truth lexicon (translation retrieval), in the
+             language mode its tokens show: aware if each has a ':'
   gradcheck  compare analytic gradients against finite differences
 
 train resolves its settings in one merge: TRAIN_DEFAULTS, then the --preset,
@@ -51,9 +52,9 @@ from imglex.evaluation import (
     load_lexicon,
     load_sim_task,
 )
-from imglex.fileio import atomic_write_text
-from imglex.model import load_word2vec, save_word2vec
-from imglex.textproc import LangMode, build_vocab, tokenize
+from imglex.fileio import write_lines
+from imglex.model import TOWER_KINDS, load_word2vec, save_word2vec
+from imglex.textproc import LangMode, build_vocab, mode_of_tokens, tokenize
 from imglex.training import TrainConfig, grad_check, save_checkpoint, save_loss_curve, train
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -68,9 +69,8 @@ PRESETS: dict[str, dict] = {
     "unaware-100": {"tower": "mlp", "lang_mode": "unaware", "emb_dim": 100, "hidden_dim": 200},
 }
 
-# Defaults of the train settings TrainConfig has no default for, and of those only the CLI reads.
-TRAIN_DEFAULTS = {"tower": "mlp", "emb_dim": 100, "hidden_dim": 200, "lang_mode": "aware", "filter_multilingual": False,
-                  "min_count": 6, "buckets": 1_000_000}
+# Defaults of the train settings TrainConfig has no default for (the mlp-100 model), and of those only the CLI reads.
+TRAIN_DEFAULTS = {**PRESETS["mlp-100"], "filter_multilingual": False, "min_count": 6, "buckets": 1_000_000}
 
 
 class UsageError(ImglexError):
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--triples", required=True)
     p_train.add_argument("--features", help="features TSV (required for the mlp tower)")
     p_train.add_argument("--preset", choices=sorted(PRESETS))
-    p_train.add_argument("--tower", choices=["mlp", "lookup"])
+    p_train.add_argument("--tower", choices=TOWER_KINDS)
     p_train.add_argument("--lang-mode", choices=["aware", "unaware"])
     p_train.add_argument("--emb-dim", type=int)
     p_train.add_argument("--m", dest="hidden_dim", type=int, help="MLP hidden width (the output width is --emb-dim)")
@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--classify-train")
     p_eval.add_argument("--classify-test")
     p_eval.add_argument("--lexicon", help="lexicon TSV: report translation precision@1 and concept cosines")
-    p_eval.add_argument("--lang-mode", choices=["aware", "unaware"], default="aware")
     p_eval.add_argument("--out-dir")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -178,7 +177,7 @@ def cmd_train(args) -> int:
         triples = filter_multilingual(triples)
         print(f"multilingual filter: kept {len(triples)} of {before} triples")
     features = load_features(args.features) if tower == "mlp" else None
-    lang_mode = LangMode.from_string(settings["lang_mode"])
+    lang_mode = LangMode(settings["lang_mode"])
     vocab = build_vocab(
         (token for t in triples for token in tokenize(t.query, t.lang, lang_mode)),
         min_count=settings["min_count"],
@@ -220,7 +219,7 @@ def cmd_eval(args) -> int:
     if (args.classify_train is None) != (args.classify_test is None):
         raise UsageError("--classify-train and --classify-test go together")
     vectors = load_word2vec(args.embeddings)
-    mode = LangMode.from_string(args.lang_mode)
+    mode = mode_of_tokens(vectors)
     rows: list[ReportRow] = []
     errored = False
 
@@ -269,8 +268,8 @@ def cmd_eval(args) -> int:
         print(report.text, end="")
         if args.out_dir:
             out = Path(args.out_dir)
-            atomic_write_text(out / "report.txt", report.text)
-            atomic_write_text(out / "report.csv", report.csv)
+            for name, text in (("report.txt", report.text), ("report.csv", report.csv)):
+                write_lines(out / name, text.split("\n")[:-1])  # each text ends in "\n"
             print(f"wrote {out / 'report.txt'} and {out / 'report.csv'}")
     if lexicon_line:
         print(lexicon_line)
@@ -283,8 +282,8 @@ def cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise ConfigError("seed must be >= 0")
     failed = False
-    for tower in ("mlp", "lookup"):
-        report = grad_check(tower=tower, seed=args.seed)
+    for tower in TOWER_KINDS:
+        report = grad_check(tower, args.seed)
         ok = report.max_rel_err < GRADCHECK_THRESHOLD
         failed |= not ok
         status = "PASS" if ok else "FAIL"

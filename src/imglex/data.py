@@ -28,6 +28,7 @@ import numpy as np
 
 from imglex.errors import ConfigError, DataError
 from imglex.fileio import parse_number, read_rows, read_vectors, vector_row, write_lines
+from imglex.model import TOWER_KINDS
 from imglex.textproc import Vocabulary, is_language_code, tokenize
 from imglex.training import TrainExample
 
@@ -101,8 +102,8 @@ class SyntheticSpec:
             raise ConfigError("num_concepts, num_languages, num_examples must be >= 1")
         if self.words_per_concept < 1 or self.feature_dim < 1 or self.images_per_concept < 1:
             raise ConfigError("words_per_concept, feature_dim, images_per_concept must be >= 1")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError("noise_sigma must be finite and >= 0")
         if not 0.0 <= self.isolated_image_fraction <= 1.0:
             raise ConfigError("isolated_image_fraction must be in [0, 1]")
         if self.seed < 0:
@@ -222,7 +223,7 @@ def prepare_examples(
     mode re-indexes image ids densely in first-seen order. Triples whose
     query tokenizes to nothing are dropped and counted.
     """
-    if tower not in ("mlp", "lookup"):
+    if tower not in TOWER_KINDS:
         raise ValueError(f"unknown tower kind {tower!r}")
     if tower == "mlp" and features is None:
         raise ValueError("mlp tower requires a feature map")

@@ -128,12 +128,6 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def atomic_write_text(path: str | Path, content: str) -> None:
-    """Write ``content`` to ``path`` atomically as UTF-8."""
-    with atomic_write(path) as fh:
-        fh.write(content.encode("utf-8"))
-
-
 def encode_lines(lines: Iterable[str]) -> bytes:
     """UTF-8 text of ``lines``, each terminated by LF: the layout of every line file."""
     return "".join(f"{line}\n" for line in lines).encode("utf-8")

@@ -25,6 +25,9 @@ from imglex.errors import DataError
 from imglex.fileio import read_rows, read_vectors, vector_row, write_lines
 from imglex.textproc import Vocabulary
 
+# The image tower kinds, by the name TrainConfig.tower and init_params take.
+TOWER_KINDS = ("mlp", "lookup")
+
 # Cosine of a vector with norm below this is defined as 0 and contributes
 # zero gradient (the final ReLU can output an all-zero image representation).
 NORM_FLOOR = 1e-12

@@ -41,13 +41,6 @@ class LangMode(enum.Enum):
     AWARE = "aware"
     UNAWARE = "unaware"
 
-    @classmethod
-    def from_string(cls, value: str) -> "LangMode":
-        try:
-            return cls(value.lower())
-        except ValueError:
-            raise ValueError(f"unknown language mode {value!r}") from None
-
 
 def fnv1a64(data: bytes) -> int:
     """FNV-1a 64-bit hash of ``data`` (seed-free, portable)."""
@@ -77,6 +70,13 @@ def tokenize(raw_query: str, lang: str | None, mode: LangMode) -> list[str]:
     if mode is LangMode.AWARE:
         return [f"{lang}:{surface}" for surface in surfaces]
     return surfaces
+
+
+def mode_of_tokens(tokens: Iterable[str]) -> LangMode:
+    """The mode ``tokens`` were made in: AWARE when every token holds a ':'
+    (an aware token is "<lang>:<surface>", and :func:`tokenize` never leaves
+    a ':' in a surface), otherwise UNAWARE. No tokens count as AWARE."""
+    return LangMode.AWARE if all(":" in token for token in tokens) else LangMode.UNAWARE
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ class Vocabulary:
         _, (header,) = next(rows, (1, [""]))
         try:
             size, buckets, mode_name = header.split()
-            vocab_size, num_buckets, mode = int(size), int(buckets), LangMode.from_string(mode_name)
+            vocab_size, num_buckets, mode = int(size), int(buckets), LangMode(mode_name)
         except ValueError:
             raise DataError(f"{path}:1: malformed header {header!r}, expected '<vocab_size> <num_buckets> <mode>'") from None
         if vocab_size < 0 or num_buckets < 1:

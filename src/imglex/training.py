@@ -40,6 +40,7 @@ from imglex.fileio import atomic_write, write_lines
 from imglex.model import (
     INIT_CHUNK_ROWS,
     NORM_FLOOR,
+    TOWER_KINDS,
     MlpImageTower,
     ModelParams,
     NonFiniteError,
@@ -386,7 +387,7 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
 
 @dataclass
 class TrainConfig:
-    tower: str  # "mlp" | "lookup"
+    tower: str  # one of TOWER_KINDS
     emb_dim: int
     hidden_dim: int | None = None  # MLP hidden width m; the output width is emb_dim
     batch_size: int = 1000
@@ -396,18 +397,22 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.tower not in ("mlp", "lookup"):
-            raise ConfigError(f"tower must be 'mlp' or 'lookup', got {self.tower!r}")
+        if self.tower not in TOWER_KINDS:
+            raise ConfigError(f"tower must be one of {', '.join(map(repr, TOWER_KINDS))}, got {self.tower!r}")
+        for f in fields(self):  # a checkpoint's JSON can hold 1.5 or true (not of type int) in any field
+            value = getattr(self, f.name)
+            if f.type.startswith("int") and value is not None and type(value) is not int:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.emb_dim < 1:
             raise ConfigError("emb_dim must be >= 1")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2: a batch of one has a constant in-batch softmax")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.logit_scale <= 0:
-            raise ConfigError("logit_scale must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.logit_scale < np.inf:
+            raise ConfigError("logit_scale must be finite and positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError("learning_rate must be finite and positive")
         if self.tower == "mlp" and (self.hidden_dim is None or self.hidden_dim < 1):
             raise ConfigError("mlp tower requires hidden_dim >= 1")
         if self.seed < 0:
@@ -507,13 +512,14 @@ class GradCheckReport:
     num_checked: int
 
 
-def grad_check(tower: str = "mlp", seed: int = 0, *, num_rows: int = 14, batch_size: int = 8) -> GradCheckReport:
-    """Compare every analytic gradient entry against central finite differences.
+def grad_check(tower: str, seed: int) -> GradCheckReport:
+    """Compare every analytic gradient entry against central finite differences
+    on a seeded batch of 8 examples over a 14-row table.
 
     Relative error is |ga - gn| / max(1e-8, |ga| + |gn|). Parameter count
     must stay small (everything is perturbed twice).
     """
-    emb_dim, hidden_dim, feature_dim, num_images = 6, 7, 5, 5
+    num_rows, batch_size, emb_dim, hidden_dim, feature_dim, num_images = 14, 8, 6, 7, 5, 5
     logit_scale, step = 1.5, 1e-5
     params = init_params(
         seed,
@@ -532,16 +538,13 @@ def grad_check(tower: str = "mlp", seed: int = 0, *, num_rows: int = 14, batch_s
     else:
         images = rng.integers(0, num_images, size=batch_size)
     token_ids = [rng.integers(0, num_rows, size=rng.integers(1, 5)) for _ in range(batch_size)]
-    examples = [
-        TrainExample(token_ids=token_ids[i], image=images[i], weight=float(rng.uniform(0.2, 2.0)))
-        for i in range(batch_size)
-    ]
-    batch = Batch.from_examples(examples)
+    batch = Batch.from_examples(
+        [TrainExample(ids, image, weight=float(rng.uniform(0.2, 2.0))) for ids, image in zip(token_ids, images)]
+    )
 
     grads = batch_gradients(params, batch, logit_scale).arrays()
     max_rel = 0.0
     worst = ""
-    checked = 0
     for name, theta in params.arrays().items():
         ga = grads[name]
         if isinstance(ga, RowGradient):
@@ -557,11 +560,10 @@ def grad_check(tower: str = "mlp", seed: int = 0, *, num_rows: int = 14, batch_s
             flat_theta[i] = original
             gn = (up - down) / (2.0 * step)
             rel = abs(flat_ga[i] - gn) / max(1e-8, abs(flat_ga[i]) + abs(gn))
-            checked += 1
             if rel > max_rel:
                 max_rel = rel
                 worst = f"{name}[{i}]"
-    return GradCheckReport(max_rel_err=max_rel, worst_param=worst, num_checked=checked)
+    return GradCheckReport(max_rel_err=max_rel, worst_param=worst, num_checked=sum(theta.size for theta in params.arrays().values()))
 
 
 def save_loss_curve(path: str | Path, epoch_losses: Sequence[float]) -> None:

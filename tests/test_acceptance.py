@@ -302,7 +302,6 @@ def test_criterion_6_language_unaware_contract(tmp_path):
             "eval",
             "--embeddings", str(out / "embeddings.vec"),
             "--similarity", str(task),
-            "--lang-mode", "unaware",
         ]
     )
     report_line(

@@ -73,10 +73,12 @@ def test_every_synthetic_setting_has_one_flag_named_after_it():
     [
         ("--concepts", "0", "num_concepts, num_languages, num_examples must be >= 1"),
         ("--words-per-concept", "0", "words_per_concept, feature_dim, images_per_concept must be >= 1"),
-        ("--sigma", "-0.1", "noise_sigma must be >= 0"),
+        ("--sigma", "-0.1", "noise_sigma must be finite and >= 0"),
+        ("--sigma", "nan", "noise_sigma must be finite and >= 0"),
+        ("--sigma", "inf", "noise_sigma must be finite and >= 0"),
         ("--isolated-fraction", "1.5", "isolated_image_fraction must be in [0, 1]"),
     ],
-    ids=["concepts", "words-per-concept", "sigma", "isolated-fraction"],
+    ids=["concepts", "words-per-concept", "sigma", "sigma-nan", "sigma-inf", "isolated-fraction"],
 )
 def test_gensynth_config_error_is_one_line_and_writes_nothing(tmp_path, capsys, flag, value, message):
     out = tmp_path / "corpus"
@@ -319,6 +321,16 @@ def test_train_norm_overflow_is_one_line_exit_1(tmp_path, capsys):
     assert len(err) == 1
     assert err[0].startswith("training diverged: epoch 0, batch ")
     assert err[0].endswith(("non-finite query norm", "non-finite image norm"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, setting", [("--lr", "learning_rate"), ("--logit-scale", "logit_scale")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_rejects_non_finite_rates_before_reading_input(tmp_path, capsys, flag, setting, value):
+    out = tmp_path / "out"
+    missing = tmp_path / "no_such_triples.tsv"  # a config error comes before any input is read
+    assert run(["train", "--triples", str(missing), "--tower", "lookup", f"{flag}={value}", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {setting} must be finite and positive\n")
     assert not out.exists()
 
 
@@ -607,7 +619,8 @@ def test_eval_degenerate_task_exit_code(trained_embeddings, tmp_path, capsys):
 
 
 def test_eval_unaware_untagged_inputs(tmp_path):
-    # Unaware-mode evaluation accepts task words without language tags.
+    # An export of bare tokens is scored in unaware mode, which accepts task
+    # words without language tags.
     vec = tmp_path / "emb.vec"
     vec.write_text(
         "4 2\nhot 1.0 0.0\nwarm 0.9 0.1\ncold 0.0 1.0\nchill 0.1 0.9\n",
@@ -615,12 +628,35 @@ def test_eval_unaware_untagged_inputs(tmp_path):
     )
     task = tmp_path / "sim.tsv"
     task.write_text("hot\twarm\t9.0\nhot\tcold\t1.0\nwarm\tchill\t2.0\n", encoding="utf-8")
-    code = run(["eval", "--embeddings", str(vec), "--similarity", str(task), "--lang-mode", "unaware"])
+    code = run(["eval", "--embeddings", str(vec), "--similarity", str(task)])
     assert code == 0
+
+
+def test_eval_has_no_lang_mode_flag(trained_embeddings, synth_dir, capsys):
+    argv = ["eval", "--embeddings", str(trained_embeddings), "--lexicon", str(synth_dir / "lexicon.tsv")]
+    assert run(argv + ["--lang-mode", "aware"]) == 1
+    assert capsys.readouterr() == ("", "error: unrecognized arguments: --lang-mode aware\n")
+
+
+@pytest.mark.parametrize("preset, mode", [("mlp-100", LangMode.AWARE), ("unaware-100", LangMode.UNAWARE)])
+def test_eval_reads_the_language_mode_from_the_export(synth64_dir, tmp_path, capsys, preset, mode):
+    out = tmp_path / preset
+    argv = ["train", "--triples", str(synth64_dir / "triples.tsv"), "--features", str(synth64_dir / "features.tsv")]
+    assert run(argv + ["--preset", preset, "--epochs", "1", "--buckets", "200", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    lexicon = synth64_dir / "lexicon.tsv"
+    assert run(["eval", "--embeddings", str(out / "embeddings.vec"), "--lexicon", str(lexicon)]) == 0
+    want = lexicon_retrieval(load_word2vec(out / "embeddings.vec"), load_lexicon(lexicon), mode)
+    assert capsys.readouterr() == (
+        f"lexicon: precision@1 {want.precision_at_1:.4f}, same-concept cosine {want.same_concept_mean:.4f}, "
+        f"different-concept cosine {want.diff_concept_mean:.4f} ({want.n_words} words, {want.n_pairs} pairs)\n",
+        "",
+    )
 
 
 
 EVAL = ["eval", "--embeddings", "{vec}"]
+EVAL_BARE = ["eval", "--embeddings", "{bare_vec}"]  # an export of bare tokens: unaware mode
 TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
 
 
@@ -646,9 +682,9 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
         (EVAL + ["--lexicon"], "EN:a\ten:b\t0\n", 3, "lexicon: word 'EN:a' has an invalid language tag"),
         (EVAL + ["--lexicon"], ":a\ten:b\t0\n", 3, "lexicon: word ':a' has an invalid language tag"),
         (EVAL + ["--lexicon"], "en:a\tde:b\t0\nen:a\tde:c\t1\n", 3, "lexicon: word 'en:a' listed under two concepts"),
-        (EVAL + ["--lang-mode", "unaware", "--lexicon"], "a\tde:b\t0\nen:c\tde:b\t0\n", 3,
+        (EVAL_BARE + ["--lexicon"], "a\tde:b\t0\nen:c\tde:b\t0\n", 3,
          "lexicon: word 'a' has no language tag"),
-        (EVAL + ["--lang-mode", "unaware", "--lexicon"], "en:a\tde:b\t0\nEN:c\tde:b\t1\n", 3,
+        (EVAL_BARE + ["--lexicon"], "en:a\tde:b\t0\nEN:c\tde:b\t1\n", 3,
          "lexicon: word 'EN:c' has an invalid language tag"),
     ],
     ids=[
@@ -662,7 +698,9 @@ def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, co
     path.write_text(content, encoding="utf-8")
     vec = tmp_path / "emb.vec"
     vec.write_text("4 2\nen:a 1 0\nen:b 0 1\nen:c 1 1\nde:b 1 0.5\n", encoding="utf-8")
-    names = {"vec": vec, "out": tmp_path / "out", "path": path}
+    bare_vec = tmp_path / "bare.vec"
+    bare_vec.write_text("3 2\na 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
+    names = {"vec": vec, "bare_vec": bare_vec, "out": tmp_path / "out", "path": path}
     assert run([arg.format(**names) for arg in argv] + [str(path)]) == code
     assert capsys.readouterr().err == err.format(**names) + "\n"
     assert not names["out"].exists()

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from imglex.errors import DataError
-from imglex.textproc import LangMode, Vocabulary, build_vocab, fnv1a64, tokenize
+from imglex.textproc import LangMode, Vocabulary, build_vocab, fnv1a64, mode_of_tokens, tokenize
 
 # Published FNV-1a 64 reference vectors.
 FNV_VECTORS = {
@@ -48,6 +48,17 @@ def test_tokenize_aware_requires_lowercase_lang():
         tokenize("pain", None, LangMode.AWARE)
     # Unaware mode ignores the language entirely.
     assert tokenize("pain", None, LangMode.UNAWARE) == ["pain"]
+
+
+@pytest.mark.parametrize(
+    "tokens, mode",
+    [(["en:dog", "de:hund"], LangMode.AWARE), (["dog", "hund"], LangMode.UNAWARE),
+     (["en:dog", "hund"], LangMode.UNAWARE), ([], LangMode.AWARE)],
+    ids=["all-tagged", "all-bare", "mixed", "empty"],
+)
+def test_mode_of_tokens(tokens, mode):
+    assert mode_of_tokens(tokens) is mode
+    assert mode_of_tokens(iter(tokens)) is mode
 
 
 def test_build_vocab_min_count_boundary():

@@ -306,9 +306,20 @@ def test_sgd_step_rejects_nonfinite_gradient():
         sgd_step(params, bad, opt)
 
 
+def rel_errs_to_numeric(params, batch, logit_scale):
+    """For every parameter array, the largest |ga - gn| / max(1e-8, |ga| + |gn|)
+    of batch_gradients against tests/oracles.numeric_gradients."""
+    grads = batch_gradients(params, batch, logit_scale).arrays()
+    errs = {}
+    for name, gn in numeric_gradients(params, batch, logit_scale).items():
+        ga = grads[name].to_dense(gn.shape[0]) if isinstance(grads[name], RowGradient) else grads[name]
+        errs[name] = float((np.abs(ga - gn) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))).max())
+    return errs
+
+
 def test_gradients_match_finite_differences_quick():
     for tower in ("mlp", "lookup"):
-        report = grad_check(tower=tower, seed=11, batch_size=6)
+        report = grad_check(tower, 11)
         assert report.max_rel_err < 1e-4, (tower, report)
 
 
@@ -319,14 +330,16 @@ def test_grad_check_detects_corruption(monkeypatch):
         return grads
 
     monkeypatch.setattr("imglex.training.batch_gradients", corrupted)
-    report = grad_check(tower="mlp", seed=0)
+    report = grad_check("mlp", 0)
     assert report.max_rel_err > 1e-2
 
 
-def test_grad_check_singleton_batch_trivial():
+def test_singleton_batch_matches_finite_differences_trivially():
+    rng = np.random.default_rng(0)
     for tower in ("mlp", "lookup"):
-        report = grad_check(tower=tower, seed=0, batch_size=1)
-        assert report.max_rel_err < 1e-9
+        params, batch = random_params_and_batch(rng, tower=tower, batch_size=1, num_rows=14)
+        errs = rel_errs_to_numeric(params, batch, 1.5)
+        assert max(errs.values()) < 1e-9, (tower, errs)
 
 
 def test_train_config_validation():
@@ -593,6 +606,19 @@ MALFORMED_META = {
         "checkpoint meta 'config' is invalid: batch_size must be >= 2",
     ),
     "config-wrong-type": (lambda meta: config_entry(meta, emb_dim="4"), "checkpoint meta 'config' is invalid: "),
+    "config-float-seed": (lambda meta: config_entry(meta, seed=1.5), "checkpoint meta 'config' is invalid: seed must be an integer, got 1.5"),
+    "config-float-emb-dim": (
+        lambda meta: config_entry(meta, emb_dim=3.0),
+        "checkpoint meta 'config' is invalid: emb_dim must be an integer, got 3.0",
+    ),
+    "config-float-epochs": (
+        lambda meta: config_entry(meta, epochs=2.5),
+        "checkpoint meta 'config' is invalid: epochs must be an integer, got 2.5",
+    ),
+    "config-nan-learning-rate": (
+        lambda meta: config_entry(meta, learning_rate=math.nan),
+        "checkpoint meta 'config' is invalid: learning_rate must be finite and positive",
+    ),
     # Checkpoints written while the MLP output width was a setting of its own.
     "config-out-dim": (lambda meta: config_entry(meta, out_dim=4), "checkpoint meta 'config' has unknown field 'out_dim'"),
     "config-tower-mismatch": (
@@ -929,27 +955,18 @@ def test_ragged_batch_matches_oracles():
         fast = batch_loss(params, batch, scale).mean_weighted_loss
         assert abs(fast - batch_loss_bruteforce(params, batch, scale)) <= 1e-9
 
-    grads = batch_gradients(params, batch, 2.5)
-    assert list(grads.embeddings.rows) == [0, 1, 3, 5, 7, 9, 11]
-    analytic = {
-        "embeddings": grads.embeddings.to_dense(12),
-        "V": grads.tower["V"],
-        "b1": grads.tower["b1"],
-        "U": grads.tower["U"],
-        "b2": grads.tower["b2"],
-    }
-    numeric = numeric_gradients(params, batch, 2.5)
-    for name, ga in analytic.items():
-        gn = numeric[name]
-        rel = np.abs(ga - gn) / np.maximum(1e-8, np.abs(ga) + np.abs(gn))
-        assert rel.max() < 1e-4, name
+    assert list(batch_gradients(params, batch, 2.5).embeddings.rows) == [0, 1, 3, 5, 7, 9, 11]
+    errs = rel_errs_to_numeric(params, batch, 2.5)
+    assert list(errs) == ["embeddings", "V", "b1", "U", "b2"] and max(errs.values()) < 1e-4, errs
 
 
-def test_grad_check_ragged_batches():
+def test_gradients_match_finite_differences_on_crowded_rows():
+    # 9 queries over 6 rows: most rows repeat within and across queries.
     for tower in ("mlp", "lookup"):
         for seed in (21, 22):
-            report = grad_check(tower=tower, seed=seed, batch_size=9, num_rows=6)
-            assert report.max_rel_err < 1e-4, (tower, seed, report)
+            params, batch = random_params_and_batch(np.random.default_rng(seed), tower=tower, batch_size=9, num_rows=6)
+            errs = rel_errs_to_numeric(params, batch, 1.5)
+            assert max(errs.values()) < 1e-4, (tower, seed, errs)
 
 
 def test_logits_are_scaled_cosines_and_owned():
