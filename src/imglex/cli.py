@@ -58,6 +58,7 @@ from imglex.textproc import LangMode, build_vocab, mode_of_tokens, tokenize
 from imglex.training import TrainConfig, grad_check, save_checkpoint, save_loss_curve, train
 
 GRADCHECK_THRESHOLD = 1e-4
+MAX_EMBEDDING_ROWS = 2**63 - 1  # token ids and the checkpoint's row count are int64
 
 # Named configurations, keyed by train flag dests; flags given explicitly
 # override preset values.
@@ -184,16 +185,18 @@ def cmd_train(args) -> int:
         num_buckets=settings["buckets"],
         mode=lang_mode,
     )
+    if vocab.total_ids > MAX_EMBEDDING_ROWS:
+        raise ConfigError(
+            f"--buckets {vocab.num_buckets}: {vocab.vocab_size} vocabulary tokens + {vocab.num_buckets} buckets "
+            f"exceed the int64 limit of 2**63 - 1 embedding rows"
+        )
     prepared = prepare_examples(triples, vocab, tower=tower, features=features)
     if len(prepared.examples) < 2:
         raise DataError(
             f"{len(prepared.examples)} usable training examples, the in-batch softmax needs at least 2 "
             "(every query tokenized to nothing?)"
         )
-    try:
-        result = train(prepared.examples, config, num_embedding_rows=vocab.total_ids, num_images=prepared.num_images)
-    except ConfigError as exc:  # config was validated above: the table is too large to allocate
-        raise ConfigError(f"--buckets {settings['buckets']}: {exc}") from None
+    result = train(prepared.examples, config, num_embedding_rows=vocab.total_ids, num_images=prepared.num_images)
 
     out = Path(args.out_dir)
     vocab.save(out / "vocab.txt")

@@ -134,8 +134,13 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
 
     def noisy_feature(concept: int) -> np.ndarray:
-        vec = protos[concept] + spec.noise_sigma * rng.standard_normal(spec.feature_dim)
-        norm = np.linalg.norm(vec)
+        noise = rng.standard_normal(spec.feature_dim)
+        with np.errstate(over="ignore"):
+            vec = protos[concept] + spec.noise_sigma * noise
+            norm = np.linalg.norm(vec)
+        if not np.isfinite(norm):  # a huge sigma: the same direction, divided by sigma before squaring
+            vec = protos[concept] / spec.noise_sigma + noise
+            norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 
     features: dict[str, np.ndarray] = {}

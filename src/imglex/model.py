@@ -1,8 +1,11 @@
 """The two towers: bag-of-words query representation and image representation.
 
-The query side averages embedding rows. The image side is either a two-layer
-ReLU network over fixed image features or a trainable per-image vector table
-(co-occurrence-only variant). Both sides must produce vectors of the same
+The query side averages embedding rows. The embedding table holds only the
+rows a run uses (``train`` holds the corpus's distinct token ids); any other
+row keeps its initial value, which ``initial_rows`` draws from the seed on
+demand, so memory follows the rows used, not the hash buckets. The image
+side is either a two-layer ReLU network over fixed image features or a
+trainable per-image vector table (co-occurrence-only variant). Both sides must produce vectors of the same
 dimensionality so cosine similarity is defined. Each image tower runs its own
 batched forward and backward: ``forward`` checks its inputs and returns the
 (B, n) image vectors with a cache, ``backward`` maps the gradient of those
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -32,8 +35,8 @@ TOWER_KINDS = ("mlp", "lookup")
 # zero gradient (the final ReLU can output an all-zero image representation).
 NORM_FLOOR = 1e-12
 
-# Rows per chunk in which the initial embedding rows are drawn, and in which
-# checkpoints regenerate and write embedding rows.
+# Rows per chunk: no draw of initial embedding rows spans two chunks, and
+# checkpoints regenerate and write embedding rows this many at a time.
 INIT_CHUNK_ROWS = 1024
 
 
@@ -73,19 +76,85 @@ def _scatter_rows(inverse: np.ndarray, values: np.ndarray, num_rows: int) -> np.
     return out
 
 
+def initial_rows(seed: int, ids: np.ndarray, emb_dim: int) -> np.ndarray:
+    """The initial values of the embedding rows ``ids`` (ascending, distinct)
+    as a new (len(ids), emb_dim) array: row r of the table drawn from
+    ``np.random.default_rng(seed)`` as Uniform(-0.5/emb_dim, 0.5/emb_dim),
+    row after row, so row r is the ``emb_dim`` draws after ``r * emb_dim``.
+
+    Each run of consecutive ids within one INIT_CHUNK_ROWS chunk is one draw,
+    and the generator jumps over the gaps with ``advance``: the cost follows
+    the rows asked for, not the largest id.
+    """
+    half = 0.5 / emb_dim
+    out = np.empty((ids.size, emb_dim))
+    rng = np.random.default_rng(seed)
+    new_run = np.ones(ids.size, dtype=bool)
+    new_run[1:] = (np.diff(ids) != 1) | (ids[1:] % INIT_CHUNK_ROWS == 0)
+    starts = np.flatnonzero(new_run).tolist()
+    at = 0  # the row the generator stands at
+    for lo, hi in zip(starts, starts[1:] + [ids.size]):
+        first = int(ids[lo])  # advance takes a Python int, not an np.int64
+        rng.bit_generator.advance((first - at) * emb_dim)
+        out[lo:hi] = rng.uniform(-half, half, size=(hi - lo, emb_dim))
+        at = first + hi - lo
+    return out
+
+
 @dataclass
 class EmbeddingTable:
-    """Dense matrix of embedding rows, one per vocabulary id or hash bucket."""
+    """The rows ``ids`` of a ``num_rows`` x emb_dim embedding table, one row
+    per vocabulary id or hash bucket, whose initial rows are drawn from
+    ``seed`` (``initial_rows``). A row the table does not hold keeps its
+    initial value, and ``read`` draws it on demand. Built from ``rows``
+    alone, the table holds every row."""
 
-    rows: np.ndarray  # (num_rows, emb_dim) float64
+    rows: np.ndarray  # (R, emb_dim) float64; rows[k] is table row ids[k]
+    ids: np.ndarray | None = None  # (R,) int64, ascending; None: every row, arange(R)
+    num_rows: int | None = None  # None: R
+    seed: int | None = None  # what the rows not held are drawn from
 
-    @property
-    def num_rows(self) -> int:
-        return self.rows.shape[0]
+    def __post_init__(self):
+        if self.ids is None:
+            self.ids = np.arange(len(self.rows))
+        if self.num_rows is None:
+            self.num_rows = len(self.rows)
+        if self.seed is None and self.ids.size < self.num_rows:
+            raise ValueError("a table that does not hold every row needs the seed of its initial rows")
 
     @property
     def emb_dim(self) -> int:
         return self.rows.shape[1]
+
+    def _find(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where each of the ``ids`` sits in ``rows``, and a mask of those held."""
+        slots = np.searchsorted(self.ids, ids)
+        held = slots < self.ids.size
+        held[held] = self.ids[slots[held]] == ids[held]
+        return slots, held
+
+    def slots(self, ids: np.ndarray) -> np.ndarray:
+        """Where each of the ``ids`` sits in ``rows``; an id the table does
+        not hold is a ValueError naming the first such id."""
+        slots, held = self._find(ids)
+        if not held.all():
+            raise ValueError(f"embedding row {ids[~held][0]} is not held by the table")
+        return slots
+
+    def read(self, ids: Iterable[int]) -> np.ndarray:
+        """Table rows ``ids`` (any order, repeats allowed) as a new
+        (len(ids), emb_dim) array: held rows from ``rows``, the others drawn
+        from ``seed``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.num_rows):
+            raise ValueError("token id out of range")
+        wanted, inverse = np.unique(ids, return_inverse=True)
+        slots, held = self._find(wanted)
+        out = np.empty((wanted.size, self.emb_dim))
+        out[held] = self.rows[slots[held]]
+        if not held.all():
+            out[~held] = initial_rows(self.seed, wanted[~held], self.emb_dim)
+        return out[inverse]
 
 
 @dataclass
@@ -212,19 +281,6 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b / (na * nb))
 
 
-def initial_row_chunks(rng: np.random.Generator, num_rows: int, emb_dim: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The initial embedding table, ``(start, rows)`` for each chunk of at most
-    INIT_CHUNK_ROWS rows: Uniform(-0.5/emb_dim, 0.5/emb_dim) drawn from ``rng``.
-
-    Chunked draws equal one draw of the whole table bit for bit and leave
-    ``rng`` in the same state, so ``init_params`` fills its table from here
-    and ``save_checkpoint`` regenerates any row of it from the seed alone.
-    """
-    half = 0.5 / emb_dim
-    for start in range(0, num_rows, INIT_CHUNK_ROWS):
-        yield start, rng.uniform(-half, half, size=(min(INIT_CHUNK_ROWS, num_rows - start), emb_dim))
-
-
 def init_params(
     seed: int,
     *,
@@ -234,18 +290,25 @@ def init_params(
     feature_dim: int | None = None,
     hidden_dim: int | None = None,
     num_images: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> ModelParams:
     """Seed-determined initialization of all parameters.
 
-    Embedding rows come first from the seeded stream (initial_row_chunks),
-    then the tower's: lookup-image rows ~ Uniform(-0.5/emb_dim, 0.5/emb_dim);
-    MLP weights Glorot-uniform (bound sqrt(6/(fan_in+fan_out))); biases zero.
+    The seeded stream draws the ``num_rows`` x emb_dim embedding table first
+    (``initial_rows``), then the tower's: lookup-image rows ~
+    Uniform(-0.5/emb_dim, 0.5/emb_dim); MLP weights Glorot-uniform (bound
+    sqrt(6/(fan_in+fan_out))); biases zero. The table holds the rows ``rows``
+    (ascending, distinct, in [0, num_rows)), or every row if None; only those
+    are drawn, and the generator jumps past the rest of the table, so the
+    tower's arrays do not depend on ``rows``.
     """
+    ids = np.arange(num_rows) if rows is None else np.asarray(rows, dtype=np.int64)
+    if ids.size and (ids[0] < 0 or ids[-1] >= num_rows or np.any(ids[1:] <= ids[:-1])):
+        raise ValueError(f"held rows must be ascending, distinct and in [0, {num_rows})")
+    embeddings = EmbeddingTable(rows=initial_rows(seed, ids, emb_dim), ids=ids, num_rows=num_rows, seed=seed)
     rng = np.random.default_rng(seed)
+    rng.bit_generator.advance(int(num_rows) * int(emb_dim))
     half = 0.5 / emb_dim
-    embeddings = EmbeddingTable(rows=np.empty((num_rows, emb_dim)))
-    for start, rows in initial_row_chunks(rng, num_rows, emb_dim):
-        embeddings.rows[start : start + len(rows)] = rows
     if tower == "mlp":
         if feature_dim is None or hidden_dim is None:
             raise ValueError("mlp tower requires feature_dim and hidden_dim")
@@ -271,11 +334,15 @@ def save_word2vec(path: str | Path, vocab: Vocabulary, table: EmbeddingTable) ->
 
     First line is "<row_count> <emb_dim>", then one "<token> <v1> ... <vdim>"
     line per in-vocabulary token in id order, written by
-    imglex.fileio.vector_row, so the file round-trips bit-for-bit.
+    imglex.fileio.vector_row, so the file round-trips bit-for-bit. Rows are
+    read through the table a chunk at a time, so a row it does not hold is
+    written with its initial value.
     """
     if table.num_rows < vocab.vocab_size:
         raise ValueError("embedding table smaller than vocabulary")
-    rows = (vector_row(token, row, " ", " ") for token, row in zip(vocab.tokens, table.rows))
+    size = vocab.vocab_size
+    chunks = (table.read(np.arange(start, min(start + INIT_CHUNK_ROWS, size))) for start in range(0, size, INIT_CHUNK_ROWS))
+    rows = (vector_row(token, row, " ", " ") for token, row in zip(vocab.tokens, chain.from_iterable(chunks)))
     write_lines(path, chain([f"{vocab.vocab_size} {table.emb_dim}"], rows))
 
 

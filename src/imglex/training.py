@@ -19,10 +19,13 @@ counts and offsets) and gathers every mini-batch from it by index. A step's
 forward and backward share one B x B float64 buffer: it holds the cosines,
 then the logits, then their shifted exponentials, then the logit gradient.
 
-Adagrad keeps an accumulator only for the embedding rows it covers. ``train``
-covers the distinct token ids of the corpus, the only rows any step can give
-a gradient to, so its accumulator memory grows with the rows the corpus
-holds, not with the hash buckets. The tower's accumulators are whole.
+``train`` holds in its embedding table only the distinct token ids of the
+corpus, the only rows any step can read or give a gradient to; every other
+row keeps its initial value (``imglex.model.EmbeddingTable``). Each step maps
+its tokens to rows of that block with one ``np.searchsorted``. Adagrad's
+accumulators have the shapes of the parameters, so the embedding
+accumulator lines up row for row with the held rows, and the memory of both
+grows with the rows the corpus holds, not with the hash buckets.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from imglex.model import (
     INIT_CHUNK_ROWS,
     NORM_FLOOR,
     TOWER_KINDS,
+    EmbeddingTable,
     MlpImageTower,
     ModelParams,
     NonFiniteError,
@@ -48,7 +52,7 @@ from imglex.model import (
     _check_finite,
     _scatter_rows,
     init_params,
-    initial_row_chunks,
+    initial_rows,
 )
 
 BRUTEFORCE_MAX_BATCH = 64
@@ -151,14 +155,15 @@ class Gradients:
         return {"embeddings": self.embeddings, **self.tower}
 
 
-def _bow_forward(emb_rows: np.ndarray, batch: Batch) -> np.ndarray:
-    """Per-query mean of embedding rows, summed one token position at a time:
+def _bow_forward(emb_rows: np.ndarray, token_rows: np.ndarray, batch: Batch) -> np.ndarray:
+    """Per-query mean of embedding rows, token t of the batch reading
+    ``emb_rows[token_rows[t]]``, summed one token position at a time:
     position k adds the k-th token of every query that has one."""
-    ids, counts, offsets = batch.token_ids, batch.counts, batch.offsets
-    sums = emb_rows[ids[offsets]]
+    counts, offsets = batch.counts, batch.offsets
+    sums = emb_rows[token_rows[offsets]]
     for k in range(1, int(counts.max())):
         longer = np.flatnonzero(counts > k)
-        sums[longer] += emb_rows[ids[offsets[longer] + k]]
+        sums[longer] += emb_rows[token_rows[offsets[longer] + k]]
     return sums / counts[:, None]
 
 
@@ -183,12 +188,13 @@ def _forward(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndar
     """
     if batch.size == 0:
         raise ValueError("empty batch")
-    emb = params.embeddings.rows
+    table = params.embeddings
     touched, inverse = np.unique(batch.token_ids, return_inverse=True)
-    if touched[0] < 0 or touched[-1] >= emb.shape[0]:
+    if touched[0] < 0 or touched[-1] >= table.num_rows:
         raise ValueError("token id out of range")
-    _check_finite("embedding rows", emb[touched])
-    q_raw = _bow_forward(emb, batch)
+    slots = table.slots(touched)
+    _check_finite("embedding rows", table.rows[slots])
+    q_raw = _bow_forward(table.rows, slots[inverse], batch)
     i_raw, tower_cache = params.tower.forward(batch.images)
     _check_finite("image tower output", i_raw)
     q_hat, q_inv = _safe_unit_rows(q_raw, "query norm")
@@ -222,12 +228,11 @@ def batch_loss_bruteforce(params: ModelParams, batch: Batch, logit_scale: float)
     if batch.size > BRUTEFORCE_MAX_BATCH:
         raise ValueError(f"brute-force oracle limited to B <= {BRUTEFORCE_MAX_BATCH}")
     ld = np.longdouble
-    emb = params.embeddings.rows
     queries = []
     for ids in np.split(batch.token_ids, batch.offsets[1:]):
-        total = np.zeros(emb.shape[1], dtype=ld)
-        for i in ids:
-            total = total + emb[int(i)].astype(ld)
+        total = np.zeros(params.emb_dim, dtype=ld)
+        for row in params.embeddings.read(ids):
+            total = total + row.astype(ld)
         queries.append(total / ld(len(ids)))
     images = []
     tower = params.tower
@@ -300,56 +305,25 @@ def batch_gradients(params: ModelParams, batch: Batch, logit_scale: float) -> Gr
 @dataclass
 class OptimizerState:
     """Adagrad: per-parameter accumulated squared gradients, held in a
-    ModelParams (``accum.arrays()`` names them). The tower's accumulators
-    have their parameters' shapes. The embedding table's are a block of one
-    row per covered row: ``accum.embeddings.rows[k]`` belongs to table row
-    ``covered_rows[k]`` of a table of ``num_rows`` rows. A row not covered
-    has a zero accumulator and takes no update."""
+    ModelParams (``accum.arrays()`` names them) whose arrays have the shapes
+    of the parameters'. The embedding accumulator has one row per row the
+    table holds: ``accum.embeddings.rows[k]`` belongs to
+    ``params.embeddings.rows[k]``. A row the table does not hold has a zero
+    accumulator and takes no update."""
 
     learning_rate: float
     accum: ModelParams = field(repr=False)
-    covered_rows: np.ndarray = field(repr=False)  # (R,) int64, ascending, in [0, num_rows)
-    num_rows: int
 
     @classmethod
-    def for_params(cls, params: ModelParams, learning_rate: float, rows: np.ndarray | None = None) -> "OptimizerState":
-        """Zero accumulators covering the embedding rows ``rows`` (ascending,
-        distinct, in range), or every row if None."""
-        num_rows = params.embeddings.num_rows
-        covered = np.arange(num_rows) if rows is None else np.asarray(rows, dtype=np.int64)
-        if covered.size and (covered[0] < 0 or covered[-1] >= num_rows or np.any(covered[1:] <= covered[:-1])):
-            raise ValueError(f"covered rows must be ascending, distinct and in [0, {num_rows})")
-        # np.zeros maps a page only when it is first written, but numpy asks
-        # for huge pages for large arrays: under transparent huge pages in
-        # "madvise" mode, scattered hash-bucket updates fault in every 2 MB
-        # page of a table-sized array. Hence a block of the covered rows.
-        zeros = {name: np.zeros(theta.shape, theta.dtype) for name, theta in params.tower.arrays().items()}
-        zeros["embeddings"] = np.zeros((covered.size, params.emb_dim))
-        return cls(learning_rate, ModelParams.from_arrays(zeros), covered, num_rows)
-
-    def emb_slots(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where each of the ascending embedding ``rows`` sits in the
-        accumulator block, and a mask of the rows that are covered."""
-        slots = np.searchsorted(self.covered_rows, rows)
-        covered = slots < self.covered_rows.size
-        covered[covered] = self.covered_rows[slots[covered]] == rows[covered]
-        return slots, covered
-
-    def emb_accum_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The accumulators of the ascending embedding ``rows``, as a new
-        array; an uncovered row's is zero."""
-        block = self.accum.embeddings.rows
-        slots, covered = self.emb_slots(rows)
-        out = np.zeros((rows.size, block.shape[1]))
-        out[covered] = block[slots[covered]]
-        return out
+    def for_params(cls, params: ModelParams, learning_rate: float) -> "OptimizerState":
+        """Zero accumulators for every array of ``params``."""
+        zeros = {name: np.zeros(theta.shape, theta.dtype) for name, theta in params.arrays().items()}
+        return cls(learning_rate, ModelParams.from_arrays(zeros))
 
     @property
     def emb_accum(self) -> np.ndarray:
-        """The embedding accumulators as a dense (num_rows, emb_dim) array:
-        the live block when it covers every row, otherwise a copy."""
-        block = self.accum.embeddings.rows
-        return block if len(block) == self.num_rows else self.emb_accum_rows(np.arange(self.num_rows))
+        """The embedding accumulators, one row per held table row."""
+        return self.accum.embeddings.rows
 
     @property
     def mlp_accum(self) -> MlpImageTower | None:
@@ -362,26 +336,22 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
     """Adagrad update in place: G += g^2, then theta -= lr * g / (sqrt(G) + ADAGRAD_EPSILON).
 
     A dense gradient updates every row; a row-sparse one only its rows, so
-    rows with no gradient entry are untouched. An embedding row the
-    optimizer does not cover raises ValueError before anything is written.
+    rows with no gradient entry are untouched. An embedding row the table
+    does not hold raises ValueError before anything is written.
     """
-    emb_rows = grads.embeddings.rows
-    emb_slots, covered = opt.emb_slots(emb_rows)
-    if not covered.all():
-        raise ValueError(f"embedding row {emb_rows[~covered][0]} has no Adagrad accumulator")
+    emb_slots = params.embeddings.slots(grads.embeddings.rows)
     thetas, accums = params.arrays(), opt.accum.arrays()
     for name, grad in grads.arrays().items():
         if isinstance(grad, RowGradient):
             if grad.rows.size == 0:
                 continue
-            rows, g = grad.rows, grad.values
+            rows, g = (emb_slots if name == "embeddings" else grad.rows), grad.values
         else:
             rows, g = slice(None), grad
         _check_finite("gradient", g)
-        slots = emb_slots if name == "embeddings" else rows
         accum = accums[name]
-        new_accum = accum[slots] + g * g
-        accum[slots] = new_accum
+        new_accum = accum[rows] + g * g
+        accum[rows] = new_accum
         thetas[name][rows] -= opt.learning_rate * g / (np.sqrt(new_accum) + ADAGRAD_EPSILON)
 
 
@@ -439,13 +409,15 @@ def train(
     with a seeded RNG and gathers batches of config.batch_size from it; the
     final partial batch is kept, but a single leftover example joins the
     batch before it (alone, its in-batch softmax is constant: zero loss and
-    zero gradient). Returns the trained parameters, the optimizer (covering
-    the corpus's distinct token ids) and the per-epoch mean weighted loss.
-    A token id outside [0, num_embedding_rows) is a ValueError naming the
-    smallest such id, and a table too large to allocate a ConfigError; both
-    are raised before the table is drawn. Raises TrainingDiverged, naming
-    the epoch and batch (both from 0), when a touched parameter, the tower
-    output or a gradient goes non-finite.
+    zero gradient). Returns the trained parameters (an embedding table of
+    ``num_embedding_rows`` rows holding the corpus's distinct token ids), the
+    optimizer and the per-epoch mean weighted loss. Memory follows the rows
+    held, not ``num_embedding_rows``. A token id outside
+    [0, num_embedding_rows) is a ValueError naming the smallest such id,
+    raised before any row is drawn, and arrays too large to allocate (a
+    huge emb_dim or hidden_dim) are a ConfigError. Raises TrainingDiverged,
+    naming the epoch and batch (both from 0), when a touched parameter, the
+    tower output or a gradient goes non-finite.
     """
     config.validate()
     examples = list(examples)
@@ -458,9 +430,9 @@ def train(
     given = "mlp" if corpus.images.ndim == 2 else "lookup"
     if given != config.tower:
         raise ValueError(f"examples are for the {given} tower, config asks for {config.tower!r}")
-    # The only embedding rows any step can give a gradient to.
-    covered = np.unique(corpus.token_ids)
-    outside = covered[(covered < 0) | (covered >= num_embedding_rows)]
+    # The only embedding rows any step can read or give a gradient to.
+    held = np.unique(corpus.token_ids)
+    outside = held[(held < 0) | (held >= num_embedding_rows)]
     if outside.size:
         raise ValueError(f"token id {outside[0]} is outside the embedding table's rows [0, {num_embedding_rows})")
     # init_params reads only the arguments of config.tower.
@@ -473,10 +445,14 @@ def train(
             feature_dim=corpus.images.shape[-1],
             hidden_dim=config.hidden_dim,
             num_images=corpus.images.max() + 1 if num_images is None else num_images,
+            rows=held,
         )
-    except (MemoryError, ValueError):  # with a valid config, ValueError is numpy's "array is too big"
-        raise ConfigError(f"the {num_embedding_rows} x {config.emb_dim} float64 embedding table cannot be allocated") from None
-    opt = OptimizerState.for_params(params, config.learning_rate, rows=covered)
+    except (MemoryError, ValueError):  # with valid rows, ValueError is numpy's "array is too big"
+        raise ConfigError(
+            f"the model's float64 arrays cannot be allocated ({held.size} embedding rows, emb_dim {config.emb_dim}, "
+            f"hidden_dim {config.hidden_dim})"
+        ) from None
+    opt = OptimizerState.for_params(params, config.learning_rate)
     n = corpus.size
     starts = list(range(0, n, config.batch_size))
     if n % config.batch_size == 1:
@@ -573,21 +549,19 @@ def save_loss_curve(path: str | Path, epoch_losses: Sequence[float]) -> None:
     write_lines(path, lines)
 
 
-def _changed_rows(table: np.ndarray, opt: OptimizerState, seed: int) -> np.ndarray:
-    """Ascending ids of the rows of ``table`` that differ bit for bit from the
-    initial rows drawn from ``seed``, or that ``opt`` covers with an
-    accumulator row that has a set bit. The initial rows are regenerated one
-    chunk at a time."""
-    bits, covered = table.view(np.uint64), opt.covered_rows
-    accum_bits = opt.accum.embeddings.rows.view(np.uint64)
-    ids = [np.zeros(0, dtype=np.int64)]
-    for start, initial in initial_row_chunks(np.random.default_rng(seed), *table.shape):
-        end = start + len(initial)
-        changed = (bits[start:end] != initial.view(np.uint64)).any(axis=1)
-        lo, hi = np.searchsorted(covered, (start, end))
-        changed[covered[lo:hi][accum_bits[lo:hi].any(axis=1)] - start] = True
-        ids.append(start + np.flatnonzero(changed))
-    return np.concatenate(ids)
+def _changed_slots(table: EmbeddingTable, accum: np.ndarray, seed: int) -> np.ndarray:
+    """Where in ``table.rows`` the held rows sit that differ bit for bit from
+    their initial value drawn from ``seed``, or whose row of ``accum`` has a
+    set bit. A row the table does not hold is initial with a zero
+    accumulator, so only the held rows are regenerated, a chunk at a time."""
+    bits, accum_bits = table.rows.view(np.uint64), accum.view(np.uint64)
+    slots = [np.zeros(0, dtype=np.int64)]
+    for start in range(0, table.ids.size, INIT_CHUNK_ROWS):
+        end = start + INIT_CHUNK_ROWS
+        initial = initial_rows(seed, table.ids[start:end], table.emb_dim)
+        changed = (bits[start:end] != initial.view(np.uint64)).any(axis=1) | accum_bits[start:end].any(axis=1)
+        slots.append(start + np.flatnonzero(changed))
+    return np.concatenate(slots)
 
 
 def save_checkpoint(
@@ -605,30 +579,33 @@ def save_checkpoint(
     accumulator, only the rows ``embeddings_ids`` are stored: those that
     differ in any bit from their initial value (drawn from config.seed) or
     whose accumulator is not all zero bits. ``embeddings_num_rows`` is the
-    table's row count. A stored row the optimizer does not cover gets a zero
-    accumulator, so the file does not depend on the optimizer's coverage.
-    The stored rows are gathered and written one chunk at a time.
+    table's row count. Which rows the table holds does not change the file.
+    The stored rows are gathered and written one chunk at a time. A table
+    that does not hold every row must draw its other rows from config.seed,
+    or it is a ValueError.
     """
-    table = params.embeddings.rows
-    ids = _changed_rows(table, opt, config.seed)
+    table = params.embeddings
+    if table.ids.size < table.num_rows and table.seed != config.seed:
+        raise ValueError(f"the table's rows are drawn from seed {table.seed}, the config's seed is {config.seed}")
+    slots = _changed_slots(table, opt.emb_accum, config.seed)
     meta = {"config": asdict(config), "vocab_hash": vocab_hash, "epoch": epoch}
     whole = {
         "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        "embeddings_ids": ids,
-        "embeddings_num_rows": np.array(table.shape[0], dtype=np.int64),
+        "embeddings_ids": table.ids[slots],
+        "embeddings_num_rows": np.array(table.num_rows, dtype=np.int64),
         **params.tower.arrays(),
     }
     whole.update((f"{name}_accum", accum) for name, accum in opt.accum.tower.arrays().items())
-    header = {"descr": np.lib.format.dtype_to_descr(table.dtype), "fortran_order": False, "shape": (ids.size, table.shape[1])}
+    header = {"descr": np.lib.format.dtype_to_descr(table.rows.dtype), "fortran_order": False, "shape": (slots.size, table.emb_dim)}
     with atomic_write(path) as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
         for name, array in whole.items():
             with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array(member, array, allow_pickle=False)
-        for name, gather in (("embeddings", table.__getitem__), ("embeddings_accum", opt.emb_accum_rows)):
+        for name, block in (("embeddings", table.rows), ("embeddings_accum", opt.emb_accum)):
             with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(member, header)
-                for start in range(0, ids.size, INIT_CHUNK_ROWS):
-                    member.write(gather(ids[start : start + INIT_CHUNK_ROWS]).tobytes())
+                for start in range(0, slots.size, INIT_CHUNK_ROWS):
+                    member.write(block[slots[start : start + INIT_CHUNK_ROWS]].tobytes())
 
 
 @dataclass
@@ -720,8 +697,9 @@ def _check_checkpoint_arrays(path: str | Path, arrays: dict[str, np.ndarray], na
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
-    The model is rebuilt with init_params(config.seed) and zero
-    accumulators, then the stored arrays and embedding rows are written in.
+    The model is rebuilt with init_params(config.seed), its table holding
+    every row, and zero accumulators; then the stored arrays and embedding
+    rows are written in.
     A missing or unreadable file, a file that is not an ``.npz`` archive, an
     archive without an entry save_checkpoint writes, a ``meta`` entry that
     is not the JSON object save_checkpoint writes (with a ``config`` that

@@ -29,7 +29,7 @@ def query_repr(table: EmbeddingTable, token_ids: Sequence[int]) -> np.ndarray:
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.min() < 0 or ids.max() >= table.num_rows:
         raise ValueError("token id out of range")
-    return table.rows[ids].mean(axis=0)
+    return table.read(ids).mean(axis=0)
 
 
 def image_repr_mlp(tower: MlpImageTower, features: np.ndarray) -> np.ndarray:

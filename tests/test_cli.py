@@ -665,8 +665,11 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
     [
         (TRAIN + ["--triples"], "1.0\tEN\ta b\timg1\n", 2, "data error: {path}:1: invalid language code 'EN'"),
         (TRAIN + ["--triples"], "1.0\t\ta b\timg1\n", 2, "data error: {path}:1: invalid language code ''"),
-        (TRAIN + ["--buckets", "100000000000", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 1,
-         "config error: --buckets 100000000000: the 100000000000 x 100 float64 embedding table cannot be allocated"),
+        (TRAIN + ["--buckets", "100000000000000000000", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 1,
+         "config error: --buckets 100000000000000000000: 0 vocabulary tokens + 100000000000000000000 buckets "
+         "exceed the int64 limit of 2**63 - 1 embedding rows"),
+        (TRAIN + ["--emb-dim", "1000000000000", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 1,
+         "config error: the model's float64 arrays cannot be allocated (3 embedding rows, emb_dim 1000000000000, hidden_dim None)"),
         (EVAL + ["--similarity"], "EN:a\ten:b\t1\n", 3, "similarity task bad: word 'EN:a' has an invalid language tag"),
         (EVAL + ["--similarity"], ":a\ten:b\t1\n", 3, "similarity task bad: word ':a' has an invalid language tag"),
         (EVAL + ["--similarity"], "en:a\ten:b\tnan\nen:a\ten:c\t1\nen:b\ten:c\tinf\n", 2,
@@ -688,7 +691,7 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
          "lexicon: word 'EN:c' has an invalid language tag"),
     ],
     ids=[
-        "triples-upper", "triples-empty", "buckets-too-many", "similarity-upper", "similarity-empty", "similarity-nan",
+        "triples-upper", "triples-empty", "buckets-too-many", "emb-dim-too-large", "similarity-upper", "similarity-empty", "similarity-nan",
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
         "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word", "lexicon-unaware-upper",
     ],
@@ -704,6 +707,29 @@ def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, co
     assert run([arg.format(**names) for arg in argv] + [str(path)]) == code
     assert capsys.readouterr().err == err.format(**names) + "\n"
     assert not names["out"].exists()
+
+@pytest.mark.parametrize("buckets", [10**11, 2**63 - 1, 2**63])
+def test_train_takes_buckets_up_to_the_int64_limit(tmp_path, capsys, buckets):
+    # No vocabulary token reaches the default --min-count, so the table has
+    # exactly --buckets rows: up to 2**63 - 1 train (only the corpus's rows
+    # are held), one more is a config error that writes nothing.
+    triples = tmp_path / "triples.tsv"
+    triples.write_text("".join(f"1.0\ten\tw{k} v{k % 3}\timg{k % 4}\n" for k in range(12)), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["train", "--triples", str(triples), "--tower", "lookup", "--emb-dim", "4", "--epochs", "2", "--batch-size", "4"]
+    code = run(argv + ["--buckets", str(buckets), "--out-dir", str(out)])
+    if buckets > 2**63 - 1:
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"config error: --buckets {buckets}: 0 vocabulary tokens + {buckets} buckets exceed the int64 limit of 2**63 - 1 embedding rows\n"
+        )
+        return
+    assert code == 0
+    with np.load(out / "checkpoint.npz") as data:
+        assert int(data["embeddings_num_rows"]) == buckets
+        assert 0 < data["embeddings_ids"].size <= 15 and data["embeddings_ids"][-1] < buckets
+    assert (out / "embeddings.vec").read_text(encoding="utf-8") == "0 4\n"
+
 
 def test_gradcheck_cli(capsys):
     assert run(["gradcheck"]) == 0

@@ -195,6 +195,19 @@ def test_gen_synthetic_features_are_normalized_and_cover_all_images():
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("sigma", [1e154, 1e200, 1e308])
+def test_gen_synthetic_huge_sigma_features_are_finite_unit_rows(sigma):
+    # sigma * noise overflows the norm (1e154 and up) or the entries
+    # themselves (1e308); every row must still be a finite unit vector
+    # pointing along the noise, with no numpy warning.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        corpus = generate_synthetic(small_spec(noise_sigma=sigma))
+    matrix = np.array(list(corpus.features.values()))
+    assert np.isfinite(matrix).all()
+    assert np.allclose(np.linalg.norm(matrix, axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.count_nonzero(matrix) > 0.9 * matrix.size
+
+
 def prepared_fixture(tower, triples=None, features=None):
     triples = triples or [
         triple(1.0, "en", "back pain", "img42"),

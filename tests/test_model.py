@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from imglex.errors import DataError
 from imglex.model import (
     INIT_CHUNK_ROWS,
+    TOWER_KINDS,
     EmbeddingTable,
     LookupImageTower,
     MlpImageTower,
     cosine,
     init_params,
-    initial_row_chunks,
+    initial_rows,
     load_word2vec,
     save_word2vec,
 )
@@ -144,13 +145,13 @@ def test_init_params_embedding_range():
 
 @pytest.mark.parametrize("tower", ["mlp", "lookup"])
 def test_initial_row_chunks_are_init_params_table(tower):
-    # One seeded stream: the table is drawn first, in chunks that equal one
-    # draw of the whole table, and the tower's arrays follow it.
+    # One seeded stream: the table is drawn first, one chunk of rows or one
+    # run of consecutive rows at a time, which equals one draw of the whole
+    # table, and the tower's arrays follow it.
     num_rows, emb_dim, half = 2 * INIT_CHUNK_ROWS + 5, 3, 0.5 / 3
     params = init_params(4, num_rows=num_rows, emb_dim=emb_dim, tower=tower, feature_dim=2, hidden_dim=6, num_images=7)
-    chunks = list(initial_row_chunks(np.random.default_rng(4), num_rows, emb_dim))
-    assert [start for start, _ in chunks] == [0, INIT_CHUNK_ROWS, 2 * INIT_CHUNK_ROWS]
-    assert np.concatenate([rows for _, rows in chunks]).tobytes() == params.embeddings.rows.tobytes()
+    assert params.embeddings.ids.tolist() == list(range(num_rows)) and params.embeddings.num_rows == num_rows
+    assert initial_rows(4, np.arange(num_rows), emb_dim).tobytes() == params.embeddings.rows.tobytes()
     rng = np.random.default_rng(4)
     assert rng.uniform(-half, half, size=(num_rows, emb_dim)).tobytes() == params.embeddings.rows.tobytes()
     if tower == "lookup":
@@ -159,6 +160,70 @@ def test_initial_row_chunks_are_init_params_table(tower):
         bound1, bound2 = math.sqrt(6.0 / (2 + 6)), math.sqrt(6.0 / (6 + emb_dim))
         assert rng.uniform(-bound1, bound1, size=(6, 2)).tobytes() == params.tower.V.tobytes()
         assert rng.uniform(-bound2, bound2, size=(emb_dim, 6)).tobytes() == params.tower.U.tobytes()
+
+
+def held_row_sets(num_rows):
+    """No row, every row, the rows at each chunk edge, the first and last
+    row, or a random set."""
+    edges = sorted({r for k in range(0, num_rows + 1, INIT_CHUNK_ROWS) for r in (k - 1, k) if 0 <= r < num_rows})
+    return st.one_of(
+        st.just([]),
+        st.just(list(range(num_rows))),
+        st.just(edges),
+        st.just([0, num_rows - 1]),
+        st.sets(st.integers(0, num_rows - 1), max_size=300).map(sorted),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32),
+    emb_dim=st.integers(1, 4),
+    num_rows=st.integers(2 * INIT_CHUNK_ROWS + 1, 4 * INIT_CHUNK_ROWS),
+    tower=st.sampled_from(TOWER_KINDS),
+)
+def test_held_rows_are_the_all_rows_table_rows(data, seed, emb_dim, num_rows, tower):
+    held = np.array(data.draw(held_row_sets(num_rows)), dtype=np.int64)
+    sizes = dict(num_rows=num_rows, emb_dim=emb_dim, tower=tower, feature_dim=3, hidden_dim=4, num_images=5)
+    full = init_params(seed, **sizes)
+    part = init_params(seed, rows=held, **sizes)
+    table = part.embeddings
+    assert (table.ids.tolist(), table.num_rows, table.seed) == (held.tolist(), num_rows, seed)
+    assert table.rows.tobytes() == full.embeddings.rows[held].tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(part.tower.arrays().values(), full.tower.arrays().values(), strict=True))
+    # A row the table does not hold reads as its initial row, in any order
+    # and mix with held rows.
+    unheld = np.setdiff1d(np.arange(num_rows), held)
+    some_rows = st.lists(st.integers(0, num_rows - 1), max_size=6)
+    reads = data.draw(some_rows) + (data.draw(st.lists(st.sampled_from(unheld.tolist()), max_size=4)) if unheld.size else [])
+    assert table.read(reads).tobytes() == full.embeddings.rows[reads].tobytes()
+
+
+def test_embedding_table_refuses_rows_it_cannot_give():
+    table = init_params(2, num_rows=40, emb_dim=3, tower="lookup", num_images=2, rows=np.array([3, 7, 39])).embeddings
+    assert table.slots(np.array([3, 39, 7])).tolist() == [0, 2, 1]
+    with pytest.raises(ValueError, match="^embedding row 8 is not held by the table$"):
+        table.slots(np.array([3, 8, 9]))
+    for ids in ([40], [-1, 3]):
+        with pytest.raises(ValueError, match="token id out of range"):
+            table.read(ids)
+    assert table.read([]).shape == (0, 3)
+    with pytest.raises(ValueError, match="needs the seed of its initial rows"):
+        EmbeddingTable(rows=np.zeros((2, 3)), ids=np.array([0, 5]), num_rows=6)
+
+
+def test_initial_rows_jump_over_huge_gaps():
+    # advance takes the row offset as a Python int: rows past 2**63 / emb_dim
+    # draw the same values as a generator moved there by hand.
+    emb_dim, seed = 3, 9
+    ids = np.array([0, 1, 5, 10**17 - 1, 10**17, 2**63 - 2], dtype=np.int64)
+    got = initial_rows(seed, ids, emb_dim)
+    for row, want_row in zip(ids.tolist(), got):
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(row * emb_dim)
+        assert rng.uniform(-0.5 / emb_dim, 0.5 / emb_dim, size=emb_dim).tobytes() == want_row.tobytes()
+    assert initial_rows(seed, np.zeros(0, dtype=np.int64), emb_dim).shape == (0, emb_dim)
 
 
 def test_init_params_glorot_bound_and_zero_biases():

@@ -10,7 +10,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from imglex.data import SyntheticSpec, generate_synthetic, prepare_examples
+from imglex.data import SyntheticSpec, TripleRecord, filter_multilingual, generate_synthetic, prepare_examples
 from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.model import INIT_CHUNK_ROWS, EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams, cosine, init_params
 from imglex.textproc import LangMode, build_vocab, tokenize
@@ -368,7 +368,9 @@ def test_train_zero_epochs_keeps_init():
     config = TrainConfig(tower="lookup", emb_dim=5, epochs=0, batch_size=16, seed=99)
     result = train(examples, config, num_embedding_rows=10, num_images=4)
     reference = init_params(99, num_rows=10, emb_dim=5, tower="lookup", num_images=4)
-    assert np.array_equal(result.params.embeddings.rows, reference.embeddings.rows)
+    table = result.params.embeddings
+    assert table.ids.tolist() == np.unique(np.concatenate([ex.token_ids for ex in examples])).tolist()
+    assert np.array_equal(table.rows, reference.embeddings.rows[table.ids])
     assert result.epoch_losses == []
 
 
@@ -393,10 +395,15 @@ def test_train_rejects_empty_corpus():
         train([], config, num_embedding_rows=4)
 
 
-def dense_accumulators(opt):
-    """Every accumulator under its parameter's name, the embedding table's
-    as a dense (num_rows, emb_dim) array whatever rows the optimizer covers."""
-    return {"embeddings": opt.emb_accum, **opt.accum.tower.arrays()}
+def all_rows(params, opt):
+    """Every parameter and every accumulator under its name, the embedding
+    table and its accumulator with all their rows, whatever rows the table
+    holds: a row not held reads as its initial value, its accumulator as 0."""
+    table = params.embeddings
+    accum = np.zeros((table.num_rows, table.emb_dim))
+    accum[table.ids] = opt.emb_accum
+    rows = table.read(np.arange(table.num_rows))
+    return {**params.arrays(), "embeddings": rows}, {**opt.accum.arrays(), "embeddings": accum}
 
 
 def assert_same_checkpoint_arrays(path, loaded, params, opt):
@@ -406,8 +413,7 @@ def assert_same_checkpoint_arrays(path, loaded, params, opt):
     names = list(params.arrays())
     with np.load(path) as data:
         assert sorted(data.files) == sorted(["meta", "embeddings_ids", "embeddings_num_rows", *names, *(f"{name}_accum" for name in names)])
-    pairs = ((loaded.params.arrays(), params.arrays()), (dense_accumulators(loaded.optimizer), dense_accumulators(opt)))
-    for got_arrays, want_arrays in pairs:
+    for got_arrays, want_arrays in zip(all_rows(loaded.params, loaded.optimizer), all_rows(params, opt), strict=True):
         assert list(got_arrays) == names
         for name, theta in want_arrays.items():
             got_theta = got_arrays[name]
@@ -772,7 +778,7 @@ def test_dense_optimizer_serves_the_bench_contract():
     opt = OptimizerState.for_params(params, learning_rate=0.5)
     table = params.embeddings.rows
     assert opt.emb_accum.shape == table.shape and opt.emb_accum.nbytes == table.nbytes
-    assert opt.num_rows == 7 and opt.covered_rows.tolist() == list(range(7))
+    assert params.embeddings.ids.tolist() == list(range(7)) and params.embeddings.num_rows == 7
     t, a = params.tower, opt.mlp_accum
     measured = sum(x.nbytes for x in [table, opt.emb_accum, t.V, t.b1, t.U, t.b2, a.V, a.b1, a.U, a.b2])
     assert measured == 2 * sum(theta.nbytes for theta in params.arrays().values())
@@ -780,37 +786,20 @@ def test_dense_optimizer_serves_the_bench_contract():
     assert opt.emb_accum[3, 1] == 2.5
 
 
-def test_compact_optimizer_dense_view_scatters_the_block():
-    params = init_params(2, num_rows=12, emb_dim=3, tower="lookup", num_images=2)
-    rows = np.array([1, 4, 5, 11])
-    opt = OptimizerState.for_params(params, learning_rate=0.5, rows=rows)
-    block = opt.accum.embeddings.rows
-    assert block.shape == (4, 3) and opt.num_rows == 12
-    block[:] = np.random.default_rng(40).uniform(0.1, 1.0, size=block.shape)
-    want = np.zeros((12, 3))
-    for slot, row in enumerate(rows):
-        want[row] = block[slot]
-    assert opt.emb_accum.shape == params.embeddings.rows.shape
-    assert opt.emb_accum.nbytes == params.embeddings.rows.nbytes
-    assert np.array_equal(opt.emb_accum, want)
-    assert np.array_equal(opt.emb_accum_rows(np.array([0, 4, 11])), want[[0, 4, 11]])
-
-
 @pytest.mark.parametrize("rows", [[3, 1], [1, 1], [-1, 2], [2, 12]], ids=["descending", "repeated", "negative", "past-table"])
-def test_optimizer_rejects_bad_covered_rows(rows):
-    params = init_params(2, num_rows=12, emb_dim=3, tower="lookup", num_images=2)
-    with pytest.raises(ValueError, match=r"covered rows must be ascending, distinct and in \[0, 12\)"):
-        OptimizerState.for_params(params, learning_rate=0.5, rows=np.array(rows))
+def test_init_params_rejects_bad_held_rows(rows):
+    with pytest.raises(ValueError, match=r"held rows must be ascending, distinct and in \[0, 12\)"):
+        init_params(2, num_rows=12, emb_dim=3, tower="lookup", num_images=2, rows=np.array(rows))
 
 
 def test_sgd_step_on_an_uncovered_row_raises_and_writes_nothing():
-    params = init_params(3, num_rows=8, emb_dim=2, tower="mlp", feature_dim=2, hidden_dim=2)
-    opt = OptimizerState.for_params(params, learning_rate=0.1, rows=np.array([1, 4, 6]))
+    params = init_params(3, num_rows=8, emb_dim=2, tower="mlp", feature_dim=2, hidden_dim=2, rows=np.array([1, 4, 6]))
+    opt = OptimizerState.for_params(params, learning_rate=0.1)
     ones = MlpImageTower(V=np.ones((2, 2)), b1=np.ones(2), U=np.ones((2, 2)), b2=np.ones(2))
     sgd_step(params, Gradients(embeddings=RowGradient(rows=np.array([1, 6]), values=np.ones((2, 2))), tower=ones.arrays()), opt)
     before = [a.copy() for a in [*params.arrays().values(), *opt.accum.arrays().values()]]
     bad = Gradients(embeddings=RowGradient(rows=np.array([1, 5]), values=np.ones((2, 2))), tower=ones.arrays())
-    with pytest.raises(ValueError, match="embedding row 5 has no Adagrad accumulator"):
+    with pytest.raises(ValueError, match="embedding row 5 is not held by the table"):
         sgd_step(params, bad, opt)
     after = [*params.arrays().values(), *opt.accum.arrays().values()]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after, strict=True))
@@ -818,22 +807,25 @@ def test_sgd_step_on_an_uncovered_row_raises_and_writes_nothing():
 
 def test_compact_and_dense_optimizers_step_bit_identically():
     rng = np.random.default_rng(41)
-    params, batch = random_params_and_batch(rng, tower="lookup", num_rows=20)
-    dense_params = ModelParams.from_arrays({name: theta.copy() for name, theta in params.arrays().items()})
-    compact = OptimizerState.for_params(params, learning_rate=0.5, rows=np.unique(batch.token_ids))
+    dense_params, batch = random_params_and_batch(rng, tower="lookup", num_rows=20)
+    held = np.unique(batch.token_ids)
+    table = EmbeddingTable(rows=dense_params.embeddings.rows[held], ids=held, num_rows=20, seed=0)
+    params = ModelParams(embeddings=table, tower=LookupImageTower(vectors=dense_params.tower.vectors.copy()))
+    compact = OptimizerState.for_params(params, learning_rate=0.5)
     dense = OptimizerState.for_params(dense_params, learning_rate=0.5)
     for _ in range(3):
         sgd_step(params, batch_gradients(params, batch, 2.0), compact)
         sgd_step(dense_params, batch_gradients(dense_params, batch, 2.0), dense)
-    for theta, dense_theta in zip(params.arrays().values(), dense_params.arrays().values(), strict=True):
-        assert theta.tobytes() == dense_theta.tobytes()
-    assert compact.emb_accum.tobytes() == dense.emb_accum.tobytes()
+    assert table.rows.tobytes() == dense_params.embeddings.rows[held].tobytes()
+    assert params.tower.vectors.tobytes() == dense_params.tower.vectors.tobytes()
+    assert compact.emb_accum.tobytes() == dense.emb_accum[held].tobytes()
+    assert compact.accum.tower.vectors.tobytes() == dense.accum.tower.vectors.tobytes()
 
 
 def test_train_accumulates_only_the_corpus_rows():
-    # 40 distinct token ids spread over a 200k-row table: the optimizer
-    # covers those 40 rows, so training allocates the 12.8 MB table and
-    # little else, not a second table-sized accumulator.
+    # 40 distinct token ids spread over a 200k-row table: the table holds
+    # those 40 rows and the optimizer accumulates for them, so training
+    # allocates neither the 12.8 MB table nor a table-sized accumulator.
     rng = np.random.default_rng(42)
     ids = np.sort(rng.choice(200_000, size=40, replace=False))
     examples = [TrainExample(token_ids=rng.choice(ids, size=2), image=int(rng.integers(3)), weight=1.0) for _ in range(64)]
@@ -844,11 +836,11 @@ def test_train_accumulates_only_the_corpus_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table_bytes = result.params.embeddings.rows.nbytes
-    assert peak - table_bytes < table_bytes / 10, (peak, table_bytes)
-    covered = np.unique(np.concatenate([ex.token_ids for ex in examples]))
-    assert result.optimizer.covered_rows.tolist() == covered.tolist()
-    assert result.optimizer.accum.embeddings.rows.shape == (covered.size, 8)
+    table_bytes = 200_000 * 8 * 8
+    assert peak < table_bytes / 10, (peak, table_bytes)
+    held = np.unique(np.concatenate([ex.token_ids for ex in examples]))
+    assert result.params.embeddings.ids.tolist() == held.tolist() and result.params.embeddings.num_rows == 200_000
+    assert result.params.embeddings.rows.shape == result.optimizer.emb_accum.shape == (held.size, 8)
 
 
 def test_train_rejects_token_ids_outside_the_table_before_drawing_it(monkeypatch):
@@ -868,22 +860,33 @@ def test_train_rejects_token_ids_outside_the_table_before_drawing_it(monkeypatch
         train(examples, config, num_embedding_rows=5, num_images=2)
 
 
-def test_train_reports_a_table_too_large_to_allocate():
+@pytest.mark.parametrize("num_rows", [10**11, 10**17])  # tables of 80 TB and of a byte count past int64
+def test_train_on_a_huge_table_allocates_only_the_held_rows(tmp_path, num_rows):
     examples = make_toy_examples(np.random.default_rng(44), 8, 5, 2)
-    config = TrainConfig(tower="lookup", emb_dim=100, batch_size=4)
-    for rows in (10**11, 10**17):  # 80 TB, and a byte count past int64
-        with pytest.raises(ConfigError) as caught:
-            train(examples, config, num_embedding_rows=rows, num_images=2)
-        assert str(caught.value) == f"the {rows} x 100 float64 embedding table cannot be allocated"
+    examples[2] = TrainExample(token_ids=np.array([num_rows - 1, 1]), image=0, weight=1.0)
+    config = TrainConfig(tower="lookup", emb_dim=100, batch_size=4, epochs=2, seed=1)
+    path = tmp_path / "ckpt.npz"
+    tracemalloc.start()
+    try:
+        result = train(examples, config, num_embedding_rows=num_rows, num_images=2)
+        save_checkpoint(path, result.params, result.optimizer, config, vocab_hash="h", epoch=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    held = np.unique(np.concatenate([ex.token_ids for ex in examples]))
+    assert result.params.embeddings.ids.tolist() == held.tolist() and held[-1] == num_rows - 1
+    with np.load(path) as data:
+        assert int(data["embeddings_num_rows"]) == num_rows
+        assert data["embeddings_ids"].tolist() == held.tolist()
 
 
 @pytest.mark.parametrize("tower", ["lookup", "mlp"])
 def test_checkpoint_of_the_compact_optimizer_equals_the_dense_one(tmp_path, tower):
-    # train() covers only the corpus rows, here every 250th row of a table
-    # spanning three checkpoint chunks; a dense optimizer holding the same
-    # accumulators must give the same file, byte for byte. Row 500 is reset
-    # to its initial value but keeps its accumulator; row 2049, never in the
-    # corpus, has a changed value and no accumulator.
+    # train() holds only the corpus rows, here every 250th row of a table
+    # spanning three checkpoint chunks; an all-rows table and optimizer
+    # holding the same values must give the same file, byte for byte. Row
+    # 500 is reset to its initial value but keeps its accumulator.
     rng = np.random.default_rng(45)
     examples = make_toy_examples(rng, 40, 12, 3)
     image = (lambda ex: rng.normal(size=4)) if tower == "mlp" else (lambda ex: ex.image)
@@ -891,20 +894,22 @@ def test_checkpoint_of_the_compact_optimizer_equals_the_dense_one(tmp_path, towe
     config = TrainConfig(tower=tower, emb_dim=4, hidden_dim=5 if tower == "mlp" else None, epochs=2, batch_size=16, seed=6)
     result = train(examples, config, num_embedding_rows=3000, num_images=3)
     params, compact = result.params, result.optimizer
-    assert compact.covered_rows.tolist() == list(range(0, 3000, 250))
-    initial = init_params(6, num_rows=3000, emb_dim=4, tower=tower, feature_dim=4, hidden_dim=5, num_images=3)
-    params.embeddings.rows[500] = initial.embeddings.rows[500]
-    assert compact.accum.embeddings.rows[2].any()  # row 500's slot
-    params.embeddings.rows[2049, 0] += 1.0
-    dense = OptimizerState.for_params(params, config.learning_rate)
-    dense.accum.embeddings.rows[compact.covered_rows] = compact.accum.embeddings.rows
-    for name, accum in compact.accum.tower.arrays().items():
-        dense.accum.tower.arrays()[name][:] = accum
+    held = params.embeddings.ids
+    assert held.tolist() == list(range(0, 3000, 250))
+    dense_params = init_params(6, num_rows=3000, emb_dim=4, tower=tower, feature_dim=4, hidden_dim=5, num_images=3)
+    params.embeddings.rows[2] = dense_params.embeddings.rows[500]  # row 500's slot
+    assert compact.emb_accum[2].any()
+    dense = OptimizerState.for_params(dense_params, config.learning_rate)
+    dense_params.embeddings.rows[held] = params.embeddings.rows
+    dense.emb_accum[held] = compact.emb_accum
+    for name, theta in params.tower.arrays().items():
+        dense_params.tower.arrays()[name][:] = theta
+        dense.accum.tower.arrays()[name][:] = compact.accum.tower.arrays()[name]
     paths = tmp_path / "compact.npz", tmp_path / "dense.npz"
-    for path, opt in zip(paths, (compact, dense)):
-        save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=2)
+    for path, (p, opt) in zip(paths, ((params, compact), (dense_params, dense))):
+        save_checkpoint(path, p, opt, config, vocab_hash="h", epoch=2)
     assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert stored_row_ids(paths[0]) == sorted([*range(0, 3000, 250), 2049])
+    assert stored_row_ids(paths[0]) == held.tolist()
     assert_same_checkpoint_arrays(paths[0], load_checkpoint(paths[0]), params, compact)
 
 
@@ -1032,7 +1037,7 @@ def test_train_merges_trailing_singleton_batch():
             sgd_step(params, batch_gradients(params, batch, 3.0), opt)
         losses.append(total / 33)
     assert result.epoch_losses == pytest.approx(losses, rel=1e-12)
-    assert np.allclose(result.params.embeddings.rows, params.embeddings.rows, rtol=0, atol=1e-12)
+    assert np.allclose(result.params.embeddings.rows, params.embeddings.rows[result.params.embeddings.ids], rtol=0, atol=1e-12)
 
 
 def test_train_divergence_names_epoch_batch_and_cause():
@@ -1075,3 +1080,97 @@ def test_train_rejects_examples_for_the_other_tower():
     config = TrainConfig(tower="mlp", emb_dim=4, hidden_dim=3, batch_size=4)
     with pytest.raises(ValueError, match="lookup tower"):
         train(examples, config, num_embedding_rows=5)
+
+
+def hashed_synth_corpus(tower, seed, multilingual_filter=False):
+    """A gensynth corpus whose every third query also carries a rare token
+    (hashed into one of 3,000 buckets, so the table spans several chunks)
+    and every tenth triple an empty query, plus its vocabulary and examples."""
+    corpus = generate_synthetic(SyntheticSpec(num_concepts=6, num_examples=400, feature_dim=5, images_per_concept=8, seed=seed))
+    triples = [
+        TripleRecord(t.weight, t.lang, f"{t.query} rare{k}" if k % 3 == 0 else ("?!" if k % 10 == 1 else t.query), t.image_id)
+        for k, t in enumerate(corpus.triples)
+    ]
+    if multilingual_filter:
+        triples = filter_multilingual(triples)
+    vocab = build_vocab(
+        (tok for t in triples for tok in tokenize(t.query, t.lang, LangMode.AWARE)), min_count=6, num_buckets=3000, mode=LangMode.AWARE
+    )
+    prep = prepare_examples(triples, vocab, tower=tower, features=corpus.features)
+    assert prep.dropped > 0 and any(ex.token_ids.max() >= vocab.vocab_size for ex in prep.examples)
+    return vocab, prep
+
+
+def train_through_all_rows(examples, config, num_rows, num_images):
+    """train()'s loop over a table holding every row and an optimizer for
+    every row: the reference the held-rows table must reproduce bit for bit."""
+    corpus = Batch.from_examples(examples)
+    params = init_params(
+        config.seed,
+        num_rows=num_rows,
+        emb_dim=config.emb_dim,
+        tower=config.tower,
+        feature_dim=corpus.images.shape[-1],
+        hidden_dim=config.hidden_dim,
+        num_images=num_images,
+    )
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    n = corpus.size
+    starts = list(range(0, n, config.batch_size))
+    if n % config.batch_size == 1:
+        starts.pop()
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    losses = []
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        total = 0.0
+        for start, end in zip(starts, starts[1:] + [n]):
+            batch = corpus.select(order[start:end])
+            total += batch_loss(params, batch, config.logit_scale).mean_weighted_loss * batch.size
+            sgd_step(params, batch_gradients(params, batch, config.logit_scale), opt)
+        losses.append(total / n)
+    return params, opt, losses
+
+
+@pytest.mark.parametrize("tower", ["lookup", "mlp"])
+def test_held_rows_train_bit_identically_to_an_all_rows_table(tmp_path, tower):
+    vocab, prep = hashed_synth_corpus(tower, seed=7)
+    config = TrainConfig(tower=tower, emb_dim=6, hidden_dim=5 if tower == "mlp" else None, batch_size=64, epochs=3, logit_scale=5.0, seed=4)
+    result = train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    params, opt, losses = train_through_all_rows(prep.examples, config, vocab.total_ids, prep.num_images)
+    table, held = result.params.embeddings, result.params.embeddings.ids
+    assert held.size < vocab.total_ids / 2
+    assert result.epoch_losses == losses
+    assert table.rows.tobytes() == params.embeddings.rows[held].tobytes()
+    assert result.optimizer.emb_accum.tobytes() == opt.emb_accum[held].tobytes()
+    assert not np.delete(opt.emb_accum, held, axis=0).any()  # no row outside the corpus was touched
+    for got, want in ((result.params.tower, params.tower), (result.optimizer.accum.tower, opt.accum.tower)):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.arrays().values(), want.arrays().values(), strict=True))
+    paths = tmp_path / "held.npz", tmp_path / "all.npz"
+    save_checkpoint(paths[0], result.params, result.optimizer, config, vocab_hash="h", epoch=3)
+    save_checkpoint(paths[1], params, opt, config, vocab_hash="h", epoch=3)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("multilingual_filter", [False, True])
+def test_train_holds_every_vocabulary_row_first(multilingual_filter):
+    # Every vocabulary token occurs in a kept, non-empty query, so the held
+    # ids start with 0..vocab_size-1 and rows[i] is vocabulary id i: the
+    # benchmark's export round-trip gate and the acceptance suite read the
+    # vocabulary's rows this way.
+    vocab, prep = hashed_synth_corpus("lookup", seed=8, multilingual_filter=multilingual_filter)
+    config = TrainConfig(tower="lookup", emb_dim=4, batch_size=64, epochs=1, seed=2)
+    result = train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    ids = result.params.embeddings.ids
+    assert vocab.vocab_size > 0 and ids.size > vocab.vocab_size
+    assert ids[: vocab.vocab_size].tolist() == list(range(vocab.vocab_size))
+
+
+def test_save_checkpoint_refuses_a_held_rows_table_of_another_seed(tmp_path):
+    # The rows such a table does not hold are drawn from seed 1, but
+    # load_checkpoint would rebuild them from the config's seed 0.
+    params = init_params(1, num_rows=9, emb_dim=4, tower="lookup", num_images=2, rows=np.array([2, 5]))
+    opt = OptimizerState.for_params(params, 0.5)
+    with pytest.raises(ValueError, match="^the table's rows are drawn from seed 1, the config's seed is 0$"):
+        save_checkpoint(tmp_path / "ckpt.npz", params, opt, TrainConfig(tower="lookup", emb_dim=4), vocab_hash="h", epoch=0)
+    assert not (tmp_path / "ckpt.npz").exists()
