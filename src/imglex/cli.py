@@ -53,12 +53,11 @@ from imglex.evaluation import (
     load_sim_task,
 )
 from imglex.fileio import write_lines
-from imglex.model import TOWER_KINDS, load_word2vec, save_word2vec
+from imglex.model import MAX_EMBEDDING_ROWS, TOWER_KINDS, load_word2vec, save_word2vec
 from imglex.textproc import LangMode, build_vocab, mode_of_tokens, tokenize
 from imglex.training import TrainConfig, grad_check, save_checkpoint, save_loss_curve, train
 
 GRADCHECK_THRESHOLD = 1e-4
-MAX_EMBEDDING_ROWS = 2**63 - 1  # token ids and the checkpoint's row count are int64
 
 # Named configurations, keyed by train flag dests; flags given explicitly
 # override preset values.
@@ -223,48 +222,42 @@ def cmd_eval(args) -> int:
         raise UsageError("--classify-train and --classify-test go together")
     vectors = load_word2vec(args.embeddings)
     mode = mode_of_tokens(vectors)
-    rows: list[ReportRow] = []
     errored = False
 
+    def score(label: str, evaluate, task):
+        """evaluate(vectors, task, mode), or None once its EvalError is on stderr as '<label>: <message>'."""
+        nonlocal errored
+        try:
+            return evaluate(vectors, task, mode)
+        except EvalError as exc:
+            print(f"{label}: {exc}", file=sys.stderr)
+            errored = True
+            return None
+
+    rows: list[ReportRow] = []
     if args.similarity:
         tasks = [load_sim_task(path) for path in args.similarity]
-        cells = []
-        for task in tasks:
-            try:
-                cells.append((task.name, eval_similarity(vectors, task, mode)))
-            except EvalError as exc:
-                print(f"similarity task {task.name}: {exc}", file=sys.stderr)
-                errored = True
+        scored = [(task.name, f"similarity task {task.name}", task) for task in tasks]
         if args.aggregate:
-            try:
-                pooled = SimTask(name="all", pairs=[pair for task in tasks for pair in task.pairs])
-                cells.append(("all", eval_similarity(vectors, pooled, mode)))
-            except EvalError as exc:
-                print(f"aggregate: {exc}", file=sys.stderr)
-                errored = True
+            scored.append(("all", "aggregate", SimTask(name="all", pairs=[pair for task in tasks for pair in task.pairs])))
+        cells = [(name, result) for name, label, task in scored if (result := score(label, eval_similarity, task)) is not None]
         if cells:
             rows.append(ReportRow(name="similarity", cells=cells))
 
     if args.classify_train:
         task = load_class_task(args.classify_train, args.classify_test)
-        try:
-            rows.append(ReportRow(name="classification", cells=[(task.name, eval_classification(vectors, task, mode))]))
-        except EvalError as exc:
-            print(f"classification: {exc}", file=sys.stderr)
-            errored = True
+        result = score("classification", eval_classification, task)
+        if result is not None:
+            rows.append(ReportRow(name="classification", cells=[(task.name, result)]))
 
     lexicon_line = None
     if args.lexicon:
-        pairs = load_lexicon(args.lexicon)
-        try:
-            r = lexicon_retrieval(vectors, pairs, mode)
+        r = score("lexicon", lexicon_retrieval, load_lexicon(args.lexicon))
+        if r is not None:
             lexicon_line = (
                 f"lexicon: precision@1 {r.precision_at_1:.4f}, same-concept cosine {r.same_concept_mean:.4f}, "
                 f"different-concept cosine {r.diff_concept_mean:.4f} ({r.n_words} words, {r.n_pairs} pairs)"
             )
-        except EvalError as exc:
-            print(f"lexicon: {exc}", file=sys.stderr)
-            errored = True
 
     if rows:
         report = emit_report(rows)

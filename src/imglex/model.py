@@ -39,6 +39,9 @@ NORM_FLOOR = 1e-12
 # checkpoints regenerate and write embedding rows this many at a time.
 INIT_CHUNK_ROWS = 1024
 
+# Token ids and a checkpoint's table row count are int64.
+MAX_EMBEDDING_ROWS = 2**63 - 1
+
 
 class NonFiniteError(ValueError):
     """A touched parameter, the tower output or a gradient is NaN or infinite."""

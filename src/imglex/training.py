@@ -42,6 +42,7 @@ from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.fileio import atomic_write, write_lines
 from imglex.model import (
     INIT_CHUNK_ROWS,
+    MAX_EMBEDDING_ROWS,
     NORM_FLOOR,
     TOWER_KINDS,
     EmbeddingTable,
@@ -683,6 +684,8 @@ def _check_checkpoint_arrays(path: str | Path, arrays: dict[str, np.ndarray], na
     ids, num_rows = arrays["embeddings_ids"], arrays["embeddings_num_rows"]
     if num_rows.shape != () or num_rows.dtype.kind not in "iu" or num_rows < 0:
         raise DataError(f"{path}: checkpoint entry 'embeddings_num_rows' is not a non-negative integer scalar")
+    if num_rows > MAX_EMBEDDING_ROWS:
+        raise DataError(f"{path}: checkpoint entry 'embeddings_num_rows' is {num_rows}, past the int64 limit of 2**63 - 1 embedding rows")
     if ids.dtype != np.int64:
         raise DataError(f"{path}: checkpoint entry 'embeddings_ids' is {ids.dtype}, not int64")
     stored = arrays["embeddings"].shape[0]
@@ -697,15 +700,17 @@ def _check_checkpoint_arrays(path: str | Path, arrays: dict[str, np.ndarray], na
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint.
 
-    The model is rebuilt with init_params(config.seed), its table holding
-    every row, and zero accumulators; then the stored arrays and embedding
-    rows are written in.
+    The embedding table holds the stored rows only, so memory follows them,
+    not ``embeddings_num_rows``: any other row keeps its initial value, drawn
+    from config.seed when read (``EmbeddingTable.read``), and the embedding
+    accumulator lines up row for row with the stored rows. The tower is the
+    stored one.
     A missing or unreadable file, a file that is not an ``.npz`` archive, an
     archive without an entry save_checkpoint writes, a ``meta`` entry that
     is not the JSON object save_checkpoint writes (with a ``config`` that
     TrainConfig.validate accepts and whose tower matches the arrays), an
     array whose dtype or shape save_checkpoint would not write for that
-    config and a table row count too large to allocate each raise DataError
+    config and a table row count past MAX_EMBEDDING_ROWS each raise DataError
     naming the file and the entry or field. Other ``meta`` keys are ignored.
     The optimizer's rate is ``config.learning_rate``.
     """
@@ -738,22 +743,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     tower = "mlp" if isinstance(stored.tower, MlpImageTower) else "lookup"
     config = _checkpoint_config(path, meta, tower)
     _check_checkpoint_arrays(path, arrays, list(stored.arrays()), config)
-    # init_params reads only the sizes of config.tower.
-    sizes = {"feature_dim": stored.tower.feature_dim} if tower == "mlp" else {"num_images": stored.tower.num_images}
-    try:
-        params = init_params(
-            config.seed, num_rows=int(num_rows), emb_dim=config.emb_dim, tower=tower, hidden_dim=config.hidden_dim, **sizes
-        )
-    except (MemoryError, ValueError):  # the row count is read from the file; ValueError: its byte count overflows
-        raise DataError(f"{path}: checkpoint entry 'embeddings_num_rows' is {num_rows}: the table cannot be allocated") from None
-    opt = OptimizerState.for_params(params, config.learning_rate)
-    for name, accum in opt.accum.arrays().items():
-        rows = ids if name == "embeddings" else slice(None)
-        params.arrays()[name][rows] = arrays[name]
-        accum[rows] = accums[name]
+    table = EmbeddingTable(rows=stored.embeddings.rows, ids=ids, num_rows=int(num_rows), seed=config.seed)
     return Checkpoint(
-        params=params,
-        optimizer=opt,
+        params=ModelParams(embeddings=table, tower=stored.tower),
+        optimizer=OptimizerState(config.learning_rate, ModelParams.from_arrays(accums)),
         config=config,
         vocab_hash=_meta_field(path, meta, "vocab_hash"),
         epoch=_meta_field(path, meta, "epoch"),

@@ -2,18 +2,20 @@
 library's batched and vectorized code against.
 
 The brute-force batch loss stays in ``imglex.training`` (the benchmark's
-correctness gate imports it); everything here is used by tests only.
+correctness gate imports it); everything here is used by tests only, as is
+``held_row_sets``, the embedding row sets the property tests draw.
 """
 
 import math
 from typing import Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from imglex.errors import DataError, EvalError
 from imglex.evaluation import LexiconPair, RetrievalResult, Vectors, task_token
 from imglex.fileio import read_rows
-from imglex.model import EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams
+from imglex.model import INIT_CHUNK_ROWS, EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams
 from imglex.textproc import LangMode, is_language_code
 from imglex.training import Batch, batch_loss
 
@@ -197,3 +199,17 @@ def load_word2vec_per_value(path) -> dict[str, np.ndarray]:
         if not math.isfinite(sum(x * x for x in vec.tolist())):
             raise DataError(f"{path}:{lineno}: L2 norm of {token!r} overflows")
     return vectors
+
+
+def held_row_sets(num_rows: int) -> st.SearchStrategy[list[int]]:
+    """Ascending embedding row ids in [0, num_rows): no row, every row, the
+    rows on either side of each chunk edge, the first and last row, or a
+    random set."""
+    edges = sorted({r for k in range(0, num_rows + 1, INIT_CHUNK_ROWS) for r in (k - 1, k, k + 1) if 0 <= r < num_rows})
+    return st.one_of(
+        st.just([]),
+        st.just(list(range(num_rows))),
+        st.just(edges),
+        st.just([0, num_rows - 1]),
+        st.sets(st.integers(0, num_rows - 1), max_size=300).map(sorted),
+    )

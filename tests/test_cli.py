@@ -220,17 +220,19 @@ def test_train_preset_follows_emb_dim_override(synth64_dir, tmp_path):
 
 def test_train_checkpoint_table_is_the_export(synth64_dir, tmp_path):
     # The checkpoint stores only the embedding rows training changed; the
-    # table load_checkpoint rebuilds still holds the exported vectors.
-    out = tmp_path / "buckets200"
+    # table load_checkpoint returns holds only those and still reads as the
+    # exported vectors, at 10**11 buckets too (a table of 80 TB).
     argv = ["train", "--triples", str(synth64_dir / "triples.tsv"), "--features", str(synth64_dir / "features.tsv")]
-    assert run(argv + ["--preset", "mlp-100", "--epochs", "1", "--buckets", "200", "--out-dir", str(out)]) == 0
-    vocab = Vocabulary.load(out / "vocab.txt")
-    vectors = load_word2vec(out / "embeddings.vec")
-    table = load_checkpoint(out / "checkpoint.npz").params.embeddings.rows
-    assert table.shape[0] == vocab.vocab_size + 200
-    assert np.stack([vectors[token] for token in vocab.tokens]).tobytes() == table[: vocab.vocab_size].tobytes()
-    with np.load(out / "checkpoint.npz") as data:
-        assert data["embeddings_ids"].size < vocab.vocab_size + 200
+    for buckets in (200, 10**11):
+        out = tmp_path / f"buckets{buckets}"
+        assert run(argv + ["--preset", "mlp-100", "--epochs", "1", "--buckets", str(buckets), "--out-dir", str(out)]) == 0
+        vocab = Vocabulary.load(out / "vocab.txt")
+        vectors = load_word2vec(out / "embeddings.vec")
+        table = load_checkpoint(out / "checkpoint.npz").params.embeddings
+        assert table.num_rows == vocab.vocab_size + buckets
+        assert np.stack([vectors[token] for token in vocab.tokens]).tobytes() == table.read(np.arange(vocab.vocab_size)).tobytes()
+        with np.load(out / "checkpoint.npz") as data:
+            assert data["embeddings_ids"].tolist() == table.ids.tolist() and table.ids.size < vocab.vocab_size + 200
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:

@@ -21,7 +21,7 @@ from imglex.model import (
     save_word2vec,
 )
 from imglex.textproc import LangMode, build_vocab
-from oracles import image_repr_lookup, image_repr_mlp, load_word2vec_per_value, query_repr
+from oracles import held_row_sets, image_repr_lookup, image_repr_mlp, load_word2vec_per_value, query_repr
 
 
 def table(rows):
@@ -160,19 +160,6 @@ def test_initial_row_chunks_are_init_params_table(tower):
         bound1, bound2 = math.sqrt(6.0 / (2 + 6)), math.sqrt(6.0 / (6 + emb_dim))
         assert rng.uniform(-bound1, bound1, size=(6, 2)).tobytes() == params.tower.V.tobytes()
         assert rng.uniform(-bound2, bound2, size=(emb_dim, 6)).tobytes() == params.tower.U.tobytes()
-
-
-def held_row_sets(num_rows):
-    """No row, every row, the rows at each chunk edge, the first and last
-    row, or a random set."""
-    edges = sorted({r for k in range(0, num_rows + 1, INIT_CHUNK_ROWS) for r in (k - 1, k) if 0 <= r < num_rows})
-    return st.one_of(
-        st.just([]),
-        st.just(list(range(num_rows))),
-        st.just(edges),
-        st.just([0, num_rows - 1]),
-        st.sets(st.integers(0, num_rows - 1), max_size=300).map(sorted),
-    )
 
 
 @settings(max_examples=60, deadline=None)

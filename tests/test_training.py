@@ -9,10 +9,22 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from imglex.data import SyntheticSpec, TripleRecord, filter_multilingual, generate_synthetic, prepare_examples
 from imglex.errors import ConfigError, DataError, TrainingDiverged
-from imglex.model import INIT_CHUNK_ROWS, EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams, cosine, init_params
+from imglex.model import (
+    INIT_CHUNK_ROWS,
+    TOWER_KINDS,
+    EmbeddingTable,
+    LookupImageTower,
+    MlpImageTower,
+    ModelParams,
+    cosine,
+    init_params,
+    initial_rows,
+)
 from imglex.textproc import LangMode, build_vocab, tokenize
 from imglex.training import (
     ADAGRAD_EPSILON,
@@ -31,7 +43,7 @@ from imglex.training import (
     sgd_step,
     train,
 )
-from oracles import image_repr_mlp, numeric_gradients, query_repr
+from oracles import held_row_sets, image_repr_mlp, numeric_gradients, query_repr
 
 LOG4 = 1.3862943611198906
 LOG_1P_EXP_M1 = 0.31326168751822286  # log(1 + e^-1)
@@ -509,6 +521,69 @@ def test_save_checkpoint_memory_is_a_few_chunks(tmp_path):
     assert stored_row_ids(path) == changed
 
 
+def assert_resaves_byte_for_byte(path, loaded):
+    again = path.with_name(f"again-{path.name}")
+    save_checkpoint(again, loaded.params, loaded.optimizer, loaded.config, loaded.vocab_hash, loaded.epoch)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("tower", TOWER_KINDS)
+def test_load_checkpoint_memory_is_a_few_chunks(tmp_path, tower):
+    # A 1M-row table (64 MB) with three stored rows: the loaded table holds
+    # only those, so loading never allocates the size of the table.
+    config = TrainConfig(tower=tower, emb_dim=8, hidden_dim=5 if tower == "mlp" else None)
+    changed = [5, 70_000, 999_999]
+    params = init_params(0, num_rows=1_000_000, emb_dim=8, tower=tower, feature_dim=3, hidden_dim=5, num_images=2, rows=changed)
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    params.embeddings.rows[:] += 1.0
+    opt.emb_accum[:] = 1.0
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = INIT_CHUNK_ROWS * 8 * params.embeddings.rows.itemsize
+    assert peak < 4 * chunk_bytes, (peak, chunk_bytes)
+    table = loaded.params.embeddings
+    assert (table.ids.tolist(), table.num_rows, table.seed) == (changed, 1_000_000, 0)
+    assert loaded.optimizer.emb_accum.shape == (3, 8)
+    assert_resaves_byte_for_byte(path, loaded)
+
+
+@pytest.fixture(scope="module")
+def round_trip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoint_round_trip")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    num_rows=st.integers(2 * INIT_CHUNK_ROWS + 2, 3 * INIT_CHUNK_ROWS),
+    tower=st.sampled_from(TOWER_KINDS),
+)
+def test_checkpoint_round_trips_any_stored_rows(round_trip_dir, data, num_rows, tower):
+    # The table holds the drawn rows and changes each one: every other row's
+    # value, the rest's accumulator. The loaded table holds exactly those rows.
+    stored = data.draw(held_row_sets(num_rows))
+    config = TrainConfig(tower=tower, emb_dim=2, hidden_dim=3 if tower == "mlp" else None, learning_rate=0.25, seed=5)
+    params = init_params(5, num_rows=num_rows, emb_dim=2, tower=tower, feature_dim=3, hidden_dim=3, num_images=4, rows=stored)
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    params.embeddings.rows[::2] *= -1.0  # flips the sign bit, so the value is no longer initial
+    opt.emb_accum[1::2] = 0.5
+    for accum in opt.accum.tower.arrays().values():
+        accum.flat[0] = 1.5
+    path = round_trip_dir / "ckpt.npz"
+    save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
+    assert stored_row_ids(path) == stored
+    loaded = load_checkpoint(path)
+    assert loaded.params.embeddings.ids.tolist() == stored and loaded.config == config
+    assert_same_checkpoint_arrays(path, loaded, params, opt)
+    assert_resaves_byte_for_byte(path, loaded)
+
+
 def test_checkpoint_meta_holds_each_value_once_and_older_meta_loads(tmp_path):
     # The params are drawn from seed 1 under a seed-0 config: every row
     # differs from the config's initial rows, so every row is stored.
@@ -723,15 +798,10 @@ MALFORMED_ARRAYS = {
         dict(embeddings_num_rows=np.array(6.0)),
         "checkpoint entry 'embeddings_num_rows' is not a non-negative integer scalar",
     ),
-    "num-rows-huge": (
+    "num-rows-past-int64": (
         "lookup",
-        dict(embeddings_num_rows=np.array(2**45)),
-        "checkpoint entry 'embeddings_num_rows' is 35184372088832: the table cannot be allocated",
-    ),
-    "num-rows-byte-overflow": (
-        "lookup",
-        dict(embeddings_num_rows=np.array(2**62)),
-        "checkpoint entry 'embeddings_num_rows' is 4611686018427387904: the table cannot be allocated",
+        dict(embeddings_num_rows=np.array(2**64 - 1, dtype=np.uint64)),
+        "checkpoint entry 'embeddings_num_rows' is 18446744073709551615, past the int64 limit of 2**63 - 1 embedding rows",
     ),
     "num-rows-array": (
         "lookup",
@@ -748,6 +818,23 @@ def test_load_checkpoint_malformed_array_is_data_error(tmp_path, case):
     np.savez(path, **{**entries, **replaced})
     with pytest.raises(DataError, match="^" + re.escape(f"{path}: {message}")):
         load_checkpoint(path)
+
+
+# Tables of 1.1 PB, of 3.2 TB and at the int64 limit, there with the row
+# count stored as uint64, as another writer could store it.
+@pytest.mark.parametrize(
+    "num_rows, dtype", [(2**45, np.int64), (10**11, np.int64), (2**63 - 1, np.uint64)], ids=["2**45", "10**11", "uint64-2**63-1"]
+)
+def test_load_checkpoint_of_a_huge_table_draws_the_rows_not_stored(tmp_path, num_rows, dtype):
+    path, entries = saved_checkpoint_entries(tmp_path)
+    ids = np.arange(num_rows - 6, num_rows)  # the six stored rows end the table
+    np.savez(path, **{**entries, "embeddings_ids": ids, "embeddings_num_rows": np.array(num_rows, dtype=dtype)})
+    loaded = load_checkpoint(path)
+    table = loaded.params.embeddings
+    assert (table.ids.tolist(), table.num_rows) == (ids.tolist(), num_rows)
+    assert table.read(ids).tobytes() == entries["embeddings"].tobytes()
+    far = np.array([0, 2**33 + 5, num_rows - 7])
+    assert table.read(far).tobytes() == initial_rows(loaded.config.seed, far, 4).tobytes()
 
 
 def test_load_checkpoint_meta_member_not_npy_is_data_error(tmp_path):
@@ -1168,7 +1255,7 @@ def test_train_holds_every_vocabulary_row_first(multilingual_filter):
 
 def test_save_checkpoint_refuses_a_held_rows_table_of_another_seed(tmp_path):
     # The rows such a table does not hold are drawn from seed 1, but
-    # load_checkpoint would rebuild them from the config's seed 0.
+    # load_checkpoint would draw them from the config's seed 0.
     params = init_params(1, num_rows=9, emb_dim=4, tower="lookup", num_images=2, rows=np.array([2, 5]))
     opt = OptimizerState.for_params(params, 0.5)
     with pytest.raises(ValueError, match="^the table's rows are drawn from seed 1, the config's seed is 0$"):
