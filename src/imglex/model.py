@@ -87,9 +87,12 @@ def initial_rows(seed: int, ids: np.ndarray, emb_dim: int) -> np.ndarray:
 
     Each run of consecutive ids within one INIT_CHUNK_ROWS chunk is one draw,
     and the generator jumps over the gaps with ``advance``: the cost follows
-    the rows asked for, not the largest id.
+    the rows asked for, not the largest id. Each run draws its standard
+    uniforms straight into the output, which is then mapped to
+    ``low + (high - low) * u`` in place: the arithmetic of ``rng.uniform``,
+    so the bits are the same, without a temporary per run.
     """
-    half = 0.5 / emb_dim
+    low, high = -0.5 / emb_dim, 0.5 / emb_dim
     out = np.empty((ids.size, emb_dim))
     rng = np.random.default_rng(seed)
     new_run = np.ones(ids.size, dtype=bool)
@@ -99,8 +102,10 @@ def initial_rows(seed: int, ids: np.ndarray, emb_dim: int) -> np.ndarray:
     for lo, hi in zip(starts, starts[1:] + [ids.size]):
         first = int(ids[lo])  # advance takes a Python int, not an np.int64
         rng.bit_generator.advance((first - at) * emb_dim)
-        out[lo:hi] = rng.uniform(-half, half, size=(hi - lo, emb_dim))
+        rng.random(out=out[lo:hi])
         at = first + hi - lo
+    out *= high - low
+    out += low
     return out
 
 

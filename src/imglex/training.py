@@ -418,7 +418,7 @@ def train(
     raised before any row is drawn, and arrays too large to allocate (a
     huge emb_dim or hidden_dim) are a ConfigError. Raises TrainingDiverged,
     naming the epoch and batch (both from 0), when a touched parameter, the
-    tower output or a gradient goes non-finite.
+    tower output, a gradient or the batch loss goes non-finite.
     """
     config.validate()
     examples = list(examples)
@@ -436,7 +436,10 @@ def train(
     outside = held[(held < 0) | (held >= num_embedding_rows)]
     if outside.size:
         raise ValueError(f"token id {outside[0]} is outside the embedding table's rows [0, {num_embedding_rows})")
-    # init_params reads only the arguments of config.tower.
+    # init_params reads only the arguments of config.tower; the image count
+    # scans every image, so only the lookup tower pays for it.
+    if config.tower == "lookup" and num_images is None:
+        num_images = corpus.images.max() + 1
     try:
         params = init_params(
             config.seed,
@@ -445,7 +448,7 @@ def train(
             tower=config.tower,
             feature_dim=corpus.images.shape[-1],
             hidden_dim=config.hidden_dim,
-            num_images=corpus.images.max() + 1 if num_images is None else num_images,
+            num_images=num_images,
             rows=held,
         )
     except (MemoryError, ValueError):  # with valid rows, ValueError is numpy's "array is too big"
@@ -474,6 +477,7 @@ def train(
                 # into TrainingDiverged.
                 with np.errstate(over="ignore", invalid="ignore"):
                     grads, loss = _loss_and_gradients(params, batch, config.logit_scale, workspace[: b * b].reshape(b, b))
+                    _check_finite("loss", loss)
                     sgd_step(params, grads, opt)
             except NonFiniteError as exc:
                 raise TrainingDiverged(epoch, index, exc.what) from exc
@@ -551,16 +555,22 @@ def save_loss_curve(path: str | Path, epoch_losses: Sequence[float]) -> None:
 
 
 def _changed_slots(table: EmbeddingTable, accum: np.ndarray, seed: int) -> np.ndarray:
-    """Where in ``table.rows`` the held rows sit that differ bit for bit from
-    their initial value drawn from ``seed``, or whose row of ``accum`` has a
-    set bit. A row the table does not hold is initial with a zero
-    accumulator, so only the held rows are regenerated, a chunk at a time."""
+    """Where in ``table.rows`` the held rows sit whose row of ``accum`` has a
+    set bit, or that differ bit for bit from their initial value drawn from
+    ``seed``. A row the table does not hold is initial with a zero
+    accumulator, so only held rows are looked at, a chunk at a time: first
+    the accumulator bits, which store a row without drawing it, then only the
+    rows whose accumulator is all zero bits are regenerated and compared. A
+    row training touched has a nonzero accumulator unless its squared
+    gradients underflowed to 0, so a trained table draws few rows, if any."""
     bits, accum_bits = table.rows.view(np.uint64), accum.view(np.uint64)
     slots = [np.zeros(0, dtype=np.int64)]
     for start in range(0, table.ids.size, INIT_CHUNK_ROWS):
-        end = start + INIT_CHUNK_ROWS
-        initial = initial_rows(seed, table.ids[start:end], table.emb_dim)
-        changed = (bits[start:end] != initial.view(np.uint64)).any(axis=1) | accum_bits[start:end].any(axis=1)
+        changed = accum_bits[start : start + INIT_CHUNK_ROWS].any(axis=1)
+        quiet = start + np.flatnonzero(~changed)
+        if quiet.size:
+            initial = initial_rows(seed, table.ids[quiet], table.emb_dim)
+            changed[quiet - start] = (bits[quiet] != initial.view(np.uint64)).any(axis=1)
         slots.append(start + np.flatnonzero(changed))
     return np.concatenate(slots)
 
@@ -577,11 +587,14 @@ def save_checkpoint(
     accumulators, epoch counter. The optimizer's rate is config.learning_rate.
 
     The tower's arrays are stored whole. Of the embedding table and its
-    accumulator, only the rows ``embeddings_ids`` are stored: those that
-    differ in any bit from their initial value (drawn from config.seed) or
-    whose accumulator is not all zero bits. ``embeddings_num_rows`` is the
+    accumulator, only the rows ``embeddings_ids`` are stored: those whose
+    accumulator is not all zero bits or that differ in any bit from their
+    initial value (drawn from config.seed). ``embeddings_num_rows`` is the
     table's row count. Which rows the table holds does not change the file.
-    The stored rows are gathered and written one chunk at a time. A table
+    Only held rows with an all-zero accumulator have their initial value
+    drawn, so saving a trained table draws few rows, and an untrained one
+    draws each held row once. The stored rows are gathered and written one
+    chunk at a time. A table
     that does not hold every row must draw its other rows from config.seed,
     or it is a ValueError.
     """

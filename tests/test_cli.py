@@ -326,6 +326,28 @@ def test_train_norm_overflow_is_one_line_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_train_nonfinite_loss_is_one_line_exit_1(tmp_path, capsys):
+    # Every parameter and gradient stays finite, but the batch loss is inf:
+    # before the loss was checked, train exited 0 and wrote a loss.csv of inf.
+    corpus = tmp_path / "corpus"
+    assert run(["gensynth", "--num-examples", "600", "--seed", "1", "--out-dir", str(corpus)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "inf-loss"
+    code = run(
+        [
+            "train",
+            "--triples", str(corpus / "triples.tsv"),
+            "--features", str(corpus / "features.tsv"),
+            "--logit-scale", "1e308",
+            "--epochs", "2",
+            "--out-dir", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["training diverged: epoch 0, batch 0: non-finite loss"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, setting", [("--lr", "learning_rate"), ("--logit-scale", "logit_scale")])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_train_rejects_non_finite_rates_before_reading_input(tmp_path, capsys, flag, setting, value):

@@ -43,7 +43,7 @@ from imglex.training import (
     sgd_step,
     train,
 )
-from oracles import held_row_sets, image_repr_mlp, numeric_gradients, query_repr
+from oracles import changed_rows, held_row_sets, image_repr_mlp, numeric_gradients, query_repr
 
 LOG4 = 1.3862943611198906
 LOG_1P_EXP_M1 = 0.31326168751822286  # log(1 + e^-1)
@@ -582,6 +582,81 @@ def test_checkpoint_round_trips_any_stored_rows(round_trip_dir, data, num_rows, 
     assert loaded.params.embeddings.ids.tolist() == stored and loaded.config == config
     assert_same_checkpoint_arrays(path, loaded, params, opt)
     assert_resaves_byte_for_byte(path, loaded)
+
+
+ROW_KINDS = ("initial", "trained", "changed", "one-ulp", "accumulated")
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    num_rows=st.integers(2 * INIT_CHUNK_ROWS + 2, 3 * INIT_CHUNK_ROWS),
+    kinds=st.sets(st.sampled_from(ROW_KINDS), min_size=1),
+    mix=st.integers(0, 2**32),
+    other_seed=st.booleans(),
+)
+def test_checkpoint_stores_the_rows_the_oracle_finds(round_trip_dir, data, num_rows, kinds, mix, other_seed):
+    # Each held row is left initial, trained (value and accumulator changed),
+    # changed with a zero accumulator (a sign flip or one ulp, as when its
+    # squared gradients underflow to 0) or given a nonzero accumulator and
+    # left initial; with one kind drawn, every chunk holds that kind only. A
+    # table holding every row may be drawn from another seed than the
+    # config's, and then every row differs from its initial value.
+    config = TrainConfig(tower="lookup", emb_dim=2, seed=5)
+    sizes = dict(num_rows=num_rows, emb_dim=2, tower="lookup", num_images=2)
+    params = init_params(6, **sizes) if other_seed else init_params(5, rows=data.draw(held_row_sets(num_rows)), **sizes)
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    table, accum = params.embeddings.rows, opt.emb_accum
+    rng = np.random.default_rng(mix)
+    kind = rng.choice(sorted(kinds), size=len(table))
+    slots = {name: np.flatnonzero(kind == name) for name in ROW_KINDS}
+    column = rng.integers(2, size=len(table))
+    table[slots["trained"]] += 0.125
+    accum[slots["trained"]] = 0.5
+    for name, change in (("changed", np.negative), ("one-ulp", lambda x: np.nextafter(x, 1.0))):
+        at = slots[name], column[slots[name]]
+        table[at] = change(table[at])
+    accum[slots["accumulated"], column[slots["accumulated"]]] = np.finfo(np.float64).smallest_subnormal
+    path = round_trip_dir / "oracle.npz"
+    save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
+    stored = changed_rows(params.embeddings, accum, config.seed)
+    assert stored_row_ids(path) == stored
+    if other_seed:
+        assert stored == list(range(num_rows))
+    else:
+        assert stored == params.embeddings.ids[kind != "initial"].tolist()
+
+
+def count_drawn_rows(monkeypatch) -> list[int]:
+    """The ids of the embedding rows save_checkpoint draws from the seed,
+    in the order drawn; the list fills as it draws them."""
+    drawn: list[int] = []
+
+    def counting(seed, ids, emb_dim):
+        drawn.extend(ids.tolist())
+        return initial_rows(seed, ids, emb_dim)
+
+    monkeypatch.setattr("imglex.training.initial_rows", counting)
+    return drawn
+
+
+@pytest.mark.parametrize("trained", [True, False], ids=["every-accumulator-set", "untrained"])
+def test_save_checkpoint_draws_only_the_rows_with_a_zero_accumulator(tmp_path, monkeypatch, trained):
+    # A held row with a set accumulator bit is stored without drawing its
+    # initial value, whether or not its value changed; an untrained table
+    # draws each held row once, and stores none.
+    held = np.arange(1, 5000, 3)  # rows in five chunks
+    config = TrainConfig(tower="lookup", emb_dim=3, seed=2)
+    params = init_params(2, num_rows=5000, emb_dim=3, tower="lookup", num_images=2, rows=held)
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    if trained:
+        params.embeddings.rows[::2] += 1.0
+        opt.emb_accum[:, 1] = 0.25
+    drawn = count_drawn_rows(monkeypatch)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
+    assert drawn == ([] if trained else held.tolist())
+    assert stored_row_ids(path) == (held.tolist() if trained else [])
 
 
 def test_checkpoint_meta_holds_each_value_once_and_older_meta_loads(tmp_path):
@@ -1160,6 +1235,18 @@ def test_train_norm_overflow_is_divergence():
     err = caught.value
     assert err.what in ("query norm", "image norm")
     assert str(err) == f"epoch {err.epoch}, batch {err.batch}: non-finite {err.what}"
+
+
+def test_train_nonfinite_loss_is_divergence():
+    # At logit scale 1e308 the weighted losses are near 1e308 and their batch
+    # mean overflows; training must stop rather than record a loss of inf.
+    examples = make_toy_examples(np.random.default_rng(30), 64, 10, 4)
+    config = TrainConfig(tower="lookup", emb_dim=4, batch_size=16, epochs=2, logit_scale=1e308)
+    with pytest.raises(TrainingDiverged) as caught:
+        train(examples, config, num_embedding_rows=10, num_images=4)
+    err = caught.value
+    assert (err.epoch, err.batch, err.what) == (0, 0, "loss")
+    assert str(err) == "epoch 0, batch 0: non-finite loss"
 
 
 def test_train_rejects_examples_for_the_other_tower():
