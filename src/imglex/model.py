@@ -35,8 +35,8 @@ TOWER_KINDS = ("mlp", "lookup")
 # zero gradient (the final ReLU can output an all-zero image representation).
 NORM_FLOOR = 1e-12
 
-# Rows per chunk: no draw of initial embedding rows spans two chunks, and
-# checkpoints regenerate and write embedding rows this many at a time.
+# Rows per chunk of the word2vec export, which reads the table this many
+# rows at a time.
 INIT_CHUNK_ROWS = 1024
 
 # Token ids and a checkpoint's table row count are int64.
@@ -44,7 +44,8 @@ MAX_EMBEDDING_ROWS = 2**63 - 1
 
 
 class NonFiniteError(ValueError):
-    """A touched parameter, the tower output or a gradient is NaN or infinite."""
+    """A touched parameter, the tower output, a gradient or an accumulator is
+    NaN or infinite."""
 
     def __init__(self, what: str):
         super().__init__(f"non-finite {what}")
@@ -85,18 +86,18 @@ def initial_rows(seed: int, ids: np.ndarray, emb_dim: int) -> np.ndarray:
     ``np.random.default_rng(seed)`` as Uniform(-0.5/emb_dim, 0.5/emb_dim),
     row after row, so row r is the ``emb_dim`` draws after ``r * emb_dim``.
 
-    Each run of consecutive ids within one INIT_CHUNK_ROWS chunk is one draw,
-    and the generator jumps over the gaps with ``advance``: the cost follows
-    the rows asked for, not the largest id. Each run draws its standard
-    uniforms straight into the output, which is then mapped to
-    ``low + (high - low) * u`` in place: the arithmetic of ``rng.uniform``,
-    so the bits are the same, without a temporary per run.
+    Each run of consecutive ids is one draw, and the generator jumps over
+    the gaps with ``advance``: the cost follows the rows asked for, not the
+    largest id. Each run draws its standard uniforms straight into the
+    output, which is then mapped to ``low + (high - low) * u`` in place: the
+    arithmetic of ``rng.uniform``, so the bits are the same, without a
+    temporary per run.
     """
     low, high = -0.5 / emb_dim, 0.5 / emb_dim
     out = np.empty((ids.size, emb_dim))
     rng = np.random.default_rng(seed)
     new_run = np.ones(ids.size, dtype=bool)
-    new_run[1:] = (np.diff(ids) != 1) | (ids[1:] % INIT_CHUNK_ROWS == 0)
+    new_run[1:] = np.diff(ids) != 1
     starts = np.flatnonzero(new_run).tolist()
     at = 0  # the row the generator stands at
     for lo, hi in zip(starts, starts[1:] + [ids.size]):

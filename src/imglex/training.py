@@ -41,7 +41,6 @@ import numpy as np
 from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.fileio import atomic_write, write_lines
 from imglex.model import (
-    INIT_CHUNK_ROWS,
     MAX_EMBEDDING_ROWS,
     NORM_FLOOR,
     TOWER_KINDS,
@@ -53,7 +52,6 @@ from imglex.model import (
     _check_finite,
     _scatter_rows,
     init_params,
-    initial_rows,
 )
 
 BRUTEFORCE_MAX_BATCH = 64
@@ -338,7 +336,9 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
 
     A dense gradient updates every row; a row-sparse one only its rows, so
     rows with no gradient entry are untouched. An embedding row the table
-    does not hold raises ValueError before anything is written.
+    does not hold raises ValueError before anything is written, and a
+    non-finite gradient or accumulator raises NonFiniteError before its
+    array is written.
     """
     emb_slots = params.embeddings.slots(grads.embeddings.rows)
     thetas, accums = params.arrays(), opt.accum.arrays()
@@ -352,6 +352,7 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
         _check_finite("gradient", g)
         accum = accums[name]
         new_accum = accum[rows] + g * g
+        _check_finite("Adagrad accumulator", new_accum)
         accum[rows] = new_accum
         thetas[name][rows] -= opt.learning_rate * g / (np.sqrt(new_accum) + ADAGRAD_EPSILON)
 
@@ -374,6 +375,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if f.type.startswith("int") and value is not None and type(value) is not int:
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
         if self.emb_dim < 1:
             raise ConfigError("emb_dim must be >= 1")
         if self.batch_size < 2:
@@ -418,7 +421,8 @@ def train(
     raised before any row is drawn, and arrays too large to allocate (a
     huge emb_dim or hidden_dim) are a ConfigError. Raises TrainingDiverged,
     naming the epoch and batch (both from 0), when a touched parameter, the
-    tower output, a gradient or the batch loss goes non-finite.
+    tower output, a gradient, an Adagrad accumulator or the batch loss goes
+    non-finite.
     """
     config.validate()
     examples = list(examples)
@@ -554,27 +558,6 @@ def save_loss_curve(path: str | Path, epoch_losses: Sequence[float]) -> None:
     write_lines(path, lines)
 
 
-def _changed_slots(table: EmbeddingTable, accum: np.ndarray, seed: int) -> np.ndarray:
-    """Where in ``table.rows`` the held rows sit whose row of ``accum`` has a
-    set bit, or that differ bit for bit from their initial value drawn from
-    ``seed``. A row the table does not hold is initial with a zero
-    accumulator, so only held rows are looked at, a chunk at a time: first
-    the accumulator bits, which store a row without drawing it, then only the
-    rows whose accumulator is all zero bits are regenerated and compared. A
-    row training touched has a nonzero accumulator unless its squared
-    gradients underflowed to 0, so a trained table draws few rows, if any."""
-    bits, accum_bits = table.rows.view(np.uint64), accum.view(np.uint64)
-    slots = [np.zeros(0, dtype=np.int64)]
-    for start in range(0, table.ids.size, INIT_CHUNK_ROWS):
-        changed = accum_bits[start : start + INIT_CHUNK_ROWS].any(axis=1)
-        quiet = start + np.flatnonzero(~changed)
-        if quiet.size:
-            initial = initial_rows(seed, table.ids[quiet], table.emb_dim)
-            changed[quiet - start] = (bits[quiet] != initial.view(np.uint64)).any(axis=1)
-        slots.append(start + np.flatnonzero(changed))
-    return np.concatenate(slots)
-
-
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
@@ -587,39 +570,26 @@ def save_checkpoint(
     accumulators, epoch counter. The optimizer's rate is config.learning_rate.
 
     The tower's arrays are stored whole. Of the embedding table and its
-    accumulator, only the rows ``embeddings_ids`` are stored: those whose
-    accumulator is not all zero bits or that differ in any bit from their
-    initial value (drawn from config.seed). ``embeddings_num_rows`` is the
-    table's row count. Which rows the table holds does not change the file.
-    Only held rows with an all-zero accumulator have their initial value
-    drawn, so saving a trained table draws few rows, and an untrained one
-    draws each held row once. The stored rows are gathered and written one
-    chunk at a time. A table
-    that does not hold every row must draw its other rows from config.seed,
-    or it is a ValueError.
+    accumulator, the rows the table holds are stored, as they are, with
+    their ids as ``embeddings_ids``; ``embeddings_num_rows`` is the table's
+    row count. Nothing is drawn. A table that does not hold every row must
+    draw its other rows from config.seed, or it is a ValueError.
     """
     table = params.embeddings
     if table.ids.size < table.num_rows and table.seed != config.seed:
         raise ValueError(f"the table's rows are drawn from seed {table.seed}, the config's seed is {config.seed}")
-    slots = _changed_slots(table, opt.emb_accum, config.seed)
     meta = {"config": asdict(config), "vocab_hash": vocab_hash, "epoch": epoch}
-    whole = {
+    entries = {
         "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        "embeddings_ids": table.ids[slots],
+        "embeddings_ids": table.ids,
         "embeddings_num_rows": np.array(table.num_rows, dtype=np.int64),
         **params.tower.arrays(),
     }
-    whole.update((f"{name}_accum", accum) for name, accum in opt.accum.tower.arrays().items())
-    header = {"descr": np.lib.format.dtype_to_descr(table.rows.dtype), "fortran_order": False, "shape": (slots.size, table.emb_dim)}
-    with atomic_write(path) as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
-        for name, array in whole.items():
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, array, allow_pickle=False)
-        for name, block in (("embeddings", table.rows), ("embeddings_accum", opt.emb_accum)):
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(member, header)
-                for start in range(0, slots.size, INIT_CHUNK_ROWS):
-                    member.write(block[slots[start : start + INIT_CHUNK_ROWS]].tobytes())
+    entries.update((f"{name}_accum", accum) for name, accum in opt.accum.tower.arrays().items())
+    # Last, as in earlier files, so a trained table's file is unchanged byte for byte.
+    entries.update(embeddings=table.rows, embeddings_accum=opt.emb_accum)
+    with atomic_write(path) as fh:
+        np.savez(fh, **entries)
 
 
 @dataclass
@@ -716,12 +686,15 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     The embedding table holds the stored rows only, so memory follows them,
     not ``embeddings_num_rows``: any other row keeps its initial value, drawn
     from config.seed when read (``EmbeddingTable.read``), and the embedding
-    accumulator lines up row for row with the stored rows. The tower is the
-    stored one.
+    accumulator lines up row for row with the stored rows. A file that
+    stores fewer rows than its table held (earlier files left out the rows
+    training had not changed) loads the same way. The tower is the stored
+    one.
     A missing or unreadable file, a file that is not an ``.npz`` archive, an
     archive without an entry save_checkpoint writes, a ``meta`` entry that
-    is not the JSON object save_checkpoint writes (with a ``config`` that
-    TrainConfig.validate accepts and whose tower matches the arrays), an
+    is not the JSON object save_checkpoint writes (a string ``vocab_hash``,
+    an integer ``epoch`` >= 0 and a ``config`` that TrainConfig.validate
+    accepts and whose tower matches the arrays), an
     array whose dtype or shape save_checkpoint would not write for that
     config and a table row count past MAX_EMBEDDING_ROWS each raise DataError
     naming the file and the entry or field. Other ``meta`` keys are ignored.
@@ -756,11 +729,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     tower = "mlp" if isinstance(stored.tower, MlpImageTower) else "lookup"
     config = _checkpoint_config(path, meta, tower)
     _check_checkpoint_arrays(path, arrays, list(stored.arrays()), config)
+    vocab_hash, epoch = _meta_field(path, meta, "vocab_hash"), _meta_field(path, meta, "epoch")
+    if not isinstance(vocab_hash, str):
+        raise DataError(f"{path}: checkpoint meta 'vocab_hash' must be a string, got {vocab_hash!r}")
+    if type(epoch) is not int or epoch < 0:
+        raise DataError(f"{path}: checkpoint meta 'epoch' must be an integer >= 0, got {epoch!r}")
     table = EmbeddingTable(rows=stored.embeddings.rows, ids=ids, num_rows=int(num_rows), seed=config.seed)
     return Checkpoint(
         params=ModelParams(embeddings=table, tower=stored.tower),
         optimizer=OptimizerState(config.learning_rate, ModelParams.from_arrays(accums)),
         config=config,
-        vocab_hash=_meta_field(path, meta, "vocab_hash"),
-        epoch=_meta_field(path, meta, "epoch"),
+        vocab_hash=vocab_hash,
+        epoch=epoch,
     )

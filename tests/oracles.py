@@ -201,22 +201,6 @@ def load_word2vec_per_value(path) -> dict[str, np.ndarray]:
     return vectors
 
 
-def changed_rows(table: EmbeddingTable, accum: np.ndarray, seed: int) -> list[int]:
-    """The ids of the held rows a checkpoint must store: every held row is
-    drawn again from ``seed`` on a generator of its own, moved to the row by
-    hand, and compared bit for bit with the table's row; the result is ORed
-    with whether the row of ``accum`` has a set bit."""
-    half = 0.5 / table.emb_dim
-    stored = []
-    for k, row in enumerate(table.ids.tolist()):
-        rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(row * table.emb_dim)
-        initial = rng.uniform(-half, half, size=table.emb_dim)
-        if table.rows[k].tobytes() != initial.tobytes() or accum[k].view(np.uint64).any():
-            stored.append(row)
-    return stored
-
-
 def held_row_sets(num_rows: int) -> st.SearchStrategy[list[int]]:
     """Ascending embedding row ids in [0, num_rows): no row, every row, the
     rows on either side of each chunk edge, the first and last row, or a

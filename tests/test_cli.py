@@ -694,6 +694,8 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
          "exceed the int64 limit of 2**63 - 1 embedding rows"),
         (TRAIN + ["--emb-dim", "1000000000000", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 1,
          "config error: the model's float64 arrays cannot be allocated (3 embedding rows, emb_dim 1000000000000, hidden_dim None)"),
+        (TRAIN + ["--logit-scale", "1e160", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n1.0\ten\td\timg3\n", 1,
+         "training diverged: epoch 0, batch 0: non-finite Adagrad accumulator"),
         (EVAL + ["--similarity"], "EN:a\ten:b\t1\n", 3, "similarity task bad: word 'EN:a' has an invalid language tag"),
         (EVAL + ["--similarity"], ":a\ten:b\t1\n", 3, "similarity task bad: word ':a' has an invalid language tag"),
         (EVAL + ["--similarity"], "en:a\ten:b\tnan\nen:a\ten:c\t1\nen:b\ten:c\tinf\n", 2,
@@ -715,7 +717,7 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
          "lexicon: word 'EN:c' has an invalid language tag"),
     ],
     ids=[
-        "triples-upper", "triples-empty", "buckets-too-many", "emb-dim-too-large", "similarity-upper", "similarity-empty", "similarity-nan",
+        "triples-upper", "triples-empty", "buckets-too-many", "emb-dim-too-large", "accumulator-overflow", "similarity-upper", "similarity-empty", "similarity-nan",
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
         "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word", "lexicon-unaware-upper",
     ],
