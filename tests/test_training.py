@@ -613,6 +613,77 @@ def test_checkpoint_stores_the_rows_the_table_holds(tmp_path, monkeypatch, tower
         assert_checkpoints_load_the_same(paths[name], paths[f"{name}-all-rows"])
 
 
+@pytest.mark.parametrize("tower", ["lookup", "mlp"])
+def test_checkpoint_stores_only_changed_embedding_rows(tmp_path, tower):
+    # A table holding only rows that training changed, as train() leaves the
+    # corpus rows, stores exactly those rows, however small the change: a
+    # sign flip with a zero accumulator, one unit in the last place, or a
+    # nonzero accumulator on an initial value.
+    config = TrainConfig(tower=tower, emb_dim=4, hidden_dim=5 if tower == "mlp" else None, learning_rate=0.25, seed=7)
+    params = init_params(7, num_rows=10, emb_dim=4, tower=tower, feature_dim=3, hidden_dim=5, num_images=3, rows=[2, 4, 6])
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    table, table_accum = params.embeddings.rows, opt.emb_accum
+    table[0, 1] = -table[0, 1]  # row 2: value changed, accumulator zero
+    table[1, 3] = np.nextafter(table[1, 3], 1.0)  # row 4: one unit in the last place
+    table_accum[2, 0] = 0.25  # row 6: accumulator nonzero, value initial
+    for accum in opt.accum.tower.arrays().values():  # stored whole
+        accum.flat[0] = 1.5
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
+    assert stored_row_ids(path) == [2, 4, 6]
+    loaded = load_checkpoint(path)
+    assert loaded.params.embeddings.ids.tolist() == [2, 4, 6]
+    assert_same_checkpoint_arrays(path, loaded, params, opt)
+    assert_resaves_byte_for_byte(path, loaded)
+
+
+@pytest.mark.parametrize("trained", [True, False], ids=["every-accumulator-set", "untrained"])
+def test_save_checkpoint_draws_only_the_rows_with_a_zero_accumulator(tmp_path, monkeypatch, trained):
+    # Of the rows with a zero accumulator, saving draws none: every held row
+    # is stored as it is, so a table whose rows span five 1,024-row chunks
+    # is saved without a draw, trained or untrained (every accumulator 0).
+    held = np.arange(1, 5000, 3)
+    config = TrainConfig(tower="lookup", emb_dim=3, seed=2)
+    params = init_params(2, num_rows=5000, emb_dim=3, tower="lookup", num_images=2, rows=held)
+    opt = OptimizerState.for_params(params, config.learning_rate)
+    if trained:
+        params.embeddings.rows[::2] += 1.0
+        opt.emb_accum[:, 1] = 0.25
+    drawn: list[int] = []
+
+    def counting(seed, ids, emb_dim):
+        drawn.extend(ids.tolist())
+        return initial_rows(seed, ids, emb_dim)
+
+    path = tmp_path / "ckpt.npz"
+    with monkeypatch.context() as patched:
+        patched.setattr("imglex.model.initial_rows", counting)
+        save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
+    assert drawn == []
+    assert stored_row_ids(path) == held.tolist()
+    assert_same_checkpoint_arrays(path, load_checkpoint(path), params, opt)
+
+
+@pytest.mark.parametrize("tower", ["lookup", "mlp"])
+def test_checkpoint_of_the_compact_optimizer_equals_the_dense_one(tmp_path, tower):
+    # train() holds only the corpus rows, every 250th row of a 3,000-row
+    # table; an all-rows table and optimizer holding the same values store
+    # every row, and the two files load to the same values. Row 500 is reset
+    # to its initial value but keeps its accumulator.
+    tables, config = toy_tables(tower)
+    (params, compact), (dense_params, dense) = tables["trained"], tables["trained-all-rows"]
+    held = params.embeddings.ids
+    params.embeddings.rows[2] = dense_params.embeddings.rows[500] = initial_rows(config.seed, np.array([500]), 4)[0]
+    assert compact.emb_accum[2].any()
+    paths = tmp_path / "compact.npz", tmp_path / "dense.npz"
+    for path, (p, opt) in zip(paths, ((params, compact), (dense_params, dense))):
+        save_checkpoint(path, p, opt, config, vocab_hash="h", epoch=2)
+    assert stored_row_ids(paths[0]) == held.tolist()
+    assert stored_row_ids(paths[1]) == list(range(3000))
+    assert_checkpoints_load_the_same(*paths)
+    assert_same_checkpoint_arrays(paths[0], load_checkpoint(paths[0]), params, compact)
+
+
 def test_checkpoint_of_changed_rows_only_loads_and_resaves_them(tmp_path):
     # Checkpoints once stored only the held rows that training had changed,
     # in value or accumulator; a row left out is initial with a zero
