@@ -20,9 +20,9 @@ also has a shared image pool so co-occurrence-only training has signal.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from imglex.errors import ConfigError, DataError
 from imglex.fileio import parse_number, read_rows, read_vectors, vector_row, write_lines
 from imglex.model import TOWER_KINDS
 from imglex.textproc import Vocabulary, is_language_code, tokenize
-from imglex.training import TrainExample
+from imglex.training import Batch
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,43 @@ def save_triples(path: str | Path, triples: Iterable[TripleRecord]) -> None:
     write_lines(path, (f"{t.weight!r}\t{t.lang}\t{t.query}\t{t.image_id}" for t in triples))
 
 
-def load_features(path: str | Path) -> dict[str, np.ndarray]:
-    """Parse a features TSV into image_id -> d-vector, d set by the first row:
-    row views of the matrix imglex.fileio.read_vectors reads."""
-    ids, matrix = read_vectors(path, lambda: read_rows(path, "features file", ncols=2), ",", "feature value")
-    return dict(zip(ids, matrix))
+class FeatureTable(Mapping[str, np.ndarray]):
+    """Image id -> feature vector over one read-only (N, d) float64 matrix:
+    ``matrix`` holds the vectors in file order, ``index`` maps each id to its
+    row, and ``table[id]`` is a view of that row. Iteration follows the
+    rows' order."""
+
+    def __init__(self, ids: list[str], matrix: np.ndarray):
+        self.matrix = matrix.view()
+        self.matrix.flags.writeable = False
+        self.index = {image_id: row for row, image_id in enumerate(ids)}
+
+    @classmethod
+    def of(cls, features: Mapping[str, np.ndarray]) -> "FeatureTable":
+        """``features`` itself if it is a FeatureTable; otherwise its vectors
+        packed, in its order, into a new matrix."""
+        if isinstance(features, FeatureTable):
+            return features
+        vectors = [np.asarray(vec, dtype=np.float64) for vec in features.values()]
+        return cls(list(features), np.stack(vectors) if vectors else np.empty((0, 0)))
+
+    def __getitem__(self, image_id: str) -> np.ndarray:
+        return self.matrix[self.index[image_id]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.index)
 
 
-def save_features(path: str | Path, features: dict[str, np.ndarray]) -> None:
+def load_features(path: str | Path) -> FeatureTable:
+    """Parse a features TSV into a FeatureTable over the matrix that
+    imglex.fileio.read_vectors reads; d is set by the first row."""
+    return FeatureTable(*read_vectors(path, lambda: read_rows(path, "features file", ncols=2), ",", "feature value"))
+
+
+def save_features(path: str | Path, features: Mapping[str, np.ndarray]) -> None:
     write_lines(path, (vector_row(image_id, vec, "\t", ",") for image_id, vec in features.items()))
 
 
@@ -208,9 +237,9 @@ def gen_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> SyntheticPaths:
 
 @dataclass
 class PreparedCorpus:
-    """Training examples plus the bookkeeping the tower needs."""
+    """The packed corpus plus the bookkeeping the tower needs."""
 
-    examples: list[TrainExample]
+    examples: Batch  # reads as a sequence of TrainExample
     dropped: int  # triples whose query tokenized to nothing
     feature_dim: int | None = None
     num_images: int | None = None
@@ -220,11 +249,15 @@ def prepare_examples(
     triples: Sequence[TripleRecord],
     vocab: Vocabulary,
     tower: str,
-    features: dict[str, np.ndarray] | None = None,
+    features: Mapping[str, np.ndarray] | None = None,
 ) -> PreparedCorpus:
-    """Tokenize queries, map tokens to ids, attach image references.
+    """Tokenize queries, map tokens to ids and images to rows, and pack the
+    kept triples into one Batch.
 
-    MLP mode requires a feature vector for every referenced image id; lookup
+    MLP mode requires a feature vector for every referenced image id; each
+    example's image row is that vector's row in the FeatureTable of
+    ``features`` (a table from load_features is used as it is, any other
+    mapping is packed into one), and the batch shares its matrix. Lookup
     mode re-indexes image ids densely in first-seen order. Triples whose
     query tokenizes to nothing are dropped and counted.
     """
@@ -232,26 +265,29 @@ def prepare_examples(
         raise ValueError(f"unknown tower kind {tower!r}")
     if tower == "mlp" and features is None:
         raise ValueError("mlp tower requires a feature map")
-    examples: list[TrainExample] = []
+    table = FeatureTable.of(features) if tower == "mlp" else None
+    image_index = {} if table is None else table.index
+    token_ids: list[int] = []
+    counts: list[int] = []
+    image_rows: list[int] = []
+    weights: list[float] = []
     dropped = 0
-    image_index: dict[str, int] = {}
-    feature_dim: int | None = None
     for t in triples:
         tokens = tokenize(t.query, t.lang, vocab.mode)
         if not tokens:
             dropped += 1
             continue
-        ids = np.array([vocab.lookup(tok) for tok in tokens], dtype=np.int64)
-        if tower == "mlp":
-            assert features is not None
-            vec = features.get(t.image_id)
-            if vec is None:
-                raise DataError(f"no feature vector for image id {t.image_id!r}")
-            feature_dim = vec.size
-            examples.append(TrainExample(token_ids=ids, image=vec, weight=t.weight))
+        if table is None:
+            row = image_index.setdefault(t.image_id, len(image_index))
         else:
-            dense = image_index.setdefault(t.image_id, len(image_index))
-            examples.append(TrainExample(token_ids=ids, image=dense, weight=t.weight))
-    if tower == "mlp":
-        return PreparedCorpus(examples=examples, dropped=dropped, feature_dim=feature_dim)
-    return PreparedCorpus(examples=examples, dropped=dropped, num_images=len(image_index))
+            row = image_index.get(t.image_id)
+            if row is None:
+                raise DataError(f"no feature vector for image id {t.image_id!r}")
+        token_ids += map(vocab.lookup, tokens)
+        counts.append(len(tokens))
+        image_rows.append(row)
+        weights.append(t.weight)
+    examples = Batch.pack(token_ids, counts, image_rows, weights, None if table is None else table.matrix)
+    if table is None:
+        return PreparedCorpus(examples=examples, dropped=dropped, num_images=len(image_index))
+    return PreparedCorpus(examples=examples, dropped=dropped, feature_dim=table.matrix.shape[1] if counts else None)

@@ -15,9 +15,14 @@ owns the bag-of-words forward and backward; the image tower runs its own
 for both towers.
 
 ``train`` packs the corpus into one Batch (flat token ids with per-query
-counts and offsets) and gathers every mini-batch from it by index. A step's
-forward and backward share one B x B float64 buffer: it holds the cosines,
-then the logits, then their shifted exponentials, then the logit gradient.
+counts and offsets, one image row and one weight per example) and gathers
+every mini-batch from it by index; ``imglex.data.prepare_examples`` already
+returns it packed, and a list of TrainExample is packed once. The MLP
+tower's image rows index the feature matrix ``load_features`` read, so a
+step gathers its B feature rows from that matrix and the corpus holds no
+copy of it. A step's forward and backward share one B x B float64 buffer:
+it holds the cosines, then the logits, then their shifted exponentials,
+then the logit gradient.
 
 ``train`` holds in its embedding table only the distinct token ids of the
 corpus, the only rows any step can read or give a gradient to; every other
@@ -32,9 +37,9 @@ from __future__ import annotations
 
 import json
 import zipfile
+from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +65,8 @@ ADAGRAD_EPSILON = 1e-8
 
 @dataclass
 class TrainExample:
-    """One prepared training example.
+    """One training example, as ``Batch.from_examples`` packs it and a Batch
+    reads it back.
 
     ``image`` is a d-vector of image features (MLP tower) or a dense image
     index (lookup tower).
@@ -72,53 +78,87 @@ class TrainExample:
 
 
 @dataclass
-class Batch:
+class Batch(Sequence):
     """Examples in array form: the queries' token ids concatenated, with
-    per-query counts and offsets, plus the images and the weights.
+    per-query counts and offsets, one image row and one weight per example.
 
-    ``from_examples`` builds and validates a batch once; ``select`` gathers a
-    sub-batch by example index, so ``train`` packs the whole corpus once and
-    each step is an index gather.
+    The image row indexes ``features`` for the MLP tower, the (N, d) feature
+    matrix, which may hold more rows than the batch uses and is never
+    copied; for the lookup tower it is the image id and ``features`` is
+    None. ``images`` gathers what the image tower's forward takes.
+
+    The packed corpus of a run is one Batch: ``imglex.data.prepare_examples``
+    packs it straight from the triples (``pack``) and ``from_examples`` packs
+    a list of TrainExample; ``select`` gathers a sub-batch by example index,
+    so each step of ``train`` is an index gather. A Batch also reads as a
+    sequence of TrainExample: an int index builds one (its image a row view
+    of ``features``), a slice a list of them.
     """
 
     token_ids: np.ndarray  # (T,) int64; query q is token_ids[offsets[q] : offsets[q] + counts[q]]
     counts: np.ndarray  # (B,) int64, each >= 1
     offsets: np.ndarray  # (B,) int64
-    images: np.ndarray  # what the image tower's forward takes: (B, d) features (MLP) or (B,) int ids (lookup)
+    image_rows: np.ndarray  # (B,) int64: a row of features (MLP) or an image id (lookup)
     weights: np.ndarray  # (B,) non-negative
+    features: np.ndarray | None = None  # (N, d) float64 (MLP); None (lookup)
 
     @property
     def size(self) -> int:
         return self.counts.size
 
+    @property
+    def images(self) -> np.ndarray:
+        """What the image tower's forward takes: (B, d) features (MLP) or (B,) image ids (lookup)."""
+        return self.image_rows if self.features is None else self.features[self.image_rows]
+
+    @classmethod
+    def pack(cls, token_ids, counts, image_rows, weights, features: np.ndarray | None = None) -> "Batch":
+        """A batch of the given arrays (or lists), checked: every query has a
+        token and every weight is finite and non-negative. It may be empty."""
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.size and counts.min() == 0:
+            raise ValueError("empty query in batch")
+        weights = np.asarray(weights, dtype=np.float64)
+        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
+            raise ValueError("weights must be finite and non-negative")
+        token_ids, image_rows = np.asarray(token_ids, dtype=np.int64), np.asarray(image_rows, dtype=np.int64)
+        return cls(token_ids, counts, _starts(counts), image_rows, weights, features)
+
     @classmethod
     def from_examples(cls, examples: Sequence[TrainExample]) -> "Batch":
+        """Pack ``examples``; their feature vectors are stacked into a new matrix."""
         if len(examples) == 0:
             raise ValueError("empty batch")
         queries = [np.asarray(ex.token_ids, dtype=np.int64) for ex in examples]
-        counts = np.array([ids.size for ids in queries], dtype=np.int64)
-        if counts.min() == 0:
-            raise ValueError("empty query in batch")
         kinds = {np.ndim(ex.image) for ex in examples}  # 0: image id, 1: feature vector
         if len(kinds) != 1:
             raise ValueError("mixed tower kinds in one batch")
         if kinds == {0}:
-            images = np.array([int(ex.image) for ex in examples], dtype=np.int64)
+            image_rows, features = [int(ex.image) for ex in examples], None
         else:
-            images = np.stack([np.asarray(ex.image, dtype=np.float64) for ex in examples])
-        weights = np.array([ex.weight for ex in examples], dtype=np.float64)
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise ValueError("weights must be finite and non-negative")
-        return cls(np.concatenate(queries), counts, _starts(counts), images, weights)
+            image_rows, features = np.arange(len(examples)), np.stack([np.asarray(ex.image, dtype=np.float64) for ex in examples])
+        weights = [ex.weight for ex in examples]
+        return cls.pack(np.concatenate(queries), [ids.size for ids in queries], image_rows, weights, features)
 
     def select(self, index: np.ndarray) -> "Batch":
-        """The examples at ``index``, in that order, as a new batch."""
+        """The examples at ``index``, in that order, as a new batch over the same features."""
         counts = self.counts[index]
         offsets = _starts(counts)
         # Token t of gathered query q sits at t + (old start - new start of q).
         positions = np.repeat(self.offsets[index] - offsets, counts)
         positions += np.arange(positions.size)
-        return Batch(self.token_ids[positions], counts, offsets, self.images[index], self.weights[index])
+        return Batch(self.token_ids[positions], counts, offsets, self.image_rows[index], self.weights[index], self.features)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(self.size))]
+        k = range(self.size)[index]
+        start, row = self.offsets[k], self.image_rows[k]
+        image = int(row) if self.features is None else self.features[row]
+        return TrainExample(self.token_ids[start : start + self.counts[k]], image, float(self.weights[k]))
 
 
 def _starts(counts: np.ndarray) -> np.ndarray:
@@ -409,7 +449,9 @@ def train(
 ) -> TrainResult:
     """Shuffled mini-batch training, deterministic given config.seed.
 
-    The examples are packed into one Batch up front. Each epoch reshuffles
+    ``examples`` is a packed corpus (a Batch, such as
+    ``PreparedCorpus.examples``), trained on as it is, or a sequence of
+    TrainExample, packed into one Batch up front. Each epoch reshuffles
     with a seeded RNG and gathers batches of config.batch_size from it; the
     final partial batch is kept, but a single leftover example joins the
     batch before it (alone, its in-batch softmax is constant: zero loss and
@@ -425,14 +467,15 @@ def train(
     non-finite.
     """
     config.validate()
-    examples = list(examples)
-    if not examples:
+    if not isinstance(examples, Batch):
+        examples = list(examples)
+    if len(examples) == 0:
         raise ValueError("no training examples (all queries empty?)")
     if len(examples) == 1:
         raise ValueError("a single training example has a constant in-batch softmax; need at least 2")
-    corpus = Batch.from_examples(examples)
+    corpus = examples if isinstance(examples, Batch) else Batch.from_examples(examples)
     # Checked before init_params, which would size a tower from the other kind of images.
-    given = "mlp" if corpus.images.ndim == 2 else "lookup"
+    given = "lookup" if corpus.features is None else "mlp"
     if given != config.tower:
         raise ValueError(f"examples are for the {given} tower, config asks for {config.tower!r}")
     # The only embedding rows any step can read or give a gradient to.
@@ -443,14 +486,14 @@ def train(
     # init_params reads only the arguments of config.tower; the image count
     # scans every image, so only the lookup tower pays for it.
     if config.tower == "lookup" and num_images is None:
-        num_images = corpus.images.max() + 1
+        num_images = corpus.image_rows.max() + 1
     try:
         params = init_params(
             config.seed,
             num_rows=num_embedding_rows,
             emb_dim=config.emb_dim,
             tower=config.tower,
-            feature_dim=corpus.images.shape[-1],
+            feature_dim=None if corpus.features is None else corpus.features.shape[1],
             hidden_dim=config.hidden_dim,
             num_images=num_images,
             rows=held,

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from imglex.errors import DataError, EvalError
 from imglex.evaluation import LexiconPair, RetrievalResult, Vectors, task_token
 from imglex.fileio import read_rows
-from imglex.model import INIT_CHUNK_ROWS, EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams
+from imglex.model import INIT_CHUNK_ROWS, NORM_FLOOR, EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams, RowGradient
 from imglex.textproc import LangMode, is_language_code
-from imglex.training import Batch, batch_loss
+from imglex.training import Batch, batch_gradients, batch_loss
 
 
 def query_repr(table: EmbeddingTable, token_ids: Sequence[int]) -> np.ndarray:
@@ -144,6 +144,81 @@ def numeric_gradients(params: ModelParams, batch: Batch, logit_scale: float, ste
             grad[i] = (up - down) / (2.0 * step)
         numeric[name] = grad.reshape(theta.shape)
     return numeric
+
+
+def _kinks(params: ModelParams, batch: Batch) -> list[np.ndarray]:
+    """Which side of each kink the batch's loss sits on: every ReLU
+    pre-activation of the MLP tower > 0, and every query and image
+    representation's norm < NORM_FLOOR. Computed without the library's
+    forward: the embedding rows come from ``EmbeddingTable.read``."""
+    rows = params.embeddings.read(batch.token_ids)
+    queries = np.add.reduceat(rows, batch.offsets, axis=0) / batch.counts[:, None]
+    tower = params.tower
+    if isinstance(tower, MlpImageTower):
+        pre_hidden = batch.images @ tower.V.T + tower.b1
+        pre_out = np.maximum(pre_hidden, 0.0) @ tower.U.T + tower.b2
+        sides = [pre_hidden > 0, pre_out > 0]
+        images = np.maximum(pre_out, 0.0)
+    else:
+        sides, images = [], tower.vectors[batch.images]
+    return sides + [np.linalg.norm(m, axis=1) < NORM_FLOOR for m in (queries, images)]
+
+
+def directional_check(
+    params: ModelParams, batch: Batch, logit_scale: float, rng: np.random.Generator, directions: int = 5, eps: float = 1e-6
+) -> list[float]:
+    """Relative errors |g.v - d| / max(|g.v|, |d|) of the analytic gradient g
+    along ``directions`` random directions v, each a standard normal draw
+    over every parameter array, against the central difference
+    d = (L(theta + eps v) - L(theta - eps v)) / (2 eps) of ``batch_loss``.
+
+    A direction is redrawn (up to 20 times per direction kept) if between
+    theta - eps v, theta and theta + eps v a ReLU pre-activation changes sign
+    or a norm crosses NORM_FLOOR: there the loss has a kink and the central
+    difference is not the derivative. The embedding gradient's row ids are
+    mapped to the table's rows with a search of their own, not with
+    ``EmbeddingTable.slots``. The parameters are restored bit for bit.
+    """
+    table = params.embeddings
+    thetas = params.arrays()
+    grads = batch_gradients(params, batch, logit_scale).arrays()
+    dense = {}
+    for name, grad in grads.items():
+        if isinstance(grad, RowGradient):
+            rows = grad.rows
+            if name == "embeddings":
+                rows = np.searchsorted(table.ids, grad.rows)
+                assert np.array_equal(table.ids[rows], grad.rows), "gradient of an embedding row the table does not hold"
+            dense[name] = np.zeros_like(thetas[name])
+            dense[name][rows] = grad.values
+        else:
+            dense[name] = grad
+    originals = {name: theta.copy() for name, theta in thetas.items()}
+    here = _kinks(params, batch)
+
+    def shifted(t: float, v: dict[str, np.ndarray]) -> tuple[list[np.ndarray], float]:
+        for name, theta in thetas.items():
+            theta[...] = originals[name] + t * v[name]
+        return _kinks(params, batch), batch_loss(params, batch, logit_scale).mean_weighted_loss
+
+    errors: list[float] = []
+    for _ in range(20 * directions):
+        if len(errors) == directions:
+            break
+        v = {name: rng.standard_normal(theta.shape) for name, theta in thetas.items()}
+        try:
+            (below, down), (above, up) = shifted(-eps, v), shifted(eps, v)
+        finally:
+            for name, theta in thetas.items():
+                theta[...] = originals[name]
+        if not all(np.array_equal(a, h) and np.array_equal(b, h) for a, h, b in zip(below, here, above)):
+            continue
+        numeric = (up - down) / (2.0 * eps)
+        analytic = float(sum(np.vdot(dense[name], v[name]) for name in thetas))
+        errors.append(abs(analytic - numeric) / max(abs(analytic), abs(numeric)))
+    if len(errors) < directions:
+        raise AssertionError(f"only {len(errors)} of {20 * directions} directions crossed no kink")
+    return errors
 
 
 def _parse_value(raw, path, lineno, what) -> float:

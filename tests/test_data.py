@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from imglex.data import (
+    FeatureTable,
     SyntheticSpec,
     TripleRecord,
     filter_multilingual,
@@ -17,6 +18,7 @@ from imglex.data import (
     load_features,
     load_triples,
     prepare_examples,
+    save_features,
     save_triples,
 )
 from imglex.errors import DataError
@@ -315,6 +317,43 @@ def test_load_features_rows_view_one_matrix(tmp_path):
     matrix = feats["a"].base
     assert matrix is not None and matrix is feats["b"].base
     assert matrix.shape == (2, 3) and matrix.dtype == np.float64
+
+
+def test_feature_table_reads_the_file_in_order(tmp_path):
+    path = tmp_path / "f.tsv"
+    path.write_text("b\t1.5,-0.0\na\t3.0,4.0\nc\t5e-324,1e+308\n", encoding="utf-8")  # as save_features writes
+    table = load_features(path)
+    assert isinstance(table, FeatureTable)
+    assert len(table) == 3 and list(table) == ["b", "a", "c"] and "a" in table and "z" not in table
+    assert table.matrix.shape == (3, 2) and [table.index[k] for k in table] == [0, 1, 2]
+    assert_same_features(table, load_features_per_value(path))
+    with pytest.raises(KeyError):
+        table["z"]
+    assert table.get("z") is None
+    with pytest.raises(ValueError, match="read-only"):
+        table["a"][0] = 1.0
+    copy = tmp_path / "copy.tsv"
+    save_features(copy, table)
+    assert copy.read_bytes() == path.read_bytes()
+
+
+def test_prepare_examples_shares_the_loaded_matrix(tmp_path):
+    features = {"img42": np.array([0.1, 0.2]), "img7": np.array([0.3, 0.4]), "unused": np.array([0.5, 0.6])}
+    path = tmp_path / "f.tsv"
+    save_features(path, features)
+    table = load_features(path)
+    from_table, _ = prepared_fixture("mlp", features=table)
+    from_dict, _ = prepared_fixture("mlp", features=features)
+    assert from_table.examples.features.base is table.matrix.base  # no copy
+    assert from_table.examples.image_rows.tolist() == [0, 1]
+    for got, want in zip(from_table.examples, from_dict.examples, strict=True):
+        assert got.token_ids.tolist() == want.token_ids.tolist() and got.weight == want.weight
+        assert got.image.tobytes() == want.image.tobytes()
+
+
+def test_prepare_examples_checks_the_weights():
+    with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+        prepared_fixture("lookup", triples=[triple(-1.0, "en", "back", "a")])
 
 
 @pytest.fixture(scope="module")

@@ -45,7 +45,7 @@ from imglex.training import (
     sgd_step,
     train,
 )
-from oracles import held_row_sets, image_repr_mlp, numeric_gradients, query_repr
+from oracles import directional_check, held_row_sets, image_repr_mlp, numeric_gradients, query_repr
 
 LOG4 = 1.3862943611198906
 LOG_1P_EXP_M1 = 0.31326168751822286  # log(1 + e^-1)
@@ -1365,6 +1365,101 @@ def test_held_rows_train_bit_identically_to_an_all_rows_table(tmp_path, tower):
     save_checkpoint(paths[0], result.params, result.optimizer, config, vocab_hash="h", epoch=3)
     save_checkpoint(paths[1], params, opt, config, vocab_hash="h", epoch=3)
     assert_checkpoints_load_the_same(*paths)
+
+
+def assert_same_batch(got, want):
+    for name in ("token_ids", "counts", "offsets", "images", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+
+
+@pytest.mark.parametrize("tower", TOWER_KINDS)
+def test_packed_corpus_equals_packing_its_examples(tower):
+    _, prep = hashed_synth_corpus(tower, seed=9)
+    corpus = prep.examples
+    assert isinstance(corpus, Batch)
+    assert_same_batch(corpus, Batch.from_examples(list(corpus)))
+    index = np.random.default_rng(3).permutation(len(corpus))[:50]
+    assert_same_batch(corpus.select(index), Batch.from_examples([corpus[i] for i in index]))
+    assert len(corpus[:7]) == 7 and all(isinstance(ex, TrainExample) for ex in corpus[:7])
+    last = corpus[-1]
+    assert last.token_ids.tolist() == corpus.token_ids[corpus.offsets[-1] :].tolist()
+    if tower == "mlp":
+        assert np.shares_memory(last.image, corpus.features)  # a row view, not a copy
+    else:
+        assert type(last.image) is int
+    with pytest.raises(IndexError):
+        corpus[len(corpus)]
+
+
+@pytest.mark.parametrize("tower", TOWER_KINDS)
+def test_train_on_the_packed_corpus_equals_train_on_its_examples(tower):
+    vocab, prep = hashed_synth_corpus(tower, seed=10)
+    config = TrainConfig(tower=tower, emb_dim=6, hidden_dim=5 if tower == "mlp" else None, batch_size=64, epochs=3, logit_scale=5.0, seed=2)
+    packed = train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    listed = train(list(prep.examples), config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    assert packed.epoch_losses == listed.epoch_losses
+    assert packed.params.embeddings.ids.tolist() == listed.params.embeddings.ids.tolist()
+    for got, want in ((packed.params, listed.params), (packed.optimizer.accum, listed.optimizer.accum)):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.arrays().values(), want.arrays().values(), strict=True))
+
+
+def test_train_on_the_packed_corpus_copies_no_feature_row():
+    # 40,000 images of 64 features (20.48 MB), each the image of one triple:
+    # packed once by prepare_examples, the matrix is what every step gathers
+    # from, so train() allocates far less than one copy of it.
+    n, d = 40_000, 64
+    matrix = np.random.default_rng(51).standard_normal((n, d))
+    features = {f"i{k}": row for k, row in enumerate(matrix)}
+    triples = [TripleRecord(1.0, "en", f"w{k % 50}", f"i{k}") for k in range(n)]
+    vocab = build_vocab((f"en:w{k}" for k in range(50)), min_count=1, num_buckets=10, mode=LangMode.AWARE)
+    prep = prepare_examples(triples, vocab, tower="mlp", features=features)
+    config = TrainConfig(tower="mlp", emb_dim=4, hidden_dim=4, batch_size=500, epochs=1, seed=1)
+    tracemalloc.start()
+    try:
+        train(prep.examples, config, num_embedding_rows=vocab.total_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.nbytes >= 20_000_000
+    assert peak < matrix.nbytes, peak
+
+
+@pytest.fixture(scope="module", params=TOWER_KINDS)
+def trained_at_b1000(request):
+    """Parameters after 2 epochs at B=1000 on a gensynth corpus whose every
+    third query carries a rare token hashed into one of 2**41 buckets (ids
+    up to about 2**41), and a batch of 1,000 examples gathered from the
+    packed corpus."""
+    tower = request.param
+    corpus = generate_synthetic(SyntheticSpec(num_concepts=10, num_examples=1300, feature_dim=12, images_per_concept=40, seed=11))
+    triples = [TripleRecord(t.weight, t.lang, f"{t.query} rare{k}" if k % 3 == 0 else t.query, t.image_id) for k, t in enumerate(corpus.triples)]
+    vocab = build_vocab(
+        (tok for t in triples for tok in tokenize(t.query, t.lang, LangMode.AWARE)), min_count=6, num_buckets=2**41, mode=LangMode.AWARE
+    )
+    prep = prepare_examples(triples, vocab, tower=tower, features=corpus.features)
+    assert np.count_nonzero(prep.examples.token_ids > 2**40) > 100
+    config = TrainConfig(tower=tower, emb_dim=16, hidden_dim=24 if tower == "mlp" else None, batch_size=1000, epochs=2, logit_scale=10.0, seed=5)
+    result = train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    batch = prep.examples.select(np.random.default_rng(1).permutation(len(prep.examples))[:1000])
+    return result.params, batch, config.logit_scale
+
+
+def test_directional_derivatives_at_b1000(trained_at_b1000):
+    params, batch, logit_scale = trained_at_b1000
+    before = {name: theta.tobytes() for name, theta in params.arrays().items()}
+    errors = directional_check(params, batch, logit_scale, np.random.default_rng(2))
+    assert len(errors) == 5 and max(errors) <= 1e-6, errors
+    assert {name: theta.tobytes() for name, theta in params.arrays().items()} == before
+
+
+def test_directional_check_catches_a_slot_map_off_by_one_row(trained_at_b1000, monkeypatch):
+    # Each token reads and updates the held row after its own.
+    params, batch, logit_scale = trained_at_b1000
+    slots = EmbeddingTable.slots
+    monkeypatch.setattr(EmbeddingTable, "slots", lambda self, ids: (slots(self, ids) + 1) % self.ids.size)
+    errors = directional_check(params, batch, logit_scale, np.random.default_rng(2))
+    assert min(errors) > 1e-3, errors
 
 
 @pytest.mark.parametrize("multilingual_filter", [False, True])
