@@ -190,9 +190,9 @@ def cmd_train(args) -> int:
             f"exceed the int64 limit of 2**63 - 1 embedding rows"
         )
     prepared = prepare_examples(triples, vocab, tower=tower, features=features)
-    if len(prepared.examples) < 2:
+    if prepared.examples.size < 2:
         raise DataError(
-            f"{len(prepared.examples)} usable training examples, the in-batch softmax needs at least 2 "
+            f"{prepared.examples.size} usable training examples, the in-batch softmax needs at least 2 "
             "(every query tokenized to nothing?)"
         )
     result = train(prepared.examples, config, num_embedding_rows=vocab.total_ids, num_images=prepared.num_images)
@@ -210,7 +210,7 @@ def cmd_train(args) -> int:
     )
     save_loss_curve(out / "loss.csv", result.epoch_losses)
     print(f"vocabulary: {vocab.vocab_size} tokens + {vocab.num_buckets} buckets")
-    print(f"examples: {len(prepared.examples)} (dropped {prepared.dropped} empty queries)")
+    print(f"examples: {prepared.examples.size} (dropped {prepared.dropped} empty queries)")
     final = f"{result.epoch_losses[-1]:.6f}" if result.epoch_losses else "n/a (0 epochs)"
     print(f"final epoch mean loss: {final}")
     print(f"wrote {out / 'embeddings.vec'}")
@@ -220,6 +220,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if (args.classify_train is None) != (args.classify_test is None):
         raise UsageError("--classify-train and --classify-test go together")
+    if args.out_dir and not (args.similarity or args.classify_train):
+        raise UsageError("--out-dir writes the similarity/classification report: pass --similarity or --classify-train/--classify-test")
+    if args.aggregate and not args.similarity:
+        raise UsageError("--aggregate pools the similarity tasks: pass --similarity")
     vectors = load_word2vec(args.embeddings)
     mode = mode_of_tokens(vectors)
     errored = False

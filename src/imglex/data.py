@@ -239,7 +239,7 @@ def gen_synthetic(spec: SyntheticSpec, out_dir: str | Path) -> SyntheticPaths:
 class PreparedCorpus:
     """The packed corpus plus the bookkeeping the tower needs."""
 
-    examples: Batch  # reads as a sequence of TrainExample
+    examples: Batch  # the packed corpus, train()'s one input
     dropped: int  # triples whose query tokenized to nothing
     feature_dim: int | None = None
     num_images: int | None = None

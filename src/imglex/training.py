@@ -14,15 +14,14 @@ owns the bag-of-words forward and backward; the image tower runs its own
 ``forward`` and ``backward`` (``imglex.model``), so the step is the same code
 for both towers.
 
-``train`` packs the corpus into one Batch (flat token ids with per-query
-counts and offsets, one image row and one weight per example) and gathers
-every mini-batch from it by index; ``imglex.data.prepare_examples`` already
-returns it packed, and a list of TrainExample is packed once. The MLP
-tower's image rows index the feature matrix ``load_features`` read, so a
-step gathers its B feature rows from that matrix and the corpus holds no
-copy of it. A step's forward and backward share one B x B float64 buffer:
-it holds the cosines, then the logits, then their shifted exponentials,
-then the logit gradient.
+``train`` has one input, the packed corpus: one Batch (flat token ids with
+per-query counts and offsets, one image row and one weight per example), as
+``imglex.data.prepare_examples`` returns it, and it gathers every
+mini-batch from it by index. The MLP tower's image rows index the feature
+matrix ``load_features`` read, so a step gathers its B feature rows from
+that matrix and the corpus holds no copy of it. A step's forward and
+backward share one B x B float64 buffer: it holds the cosines, then the
+logits, then their shifted exponentials, then the logit gradient.
 
 ``train`` holds in its embedding table only the distinct token ids of the
 corpus, the only rows any step can read or give a gradient to; every other
@@ -31,6 +30,13 @@ its tokens to rows of that block with one ``np.searchsorted``. Adagrad's
 accumulators have the shapes of the parameters, so the embedding
 accumulator lines up row for row with the held rows, and the memory of both
 grows with the rows the corpus holds, not with the hash buckets.
+
+The per-example view is kept for ``bench/`` only; each name goes with its lines:
+- ``TrainExample`` and a Batch read as a sequence (``len``, iteration, an
+  int or slice index): ``bench/pipeline.py`` lines 129, 143, 179, 243, 251;
+- ``Batch.from_examples``: ``bench/pipeline.py`` lines 179 and 253;
+- ``Gradients.images``: ``bench/pipeline.py`` line 267;
+- ``OptimizerState.emb_accum`` and ``mlp_accum``: ``bench/counts.py`` lines 52-53.
 """
 
 from __future__ import annotations
@@ -65,15 +71,10 @@ ADAGRAD_EPSILON = 1e-8
 
 @dataclass
 class TrainExample:
-    """One training example, as ``Batch.from_examples`` packs it and a Batch
-    reads it back.
-
-    ``image`` is a d-vector of image features (MLP tower) or a dense image
-    index (lookup tower).
-    """
+    """One example of the benchmark's per-example view (see the module docstring)."""
 
     token_ids: np.ndarray
-    image: np.ndarray | int
+    image: np.ndarray | int  # a d-vector of image features (MLP tower) or a dense image id (lookup tower)
     weight: float = 1.0
 
 
@@ -87,12 +88,11 @@ class Batch(Sequence):
     copied; for the lookup tower it is the image id and ``features`` is
     None. ``images`` gathers what the image tower's forward takes.
 
-    The packed corpus of a run is one Batch: ``imglex.data.prepare_examples``
-    packs it straight from the triples (``pack``) and ``from_examples`` packs
-    a list of TrainExample; ``select`` gathers a sub-batch by example index,
-    so each step of ``train`` is an index gather. A Batch also reads as a
-    sequence of TrainExample: an int index builds one (its image a row view
-    of ``features``), a slice a list of them.
+    The packed corpus of a run is one Batch, ``train``'s one input:
+    ``imglex.data.prepare_examples`` packs it from the triples (``pack``),
+    and ``select`` gathers a sub-batch by example index, so each step of
+    ``train`` is an index gather. The benchmark also reads a Batch as a
+    sequence of examples, each image a row view of ``features``.
     """
 
     token_ids: np.ndarray  # (T,) int64; query q is token_ids[offsets[q] : offsets[q] + counts[q]]
@@ -441,7 +441,7 @@ class TrainResult:
 
 
 def train(
-    examples: Sequence[TrainExample],
+    corpus: Batch,
     config: TrainConfig,
     *,
     num_embedding_rows: int,
@@ -449,9 +449,8 @@ def train(
 ) -> TrainResult:
     """Shuffled mini-batch training, deterministic given config.seed.
 
-    ``examples`` is a packed corpus (a Batch, such as
-    ``PreparedCorpus.examples``), trained on as it is, or a sequence of
-    TrainExample, packed into one Batch up front. Each epoch reshuffles
+    ``corpus`` is the packed corpus, one Batch such as
+    ``PreparedCorpus.examples``, trained on as it is. Each epoch reshuffles
     with a seeded RNG and gathers batches of config.batch_size from it; the
     final partial batch is kept, but a single leftover example joins the
     batch before it (alone, its in-batch softmax is constant: zero loss and
@@ -467,13 +466,10 @@ def train(
     non-finite.
     """
     config.validate()
-    if not isinstance(examples, Batch):
-        examples = list(examples)
-    if len(examples) == 0:
+    if corpus.size == 0:
         raise ValueError("no training examples (all queries empty?)")
-    if len(examples) == 1:
+    if corpus.size == 1:
         raise ValueError("a single training example has a constant in-batch softmax; need at least 2")
-    corpus = examples if isinstance(examples, Batch) else Batch.from_examples(examples)
     # Checked before init_params, which would size a tower from the other kind of images.
     given = "lookup" if corpus.features is None else "mlp"
     if given != config.tower:
@@ -562,13 +558,12 @@ def grad_check(tower: str, seed: int) -> GradCheckReport:
     for theta in params.arrays().values():  # biases N(0, 0.3^2), matrices N(0, 0.6^2)
         theta[:] = rng.normal(0.0, 0.3 if theta.ndim == 1 else 0.6, size=theta.shape)
     if tower == "mlp":
-        images: np.ndarray = rng.normal(0.0, 1.0, size=(batch_size, feature_dim))
+        features, image_rows = rng.normal(0.0, 1.0, size=(batch_size, feature_dim)), np.arange(batch_size)
     else:
-        images = rng.integers(0, num_images, size=batch_size)
-    token_ids = [rng.integers(0, num_rows, size=rng.integers(1, 5)) for _ in range(batch_size)]
-    batch = Batch.from_examples(
-        [TrainExample(ids, image, weight=float(rng.uniform(0.2, 2.0))) for ids, image in zip(token_ids, images)]
-    )
+        features, image_rows = None, rng.integers(0, num_images, size=batch_size)
+    queries = [rng.integers(0, num_rows, size=rng.integers(1, 5)) for _ in range(batch_size)]
+    weights = rng.uniform(0.2, 2.0, size=batch_size)
+    batch = Batch.pack(np.concatenate(queries), [ids.size for ids in queries], image_rows, weights, features)
 
     grads = batch_gradients(params, batch, logit_scale).arrays()
     max_rel = 0.0
@@ -630,7 +625,7 @@ def save_checkpoint(
     }
     entries.update((f"{name}_accum", accum) for name, accum in opt.accum.tower.arrays().items())
     # Last, as in earlier files, so a trained table's file is unchanged byte for byte.
-    entries.update(embeddings=table.rows, embeddings_accum=opt.emb_accum)
+    entries.update(embeddings=table.rows, embeddings_accum=opt.accum.embeddings.rows)
     with atomic_write(path) as fh:
         np.savez(fh, **entries)
 

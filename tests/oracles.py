@@ -20,6 +20,21 @@ from imglex.textproc import LangMode, is_language_code
 from imglex.training import Batch, batch_gradients, batch_loss
 
 
+def pack_examples(examples: Sequence[tuple]) -> Batch:
+    """The tests' per-example constructor: a Batch of ``(token_ids, image,
+    weight)`` examples through ``Batch.pack``, so its checks apply. The
+    images are all feature vectors, stacked in order into a new matrix (MLP
+    tower), or all image ids (lookup tower); no example means lookup."""
+    queries = [np.asarray(ids, dtype=np.int64) for ids, _, _ in examples]
+    images = [image for _, image, _ in examples]
+    if images and np.ndim(images[0]):
+        image_rows, features = np.arange(len(images)), np.stack(images).astype(np.float64)
+    else:
+        image_rows, features = images, None
+    token_ids = np.concatenate([np.empty(0, dtype=np.int64), *queries])
+    return Batch.pack(token_ids, [ids.size for ids in queries], image_rows, [w for _, _, w in examples], features)
+
+
 def query_repr(table: EmbeddingTable, token_ids: Sequence[int]) -> np.ndarray:
     """Arithmetic mean of the embedding rows for ``token_ids``.
 

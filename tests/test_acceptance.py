@@ -32,9 +32,7 @@ from imglex.evaluation import (
 from imglex.model import init_params
 from imglex.textproc import LangMode, Vocabulary, build_vocab, tokenize
 from imglex.training import (
-    Batch,
     TrainConfig,
-    TrainExample,
     batch_loss,
     batch_loss_bruteforce,
     grad_check,
@@ -42,6 +40,7 @@ from imglex.training import (
 )
 
 from conftest import naive_spearman
+from oracles import pack_examples
 
 
 def report_line(num, name, ok, detail=""):
@@ -156,14 +155,10 @@ def random_setup(rng, tower, batch_size):
         images = [int(rng.integers(num_images)) for _ in range(batch_size)]
     params.embeddings.rows[:] = rng.normal(0, 0.6, size=params.embeddings.rows.shape)
     examples = [
-        TrainExample(
-            token_ids=rng.integers(0, num_rows, size=int(rng.integers(1, 5))),
-            image=images[i],
-            weight=float(rng.uniform(0.0, 2.0)),
-        )
+        (rng.integers(0, num_rows, size=int(rng.integers(1, 5))), images[i], float(rng.uniform(0.0, 2.0)))
         for i in range(batch_size)
     ]
-    return params, Batch.from_examples(examples)
+    return params, pack_examples(examples)
 
 
 def test_criterion_2_loss_oracle_equivalence():

@@ -715,11 +715,16 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
          "lexicon: word 'a' has no language tag"),
         (EVAL_BARE + ["--lexicon"], "en:a\tde:b\t0\nEN:c\tde:b\t1\n", 3,
          "lexicon: word 'EN:c' has an invalid language tag"),
+        (EVAL + ["--out-dir", "{out}", "--lexicon"], "en:a\tde:b\t0\nen:c\tde:b\t0\n", 1,
+         "error: --out-dir writes the similarity/classification report: pass --similarity or --classify-train/--classify-test"),
+        (EVAL + ["--aggregate", "--lexicon"], "en:a\tde:b\t0\nen:c\tde:b\t0\n", 1,
+         "error: --aggregate pools the similarity tasks: pass --similarity"),
     ],
     ids=[
         "triples-upper", "triples-empty", "buckets-too-many", "emb-dim-too-large", "accumulator-overflow", "similarity-upper", "similarity-empty", "similarity-nan",
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
         "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word", "lexicon-unaware-upper",
+        "out-dir-without-report", "aggregate-without-similarity",
     ],
 )
 def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, content, code, err):

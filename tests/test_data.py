@@ -225,11 +225,11 @@ def test_prepare_examples_mlp():
     features = {"img42": np.array([0.1, 0.2]), "img7": np.array([0.3, 0.4])}
     prep, vocab = prepared_fixture("mlp", features=features)
     assert prep.dropped == 1  # "???" tokenizes to nothing
-    assert len(prep.examples) == 2
-    first = prep.examples[0]
-    assert list(first.token_ids) == [vocab.index["en:back"], vocab.index["en:pain"]]
-    assert np.array_equal(first.image, features["img42"])
-    assert first.weight == 1.0
+    corpus = prep.examples
+    assert corpus.size == 2
+    assert corpus.token_ids[: corpus.counts[0]].tolist() == [vocab.index["en:back"], vocab.index["en:pain"]]
+    assert np.array_equal(corpus.images[0], features["img42"])
+    assert corpus.weights[0] == 1.0
     assert prep.feature_dim == 2
 
 
@@ -246,20 +246,20 @@ def test_prepare_examples_lookup_dense_reindex():
         triple(1.0, "en", "pain", "a"),
     ]
     prep, _ = prepared_fixture("lookup", triples=triples)
-    assert [ex.image for ex in prep.examples] == [0, 1, 0]
+    assert prep.examples.image_rows.tolist() == [0, 1, 0]
     assert prep.num_images == 2
 
 
 def test_prepare_examples_hashes_oov_tokens():
     _, vocab = prepared_fixture("lookup")
     prep = prepare_examples([triple(1.0, "fr", "inconnu", "x")], vocab, tower="lookup")
-    assert prep.examples[0].token_ids[0] >= vocab.vocab_size
+    assert prep.examples.token_ids[0] >= vocab.vocab_size
 
 
 def test_prepare_examples_preserves_order():
     triples = [triple(1.0, "en", f"back pain {k}", f"i{k}") for k in range(5)]
     prep, _ = prepared_fixture("lookup", triples=triples)
-    assert [ex.image for ex in prep.examples] == [0, 1, 2, 3, 4]
+    assert prep.examples.image_rows.tolist() == [0, 1, 2, 3, 4]
 
 
 # (case, features.tsv content, vectors by id, or the DataError message after "f.tsv:")

@@ -45,7 +45,7 @@ from imglex.training import (
     sgd_step,
     train,
 )
-from oracles import directional_check, held_row_sets, image_repr_mlp, numeric_gradients, query_repr
+from oracles import directional_check, held_row_sets, image_repr_mlp, numeric_gradients, pack_examples, query_repr
 
 LOG4 = 1.3862943611198906
 LOG_1P_EXP_M1 = 0.31326168751822286  # log(1 + e^-1)
@@ -69,20 +69,16 @@ def random_params_and_batch(rng, tower="mlp", batch_size=8, num_rows=20, emb_dim
         params.tower.vectors[:] = rng.normal(0, 0.6, size=params.tower.vectors.shape)
         images = [int(rng.integers(6)) for _ in range(batch_size)]
     examples = [
-        TrainExample(
-            token_ids=rng.integers(0, num_rows, size=int(rng.integers(1, 5))),
-            image=images[i],
-            weight=float(rng.uniform(0.0, 2.0)),
-        )
+        (rng.integers(0, num_rows, size=int(rng.integers(1, 5))), images[i], float(rng.uniform(0.0, 2.0)))
         for i in range(batch_size)
     ]
-    return params, Batch.from_examples(examples)
+    return params, pack_examples(examples)
 
 
 def test_singleton_batch_loss_is_zero():
     rng = np.random.default_rng(0)
     params, _ = random_params_and_batch(rng, tower="lookup")
-    batch = Batch.from_examples([TrainExample(token_ids=np.array([3, 4]), image=1, weight=1.0)])
+    batch = pack_examples([([3, 4], 1, 1.0)])
     assert batch_loss(params, batch, 1.0).mean_weighted_loss == 0.0
 
 
@@ -91,19 +87,15 @@ def test_equal_logits_give_log_b():
     # so the softmax is uniform and each example loses exactly log B.
     emb = np.random.default_rng(1).normal(size=(10, 4))
     params = lookup_params(emb, np.tile([0.3, 0.1, -0.2, 0.5], (3, 1)))
-    examples = [TrainExample(token_ids=np.array([i % 10, (3 * i) % 10]), image=i % 3, weight=1.0) for i in range(4)]
-    report = batch_loss(params, Batch.from_examples(examples), 1.0)
+    examples = [([i % 10, (3 * i) % 10], i % 3, 1.0) for i in range(4)]
+    report = batch_loss(params, pack_examples(examples), 1.0)
     assert np.all(np.abs(report.example_losses - LOG4) < 1e-12)
     assert report.mean_weighted_loss == pytest.approx(LOG4, abs=1e-12)
 
 
 def test_identity_logits_hand_value():
     params = lookup_params([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
-    examples = [
-        TrainExample(token_ids=np.array([0]), image=0, weight=1.0),
-        TrainExample(token_ids=np.array([1]), image=1, weight=1.0),
-    ]
-    report = batch_loss(params, Batch.from_examples(examples), 1.0)
+    report = batch_loss(params, pack_examples([([0], 0, 1.0), ([1], 1, 1.0)]), 1.0)
     assert np.allclose(report.logits, np.eye(2))
     assert report.mean_weighted_loss == pytest.approx(LOG_1P_EXP_M1, abs=1e-12)
 
@@ -152,12 +144,9 @@ def test_batch_loss_matches_bruteforce_past_exp_range():
 def test_permutation_equivariance():
     rng = np.random.default_rng(6)
     params, _ = random_params_and_batch(rng, tower="lookup")
-    examples = [
-        TrainExample(token_ids=rng.integers(0, 20, size=2), image=int(rng.integers(6)), weight=1.0)
-        for _ in range(8)
-    ]
-    forward = batch_loss(params, Batch.from_examples(examples), 3.0)
-    backward = batch_loss(params, Batch.from_examples(examples[::-1]), 3.0)
+    examples = [(rng.integers(0, 20, size=2), int(rng.integers(6)), 1.0) for _ in range(8)]
+    forward = batch_loss(params, pack_examples(examples), 3.0)
+    backward = batch_loss(params, pack_examples(examples[::-1]), 3.0)
     assert np.allclose(forward.example_losses[::-1], backward.example_losses, atol=1e-12)
     assert forward.mean_weighted_loss == pytest.approx(backward.mean_weighted_loss, abs=1e-12)
 
@@ -174,13 +163,9 @@ def test_unweighted_loss_nonnegative_and_positive_for_b2():
 def test_gradient_sparsity_embeddings_and_images():
     rng = np.random.default_rng(8)
     params, _ = random_params_and_batch(rng, tower="lookup", num_rows=16)
-    examples = [
-        TrainExample(token_ids=np.array([3, 9]), image=2, weight=1.0),
-        TrainExample(token_ids=np.array([9]), image=4, weight=1.0),
-    ]
-    grads = batch_gradients(params, Batch.from_examples(examples), 2.0)
+    grads = batch_gradients(params, pack_examples([([3, 9], 2, 1.0), ([9], 4, 1.0)]), 2.0)
     assert list(grads.embeddings.rows) == [3, 9]
-    assert list(grads.images.rows) == [2, 4]
+    assert list(grads.tower["image_vectors"].rows) == [2, 4]
     dense = grads.embeddings.to_dense(16)
     untouched = [i for i in range(16) if i not in (3, 9)]
     assert np.all(dense[untouched] == 0.0)
@@ -189,7 +174,7 @@ def test_gradient_sparsity_embeddings_and_images():
 def test_singleton_batch_gradients_zero():
     rng = np.random.default_rng(9)
     params, _ = random_params_and_batch(rng, tower="mlp")
-    batch = Batch.from_examples([TrainExample(token_ids=np.array([1, 2]), image=np.ones(5), weight=1.5)])
+    batch = pack_examples([([1, 2], np.ones(5), 1.5)])
     grads = batch_gradients(params, batch, 5.0)
     assert np.all(grads.embeddings.values == 0.0)
     assert np.all(grads.tower["V"] == 0.0)
@@ -199,30 +184,19 @@ def test_singleton_batch_gradients_zero():
 
 
 def test_batch_validation():
-    with pytest.raises(ValueError, match="empty batch"):
-        Batch.from_examples([])
+    # Batch.pack's own checks; from_examples' are pinned with the per-example view.
     with pytest.raises(ValueError, match="empty query"):
-        Batch.from_examples([TrainExample(token_ids=np.array([], dtype=np.int64), image=0, weight=1.0)])
-    with pytest.raises(ValueError, match="mixed"):
-        Batch.from_examples(
-            [
-                TrainExample(token_ids=np.array([0]), image=0, weight=1.0),
-                TrainExample(token_ids=np.array([0]), image=np.ones(3), weight=1.0),
-            ]
-        )
+        pack_examples([([], 0, 1.0)])
     with pytest.raises(ValueError, match="weights"):
-        Batch.from_examples([TrainExample(token_ids=np.array([0]), image=0, weight=-1.0)])
+        pack_examples([([0], 0, -1.0)])
+    with pytest.raises(ValueError, match="weights"):
+        pack_examples([([0], 0, np.nan)])
 
 
 def test_batch_loss_rejects_nonfinite_params():
     params = lookup_params(np.ones((4, 2)), np.ones((2, 2)))
     params.embeddings.rows[1, 0] = np.nan
-    batch = Batch.from_examples(
-        [
-            TrainExample(token_ids=np.array([1]), image=0, weight=1.0),
-            TrainExample(token_ids=np.array([2]), image=1, weight=1.0),
-        ]
-    )
+    batch = pack_examples([([1], 0, 1.0), ([2], 1, 1.0)])
     with pytest.raises(ValueError, match="non-finite"):
         batch_loss(params, batch, 1.0)
 
@@ -240,7 +214,7 @@ def test_batch_loss_rejects_nonfinite_params():
 )
 def test_batch_loss_checks_tower_inputs(tower, images, message):
     params, _ = random_params_and_batch(np.random.default_rng(30), tower=tower)  # feature_dim 5, num_images 6
-    batch = Batch.from_examples([TrainExample(token_ids=np.array([i]), image=image, weight=1.0) for i, image in enumerate(images)])
+    batch = pack_examples([([i], image, 1.0) for i, image in enumerate(images)])
     with pytest.raises(ValueError) as caught:
         batch_loss(params, batch, 1.0)
     assert str(caught.value) == message
@@ -253,9 +227,9 @@ def test_adagrad_hand_step():
     sgd_step(params, Gradients(embeddings=grads_first), opt)
     # theta -= lr * g / (sqrt(G + g^2) + eps) = 0.1 * 2 / (2 + eps)
     assert params.embeddings.rows[0, 0] == pytest.approx(-0.1 * 2.0 / (math.sqrt(4.0) + ADAGRAD_EPSILON), abs=1e-15)
-    assert opt.emb_accum[0, 0] == pytest.approx(4.0)
+    assert opt.accum.embeddings.rows[0, 0] == pytest.approx(4.0)
     sgd_step(params, Gradients(embeddings=RowGradient(rows=np.array([0]), values=np.array([[2.0]]))), opt)
-    assert opt.emb_accum[0, 0] == pytest.approx(8.0)
+    assert opt.accum.embeddings.rows[0, 0] == pytest.approx(8.0)
 
 
 def test_adagrad_hand_step_dense():
@@ -270,14 +244,14 @@ def test_adagrad_hand_step_dense():
     # theta -= lr * g / (sqrt(g^2) + eps), about lr * sign(g), from b2 = 0
     first_b2 = before["b2"] - 0.1 * g_b2 / (np.sqrt(g_b2 * g_b2) + ADAGRAD_EPSILON)
     assert np.array_equal(params.tower.b2, first_b2)
-    assert np.array_equal(opt.mlp_accum.b2, [4.0, 0.25])
+    assert np.array_equal(opt.accum.tower.b2, [4.0, 0.25])
     assert np.array_equal(params.tower.V, before["V"] - 0.1 * 1.0 / (1.0 + ADAGRAD_EPSILON))
     assert np.array_equal(params.embeddings.rows, before["embeddings"])
-    assert np.all(opt.emb_accum == 0.0)
+    assert np.all(opt.accum.embeddings.rows == 0.0)
     sgd_step(params, Gradients(embeddings=no_rows, tower=ones.arrays()), opt)
     # G = 2 g^2: theta -= lr * g / (sqrt(2) |g| + eps)
     assert params.tower.b2 == pytest.approx(first_b2 - 0.1 * g_b2 / (np.sqrt(2 * g_b2 * g_b2) + ADAGRAD_EPSILON), rel=1e-15)
-    assert np.array_equal(opt.mlp_accum.b2, [8.0, 0.5])
+    assert np.array_equal(opt.accum.tower.b2, [8.0, 0.5])
 
 
 @pytest.mark.parametrize(
@@ -328,7 +302,7 @@ def test_sgd_step_rejects_an_overflowing_accumulator_before_writing_it():
     bad = Gradients(embeddings=RowGradient(rows=np.array([0]), values=np.array([[1e200, 1.0]])))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^non-finite Adagrad accumulator$"):
         sgd_step(params, bad, opt)
-    assert params.embeddings.rows.tolist() == [[0.5, 0.25]] and not opt.emb_accum.any()
+    assert params.embeddings.rows.tolist() == [[0.5, 0.25]] and not opt.accum.embeddings.rows.any()
 
 
 def rel_errs_to_numeric(params, batch, logit_scale):
@@ -378,34 +352,28 @@ def test_train_config_validation():
 
 
 def make_toy_examples(rng, n, num_rows, num_images):
-    return [
-        TrainExample(
-            token_ids=rng.integers(0, num_rows, size=int(rng.integers(1, 4))),
-            image=int(rng.integers(num_images)),
-            weight=1.0,
-        )
-        for _ in range(n)
-    ]
+    """``n`` lookup-tower examples (token_ids, image id, weight 1), for pack_examples."""
+    return [(rng.integers(0, num_rows, size=int(rng.integers(1, 4))), int(rng.integers(num_images)), 1.0) for _ in range(n)]
 
 
 def test_train_zero_epochs_keeps_init():
     rng = np.random.default_rng(12)
-    examples = make_toy_examples(rng, 50, 10, 4)
+    corpus = pack_examples(make_toy_examples(rng, 50, 10, 4))
     config = TrainConfig(tower="lookup", emb_dim=5, epochs=0, batch_size=16, seed=99)
-    result = train(examples, config, num_embedding_rows=10, num_images=4)
+    result = train(corpus, config, num_embedding_rows=10, num_images=4)
     reference = init_params(99, num_rows=10, emb_dim=5, tower="lookup", num_images=4)
     table = result.params.embeddings
-    assert table.ids.tolist() == np.unique(np.concatenate([ex.token_ids for ex in examples])).tolist()
+    assert table.ids.tolist() == np.unique(corpus.token_ids).tolist()
     assert np.array_equal(table.rows, reference.embeddings.rows[table.ids])
     assert result.epoch_losses == []
 
 
 def test_train_deterministic():
     rng = np.random.default_rng(13)
-    examples = make_toy_examples(rng, 120, 12, 5)
+    corpus = pack_examples(make_toy_examples(rng, 120, 12, 5))
     config = TrainConfig(tower="lookup", emb_dim=6, epochs=3, batch_size=32, seed=7, logit_scale=5.0)
-    a = train(examples, config, num_embedding_rows=12, num_images=5)
-    b = train(examples, config, num_embedding_rows=12, num_images=5)
+    a = train(corpus, config, num_embedding_rows=12, num_images=5)
+    b = train(corpus, config, num_embedding_rows=12, num_images=5)
     assert np.array_equal(a.params.embeddings.rows, b.params.embeddings.rows)
     assert a.epoch_losses == b.epoch_losses
 
@@ -418,7 +386,7 @@ def test_train_loss_decreases(small_synth_training_run):
 def test_train_rejects_empty_corpus():
     config = TrainConfig(tower="lookup", emb_dim=4)
     with pytest.raises(ValueError, match="no training examples"):
-        train([], config, num_embedding_rows=4)
+        train(pack_examples([]), config, num_embedding_rows=4)
 
 
 def all_rows(params, opt):
@@ -427,7 +395,7 @@ def all_rows(params, opt):
     holds: a row not held reads as its initial value, its accumulator as 0."""
     table = params.embeddings
     accum = np.zeros((table.num_rows, table.emb_dim))
-    accum[table.ids] = opt.emb_accum
+    accum[table.ids] = opt.accum.embeddings.rows
     rows = table.read(np.arange(table.num_rows))
     return {**params.arrays(), "embeddings": rows}, {**opt.accum.arrays(), "embeddings": accum}
 
@@ -450,9 +418,9 @@ def assert_same_checkpoint_arrays(path, loaded, params, opt):
 
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(14)
-    examples = make_toy_examples(rng, 60, 8, 3)
+    corpus = pack_examples(make_toy_examples(rng, 60, 8, 3))
     config = TrainConfig(tower="lookup", emb_dim=4, epochs=2, batch_size=16, seed=3)
-    result = train(examples, config, num_embedding_rows=8, num_images=3)
+    result = train(corpus, config, num_embedding_rows=8, num_images=3)
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, result.params, result.optimizer, config, vocab_hash="abc123", epoch=2)
     loaded = load_checkpoint(path)
@@ -499,7 +467,7 @@ def test_load_checkpoint_memory_is_a_few_chunks(tmp_path, tower):
     params = init_params(0, num_rows=1_000_000, emb_dim=8, tower=tower, feature_dim=3, hidden_dim=5, num_images=2, rows=changed)
     opt = OptimizerState.for_params(params, config.learning_rate)
     params.embeddings.rows[:] += 1.0
-    opt.emb_accum[:] = 1.0
+    opt.accum.embeddings.rows[:] = 1.0
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
     tracemalloc.start()
@@ -512,7 +480,7 @@ def test_load_checkpoint_memory_is_a_few_chunks(tmp_path, tower):
     assert peak < 4 * chunk_bytes, (peak, chunk_bytes)
     table = loaded.params.embeddings
     assert (table.ids.tolist(), table.num_rows, table.seed) == (changed, 1_000_000, 0)
-    assert loaded.optimizer.emb_accum.shape == (3, 8)
+    assert loaded.optimizer.accum.embeddings.rows.shape == (3, 8)
     assert_resaves_byte_for_byte(path, loaded)
 
 
@@ -535,7 +503,7 @@ def test_checkpoint_round_trips_any_stored_rows(round_trip_dir, data, num_rows, 
     params = init_params(5, num_rows=num_rows, emb_dim=2, tower=tower, feature_dim=3, hidden_dim=3, num_images=4, rows=stored)
     opt = OptimizerState.for_params(params, config.learning_rate)
     params.embeddings.rows[::2] *= -1.0  # flips the sign bit, so the value is no longer initial
-    opt.emb_accum[1::2] = 0.5
+    opt.accum.embeddings.rows[1::2] = 0.5
     for accum in opt.accum.tower.arrays().values():
         accum.flat[0] = 1.5
     path = round_trip_dir / "ckpt.npz"
@@ -565,19 +533,18 @@ def toy_tables(tower):
     under."""
     rng = np.random.default_rng(45)
     examples = make_toy_examples(rng, 40, 12, 3)
-    image = (lambda ex: rng.normal(size=4)) if tower == "mlp" else (lambda ex: ex.image)
-    examples = [TrainExample(token_ids=250 * ex.token_ids, image=image(ex), weight=1.0) for ex in examples]
+    corpus = pack_examples([(250 * ids, rng.normal(size=4) if tower == "mlp" else image_id, 1.0) for ids, image_id, _ in examples])
     config = TrainConfig(tower=tower, emb_dim=4, hidden_dim=5 if tower == "mlp" else None, epochs=2, batch_size=16, seed=6)
     tables = {}
     for name, epochs in (("trained", 2), ("untrained", 0)):
-        result = train(examples, dataclasses.replace(config, epochs=epochs), num_embedding_rows=3000, num_images=3)
+        result = train(corpus, dataclasses.replace(config, epochs=epochs), num_embedding_rows=3000, num_images=3)
         params, opt = result.params, result.optimizer
         held = params.embeddings.ids
         assert held.tolist() == list(range(0, 3000, 250))
         dense_params = init_params(6, num_rows=3000, emb_dim=4, tower=tower, feature_dim=4, hidden_dim=5, num_images=3)
         dense = OptimizerState.for_params(dense_params, config.learning_rate)
         dense_params.embeddings.rows[held] = params.embeddings.rows
-        dense.emb_accum[held] = opt.emb_accum
+        dense.accum.embeddings.rows[held] = opt.accum.embeddings.rows
         for key, theta in params.tower.arrays().items():
             dense_params.tower.arrays()[key][:] = theta
             dense.accum.tower.arrays()[key][:] = opt.accum.tower.arrays()[key]
@@ -607,7 +574,7 @@ def test_checkpoint_stores_the_rows_the_table_holds(tmp_path, monkeypatch, tower
             ids = data["embeddings_ids"]
             assert (ids.dtype, ids.tolist()) == (np.int64, table.ids.tolist()), name
             assert data["embeddings"].tobytes() == table.rows.tobytes(), name
-            assert data["embeddings_accum"].tobytes() == opt.emb_accum.tobytes(), name
+            assert data["embeddings_accum"].tobytes() == opt.accum.embeddings.rows.tobytes(), name
         assert_same_checkpoint_arrays(paths[name], load_checkpoint(paths[name]), params, opt)
     for name in ("trained", "untrained"):
         assert_checkpoints_load_the_same(paths[name], paths[f"{name}-all-rows"])
@@ -622,7 +589,7 @@ def test_checkpoint_stores_only_changed_embedding_rows(tmp_path, tower):
     config = TrainConfig(tower=tower, emb_dim=4, hidden_dim=5 if tower == "mlp" else None, learning_rate=0.25, seed=7)
     params = init_params(7, num_rows=10, emb_dim=4, tower=tower, feature_dim=3, hidden_dim=5, num_images=3, rows=[2, 4, 6])
     opt = OptimizerState.for_params(params, config.learning_rate)
-    table, table_accum = params.embeddings.rows, opt.emb_accum
+    table, table_accum = params.embeddings.rows, opt.accum.embeddings.rows
     table[0, 1] = -table[0, 1]  # row 2: value changed, accumulator zero
     table[1, 3] = np.nextafter(table[1, 3], 1.0)  # row 4: one unit in the last place
     table_accum[2, 0] = 0.25  # row 6: accumulator nonzero, value initial
@@ -648,7 +615,7 @@ def test_save_checkpoint_draws_only_the_rows_with_a_zero_accumulator(tmp_path, m
     opt = OptimizerState.for_params(params, config.learning_rate)
     if trained:
         params.embeddings.rows[::2] += 1.0
-        opt.emb_accum[:, 1] = 0.25
+        opt.accum.embeddings.rows[:, 1] = 0.25
     drawn: list[int] = []
 
     def counting(seed, ids, emb_dim):
@@ -674,7 +641,7 @@ def test_checkpoint_of_the_compact_optimizer_equals_the_dense_one(tmp_path, towe
     (params, compact), (dense_params, dense) = tables["trained"], tables["trained-all-rows"]
     held = params.embeddings.ids
     params.embeddings.rows[2] = dense_params.embeddings.rows[500] = initial_rows(config.seed, np.array([500]), 4)[0]
-    assert compact.emb_accum[2].any()
+    assert compact.accum.embeddings.rows[2].any()
     paths = tmp_path / "compact.npz", tmp_path / "dense.npz"
     for path, (p, opt) in zip(paths, ((params, compact), (dense_params, dense))):
         save_checkpoint(path, p, opt, config, vocab_hash="h", epoch=2)
@@ -694,7 +661,7 @@ def test_checkpoint_of_changed_rows_only_loads_and_resaves_them(tmp_path):
     opt = OptimizerState.for_params(params, config.learning_rate)
     changed = [1, 3]  # the slots of rows 4 and 1500
     params.embeddings.rows[changed] += 0.125
-    opt.emb_accum[changed] = 0.5
+    opt.accum.embeddings.rows[changed] = 0.5
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
     with np.load(path) as data:
@@ -1038,7 +1005,7 @@ def test_compact_and_dense_optimizers_step_bit_identically():
         sgd_step(dense_params, batch_gradients(dense_params, batch, 2.0), dense)
     assert table.rows.tobytes() == dense_params.embeddings.rows[held].tobytes()
     assert params.tower.vectors.tobytes() == dense_params.tower.vectors.tobytes()
-    assert compact.emb_accum.tobytes() == dense.emb_accum[held].tobytes()
+    assert compact.accum.embeddings.rows.tobytes() == dense.accum.embeddings.rows[held].tobytes()
     assert compact.accum.tower.vectors.tobytes() == dense.accum.tower.vectors.tobytes()
 
 
@@ -1048,19 +1015,19 @@ def test_train_accumulates_only_the_corpus_rows():
     # allocates neither the 12.8 MB table nor a table-sized accumulator.
     rng = np.random.default_rng(42)
     ids = np.sort(rng.choice(200_000, size=40, replace=False))
-    examples = [TrainExample(token_ids=rng.choice(ids, size=2), image=int(rng.integers(3)), weight=1.0) for _ in range(64)]
+    corpus = pack_examples([(rng.choice(ids, size=2), int(rng.integers(3)), 1.0) for _ in range(64)])
     config = TrainConfig(tower="lookup", emb_dim=8, epochs=1, batch_size=16, seed=5)
     tracemalloc.start()
     try:
-        result = train(examples, config, num_embedding_rows=200_000, num_images=3)
+        result = train(corpus, config, num_embedding_rows=200_000, num_images=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     table_bytes = 200_000 * 8 * 8
     assert peak < table_bytes / 10, (peak, table_bytes)
-    held = np.unique(np.concatenate([ex.token_ids for ex in examples]))
+    held = np.unique(corpus.token_ids)
     assert result.params.embeddings.ids.tolist() == held.tolist() and result.params.embeddings.num_rows == 200_000
-    assert result.params.embeddings.rows.shape == result.optimizer.emb_accum.shape == (held.size, 8)
+    assert result.params.embeddings.rows.shape == result.optimizer.accum.embeddings.rows.shape == (held.size, 8)
 
 
 def test_train_rejects_token_ids_outside_the_table_before_drawing_it(monkeypatch):
@@ -1069,32 +1036,33 @@ def test_train_rejects_token_ids_outside_the_table_before_drawing_it(monkeypatch
 
     monkeypatch.setattr("imglex.training.init_params", no_init)
     examples = make_toy_examples(np.random.default_rng(43), 8, 5, 2)
-    examples[3] = TrainExample(token_ids=np.array([1, 9]), image=0, weight=1.0)
-    examples[5] = TrainExample(token_ids=np.array([7]), image=1, weight=1.0)
+    examples[3] = ([1, 9], 0, 1.0)
+    examples[5] = ([7], 1, 1.0)
     config = TrainConfig(tower="lookup", emb_dim=4, batch_size=4)
     with pytest.raises(ValueError) as caught:
-        train(examples, config, num_embedding_rows=5, num_images=2)
+        train(pack_examples(examples), config, num_embedding_rows=5, num_images=2)
     assert str(caught.value) == "token id 7 is outside the embedding table's rows [0, 5)"
-    examples[5] = TrainExample(token_ids=np.array([-2]), image=1, weight=1.0)
+    examples[5] = ([-2], 1, 1.0)
     with pytest.raises(ValueError, match=r"token id -2 is outside"):
-        train(examples, config, num_embedding_rows=5, num_images=2)
+        train(pack_examples(examples), config, num_embedding_rows=5, num_images=2)
 
 
 @pytest.mark.parametrize("num_rows", [10**11, 10**17])  # tables of 80 TB and of a byte count past int64
 def test_train_on_a_huge_table_allocates_only_the_held_rows(tmp_path, num_rows):
     examples = make_toy_examples(np.random.default_rng(44), 8, 5, 2)
-    examples[2] = TrainExample(token_ids=np.array([num_rows - 1, 1]), image=0, weight=1.0)
+    examples[2] = ([num_rows - 1, 1], 0, 1.0)
+    corpus = pack_examples(examples)
     config = TrainConfig(tower="lookup", emb_dim=100, batch_size=4, epochs=2, seed=1)
     path = tmp_path / "ckpt.npz"
     tracemalloc.start()
     try:
-        result = train(examples, config, num_embedding_rows=num_rows, num_images=2)
+        result = train(corpus, config, num_embedding_rows=num_rows, num_images=2)
         save_checkpoint(path, result.params, result.optimizer, config, vocab_hash="h", epoch=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
-    held = np.unique(np.concatenate([ex.token_ids for ex in examples]))
+    held = np.unique(corpus.token_ids)
     assert result.params.embeddings.ids.tolist() == held.tolist() and held[-1] == num_rows - 1
     with np.load(path) as data:
         assert int(data["embeddings_num_rows"]) == num_rows
@@ -1130,11 +1098,7 @@ def ragged_mlp_batch(rng):
     queries = [[3, 3, 7], [7], [1, 3, 9, 9, 9], [0, 11], [5], [3, 5, 7, 1]]
     images = [rng.normal(0, 3.0, size=4) for _ in queries]
     images[2] = np.zeros(4)  # negative biases: relu(U relu(b1) + b2) = 0
-    examples = [
-        TrainExample(token_ids=np.array(q), image=images[i], weight=float(rng.uniform(0.2, 2.0)))
-        for i, q in enumerate(queries)
-    ]
-    return params, Batch.from_examples(examples)
+    return params, pack_examples([(q, images[i], float(rng.uniform(0.2, 2.0))) for i, q in enumerate(queries)])
 
 
 def test_ragged_batch_matches_oracles():
@@ -1184,10 +1148,10 @@ def test_logits_are_scaled_cosines_and_owned():
 def test_select_equals_packing_the_subset():
     rng = np.random.default_rng(25)
     examples = make_toy_examples(rng, 30, 9, 4)
-    packed = Batch.from_examples(examples)
+    packed = pack_examples(examples)
     index = rng.permutation(30)[:11]
     got = packed.select(index)
-    want = Batch.from_examples([examples[i] for i in index])
+    want = pack_examples([examples[i] for i in index])
     for name in ("token_ids", "counts", "offsets", "images", "weights"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -1201,19 +1165,18 @@ def test_train_config_rejects_batch_of_one():
 def test_train_rejects_single_example():
     config = TrainConfig(tower="lookup", emb_dim=4, batch_size=4)
     with pytest.raises(ValueError, match="at least 2"):
-        train(make_toy_examples(np.random.default_rng(26), 1, 4, 2), config, num_embedding_rows=4)
+        train(pack_examples(make_toy_examples(np.random.default_rng(26), 1, 4, 2)), config, num_embedding_rows=4)
 
 
 def test_train_merges_trailing_singleton_batch():
     # 33 examples at B=16: batches of 16 and 17, not 16, 16 and 1.
     rng = np.random.default_rng(27)
-    examples = make_toy_examples(rng, 33, 10, 4)
+    corpus = pack_examples(make_toy_examples(rng, 33, 10, 4))
     config = TrainConfig(tower="lookup", emb_dim=5, epochs=2, batch_size=16, seed=4, logit_scale=3.0)
-    result = train(examples, config, num_embedding_rows=10, num_images=4)
+    result = train(corpus, config, num_embedding_rows=10, num_images=4)
 
     params = init_params(4, num_rows=10, emb_dim=5, tower="lookup", num_images=4)
     opt = OptimizerState.for_params(params, config.learning_rate)
-    corpus = Batch.from_examples(examples)
     shuffle_rng = np.random.default_rng([4, 1])
     losses = []
     for _ in range(2):
@@ -1230,14 +1193,12 @@ def test_train_merges_trailing_singleton_batch():
 
 def test_train_divergence_names_epoch_batch_and_cause():
     rng = np.random.default_rng(28)
-    examples = [
-        TrainExample(token_ids=rng.integers(0, 10, size=2), image=rng.normal(size=4), weight=1.0) for _ in range(64)
-    ]
+    corpus = pack_examples([(rng.integers(0, 10, size=2), rng.normal(size=4), 1.0) for _ in range(64)])
     config = TrainConfig(
         tower="mlp", emb_dim=5, hidden_dim=6, batch_size=16, epochs=2, learning_rate=1e200, logit_scale=1e6
     )
     with pytest.raises(TrainingDiverged) as caught:
-        train(examples, config, num_embedding_rows=10)
+        train(corpus, config, num_embedding_rows=10)
     err = caught.value
     assert (err.epoch, err.batch) == (0, 1)
     assert err.what == "image tower output"
@@ -1266,10 +1227,10 @@ def test_train_norm_overflow_is_divergence():
 def test_train_nonfinite_loss_is_divergence():
     # At logit scale 1e308 the weighted losses are near 1e308 and their batch
     # mean overflows; training must stop rather than record a loss of inf.
-    examples = make_toy_examples(np.random.default_rng(30), 64, 10, 4)
+    corpus = pack_examples(make_toy_examples(np.random.default_rng(30), 64, 10, 4))
     config = TrainConfig(tower="lookup", emb_dim=4, batch_size=16, epochs=2, logit_scale=1e308)
     with pytest.raises(TrainingDiverged) as caught:
-        train(examples, config, num_embedding_rows=10, num_images=4)
+        train(corpus, config, num_embedding_rows=10, num_images=4)
     err = caught.value
     assert (err.epoch, err.batch, err.what) == (0, 0, "loss")
     assert str(err) == "epoch 0, batch 0: non-finite loss"
@@ -1279,22 +1240,22 @@ def test_train_accumulator_overflow_is_divergence():
     # At logit scale 1e160 the batch loss (near 1e159) and every gradient are
     # finite, but the squared gradients overflow the Adagrad accumulators;
     # training must stop rather than run on with updates of g / inf = 0.
-    examples = make_toy_examples(np.random.default_rng(30), 64, 10, 4)
+    corpus = pack_examples(make_toy_examples(np.random.default_rng(30), 64, 10, 4))
     config = TrainConfig(tower="lookup", emb_dim=4, batch_size=16, epochs=2, logit_scale=1e160)
     with pytest.raises(TrainingDiverged) as caught:
-        train(examples, config, num_embedding_rows=10, num_images=4)
+        train(corpus, config, num_embedding_rows=10, num_images=4)
     err = caught.value
     assert (err.epoch, err.batch, err.what) == (0, 0, "Adagrad accumulator")
     assert str(err) == "epoch 0, batch 0: non-finite Adagrad accumulator"
-    result = train(examples, dataclasses.replace(config, logit_scale=1e150), num_embedding_rows=10, num_images=4)
+    result = train(corpus, dataclasses.replace(config, logit_scale=1e150), num_embedding_rows=10, num_images=4)
     assert all(np.isfinite(accum).all() for accum in result.optimizer.accum.arrays().values())
 
 
 def test_train_rejects_examples_for_the_other_tower():
-    examples = make_toy_examples(np.random.default_rng(29), 8, 5, 2)
+    corpus = pack_examples(make_toy_examples(np.random.default_rng(29), 8, 5, 2))
     config = TrainConfig(tower="mlp", emb_dim=4, hidden_dim=3, batch_size=4)
     with pytest.raises(ValueError, match="lookup tower"):
-        train(examples, config, num_embedding_rows=5)
+        train(corpus, config, num_embedding_rows=5)
 
 
 def hashed_synth_corpus(tower, seed, multilingual_filter=False):
@@ -1312,14 +1273,13 @@ def hashed_synth_corpus(tower, seed, multilingual_filter=False):
         (tok for t in triples for tok in tokenize(t.query, t.lang, LangMode.AWARE)), min_count=6, num_buckets=3000, mode=LangMode.AWARE
     )
     prep = prepare_examples(triples, vocab, tower=tower, features=corpus.features)
-    assert prep.dropped > 0 and any(ex.token_ids.max() >= vocab.vocab_size for ex in prep.examples)
+    assert prep.dropped > 0 and np.any(prep.examples.token_ids >= vocab.vocab_size)
     return vocab, prep
 
 
-def train_through_all_rows(examples, config, num_rows, num_images):
+def train_through_all_rows(corpus, config, num_rows, num_images):
     """train()'s loop over a table holding every row and an optimizer for
     every row: the reference the held-rows table must reproduce bit for bit."""
-    corpus = Batch.from_examples(examples)
     params = init_params(
         config.seed,
         num_rows=num_rows,
@@ -1357,8 +1317,8 @@ def test_held_rows_train_bit_identically_to_an_all_rows_table(tmp_path, tower):
     assert held.size < vocab.total_ids / 2
     assert result.epoch_losses == losses
     assert table.rows.tobytes() == params.embeddings.rows[held].tobytes()
-    assert result.optimizer.emb_accum.tobytes() == opt.emb_accum[held].tobytes()
-    assert not np.delete(opt.emb_accum, held, axis=0).any()  # no row outside the corpus was touched
+    assert result.optimizer.accum.embeddings.rows.tobytes() == opt.accum.embeddings.rows[held].tobytes()
+    assert not np.delete(opt.accum.embeddings.rows, held, axis=0).any()  # no row outside the corpus was touched
     for got, want in ((result.params.tower, params.tower), (result.optimizer.accum.tower, opt.accum.tower)):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.arrays().values(), want.arrays().values(), strict=True))
     paths = tmp_path / "held.npz", tmp_path / "all.npz"
@@ -1393,15 +1353,64 @@ def test_packed_corpus_equals_packing_its_examples(tower):
 
 
 @pytest.mark.parametrize("tower", TOWER_KINDS)
+def test_per_example_view_serves_the_bench_contract(tower):
+    # The benchmark reads the packed corpus one example at a time: it takes
+    # len(), indexes with the np.int64 entries of a permutation, packs a
+    # slice with Batch.from_examples, scans every query's token ids and reads
+    # the image-vector gradient as Gradients.images.
+    vocab, prep = hashed_synth_corpus(tower, seed=12)
+    corpus = prep.examples
+    assert len(corpus) == corpus.size > 64
+    for i in np.random.default_rng(4).permutation(corpus.size)[:20]:
+        ex, start = corpus[i], corpus.offsets[i]
+        assert ex.token_ids.tolist() == corpus.token_ids[start : start + corpus.counts[i]].tolist()
+        assert np.array_equal(ex.image, corpus.images[i]) and ex.weight == corpus.weights[i]
+    params = init_params(3, num_rows=vocab.total_ids, emb_dim=8, tower=tower, feature_dim=5, hidden_dim=6, num_images=prep.num_images)
+    first = corpus.select(np.arange(64))
+    got, want = batch_loss(params, Batch.from_examples(corpus[:64]), 5.0), batch_loss(params, first, 5.0)
+    assert got.example_losses.tobytes() == want.example_losses.tobytes() and got.logits.tobytes() == want.logits.tobytes()
+    assert np.concatenate([ex.token_ids for ex in corpus]).tobytes() == corpus.token_ids.tobytes()
+    grads = batch_gradients(params, first, 5.0)
+    assert grads.images is grads.tower.get("image_vectors") and (grads.images is None) == (tower == "mlp")
+    with pytest.raises(ValueError, match="empty batch"):
+        Batch.from_examples([])
+    with pytest.raises(ValueError, match="mixed"):
+        Batch.from_examples([TrainExample(token_ids=np.array([0]), image=0), TrainExample(token_ids=np.array([0]), image=np.ones(3))])
+
+
+@pytest.mark.parametrize("tower", TOWER_KINDS)
 def test_train_on_the_packed_corpus_equals_train_on_its_examples(tower):
     vocab, prep = hashed_synth_corpus(tower, seed=10)
     config = TrainConfig(tower=tower, emb_dim=6, hidden_dim=5 if tower == "mlp" else None, batch_size=64, epochs=3, logit_scale=5.0, seed=2)
-    packed = train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
-    listed = train(list(prep.examples), config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    corpus = prep.examples
+    examples = list(zip(np.split(corpus.token_ids, corpus.offsets[1:]), corpus.images, corpus.weights))
+    packed = train(corpus, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    listed = train(pack_examples(examples), config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
     assert packed.epoch_losses == listed.epoch_losses
     assert packed.params.embeddings.ids.tolist() == listed.params.embeddings.ids.tolist()
     for got, want in ((packed.params, listed.params), (packed.optimizer.accum, listed.optimizer.accum)):
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got.arrays().values(), want.arrays().values(), strict=True))
+
+
+@pytest.mark.parametrize("tower", TOWER_KINDS)
+def test_train_and_grad_check_need_no_per_example_view(tower, monkeypatch):
+    # The packed corpus is the one input: with the per-example view gone,
+    # train() on prepare_examples output and grad_check give what they gave.
+    vocab, prep = hashed_synth_corpus(tower, seed=13)
+    config = TrainConfig(tower=tower, emb_dim=6, hidden_dim=5 if tower == "mlp" else None, batch_size=64, epochs=2, logit_scale=5.0, seed=3)
+    sizes = dict(num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
+    want, want_check = train(prep.examples, config, **sizes), grad_check(tower, 0)
+
+    def gone(*args):
+        raise AssertionError("the per-example view was read")
+
+    for name in ("from_examples", "__getitem__", "__len__"):
+        monkeypatch.setattr(Batch, name, gone)
+    got = train(prep.examples, config, **sizes)
+    assert got.epoch_losses == want.epoch_losses and np.all(np.isfinite(got.epoch_losses))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.params.arrays().values(), want.params.arrays().values(), strict=True))
+    check = grad_check(tower, 0)
+    assert check == want_check and check.max_rel_err < 1e-4
 
 
 def test_train_on_the_packed_corpus_copies_no_feature_row():
@@ -1441,7 +1450,7 @@ def trained_at_b1000(request):
     assert np.count_nonzero(prep.examples.token_ids > 2**40) > 100
     config = TrainConfig(tower=tower, emb_dim=16, hidden_dim=24 if tower == "mlp" else None, batch_size=1000, epochs=2, logit_scale=10.0, seed=5)
     result = train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
-    batch = prep.examples.select(np.random.default_rng(1).permutation(len(prep.examples))[:1000])
+    batch = prep.examples.select(np.random.default_rng(1).permutation(prep.examples.size)[:1000])
     return result.params, batch, config.logit_scale
 
 
