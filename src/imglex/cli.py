@@ -189,6 +189,9 @@ def cmd_train(args) -> int:
             f"--buckets {vocab.num_buckets}: {vocab.vocab_size} vocabulary tokens + {vocab.num_buckets} buckets "
             f"exceed the int64 limit of 2**63 - 1 embedding rows"
         )
+    if vocab.vocab_size == 0:
+        distinct = len({token for t in triples for token in tokenize(t.query, t.lang, lang_mode)})
+        raise DataError(f"empty vocabulary: none of the {distinct} distinct tokens reaches --min-count {settings['min_count']}")
     prepared = prepare_examples(triples, vocab, tower=tower, features=features)
     if prepared.examples.size < 2:
         raise DataError(

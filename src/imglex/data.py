@@ -71,15 +71,6 @@ class FeatureTable(Mapping[str, np.ndarray]):
         self.matrix.flags.writeable = False
         self.index = {image_id: row for row, image_id in enumerate(ids)}
 
-    @classmethod
-    def of(cls, features: Mapping[str, np.ndarray]) -> "FeatureTable":
-        """``features`` itself if it is a FeatureTable; otherwise its vectors
-        packed, in its order, into a new matrix."""
-        if isinstance(features, FeatureTable):
-            return features
-        vectors = [np.asarray(vec, dtype=np.float64) for vec in features.values()]
-        return cls(list(features), np.stack(vectors) if vectors else np.empty((0, 0)))
-
     def __getitem__(self, image_id: str) -> np.ndarray:
         return self.matrix[self.index[image_id]]
 
@@ -151,7 +142,7 @@ def synthetic_lang(lang: int) -> str:
 @dataclass
 class SyntheticCorpus:
     triples: list[TripleRecord]
-    features: dict[str, np.ndarray]
+    features: FeatureTable
     lexicon: list[tuple[str, str, int]]  # (lang1:word1, lang2:word2, concept)
 
 
@@ -172,12 +163,13 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
             norm = np.linalg.norm(vec)
         return vec / norm if norm > 0 else vec
 
-    features: dict[str, np.ndarray] = {}
+    image_ids: list[str] = []
+    vectors: list[np.ndarray] = []
     pool: list[list[str]] = []
     for c in range(spec.num_concepts):
         ids = [f"c{c}i{j}" for j in range(spec.images_per_concept)]
-        for image_id in ids:
-            features[image_id] = noisy_feature(c)
+        image_ids += ids
+        vectors += (noisy_feature(c) for _ in ids)
         pool.append(ids)
 
     triples: list[TripleRecord] = []
@@ -189,7 +181,8 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
         query = " ".join(synthetic_word(lang, concept, int(k)) for k in slots)
         if rng.random() < spec.isolated_image_fraction:
             image_id = f"x{n}"
-            features[image_id] = noisy_feature(concept)
+            image_ids.append(image_id)
+            vectors.append(noisy_feature(concept))
         else:
             image_id = pool[concept][int(rng.integers(spec.images_per_concept))]
         triples.append(TripleRecord(weight=1.0, lang=synthetic_lang(lang), query=query, image_id=image_id))
@@ -207,7 +200,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
                                 c,
                             )
                         )
-    return SyntheticCorpus(triples=triples, features=features, lexicon=lexicon)
+    return SyntheticCorpus(triples=triples, features=FeatureTable(image_ids, np.stack(vectors)), lexicon=lexicon)
 
 
 @dataclass
@@ -249,23 +242,23 @@ def prepare_examples(
     triples: Sequence[TripleRecord],
     vocab: Vocabulary,
     tower: str,
-    features: Mapping[str, np.ndarray] | None = None,
+    features: FeatureTable | None = None,
 ) -> PreparedCorpus:
     """Tokenize queries, map tokens to ids and images to rows, and pack the
     kept triples into one Batch.
 
-    MLP mode requires a feature vector for every referenced image id; each
-    example's image row is that vector's row in the FeatureTable of
-    ``features`` (a table from load_features is used as it is, any other
-    mapping is packed into one), and the batch shares its matrix. Lookup
-    mode re-indexes image ids densely in first-seen order. Triples whose
-    query tokenizes to nothing are dropped and counted.
+    MLP mode requires ``features``, a FeatureTable (as load_features or
+    generate_synthetic return it) with a vector for every referenced image
+    id; each example's image row is that vector's row in the table's
+    matrix, which the batch shares. Lookup mode ignores ``features`` and
+    re-indexes image ids densely in first-seen order. Triples whose query
+    tokenizes to nothing are dropped and counted.
     """
     if tower not in TOWER_KINDS:
         raise ValueError(f"unknown tower kind {tower!r}")
     if tower == "mlp" and features is None:
-        raise ValueError("mlp tower requires a feature map")
-    table = FeatureTable.of(features) if tower == "mlp" else None
+        raise ValueError("mlp tower requires a feature table")
+    table = features if tower == "mlp" else None
     image_index = {} if table is None else table.index
     token_ids: list[int] = []
     counts: list[int] = []

@@ -115,21 +115,13 @@ class EmbeddingTable:
     """The rows ``ids`` of a ``num_rows`` x emb_dim embedding table, one row
     per vocabulary id or hash bucket, whose initial rows are drawn from
     ``seed`` (``initial_rows``). A row the table does not hold keeps its
-    initial value, and ``read`` draws it on demand. Built from ``rows``
-    alone, the table holds every row."""
+    initial value, and ``read`` draws it on demand. Every table states all
+    four fields; one that holds every row has ``ids == arange(num_rows)``."""
 
     rows: np.ndarray  # (R, emb_dim) float64; rows[k] is table row ids[k]
-    ids: np.ndarray | None = None  # (R,) int64, ascending; None: every row, arange(R)
-    num_rows: int | None = None  # None: R
-    seed: int | None = None  # what the rows not held are drawn from
-
-    def __post_init__(self):
-        if self.ids is None:
-            self.ids = np.arange(len(self.rows))
-        if self.num_rows is None:
-            self.num_rows = len(self.rows)
-        if self.seed is None and self.ids.size < self.num_rows:
-            raise ValueError("a table that does not hold every row needs the seed of its initial rows")
+    ids: np.ndarray  # (R,) int64, ascending, distinct, in [0, num_rows)
+    num_rows: int
+    seed: int  # what the rows not held are drawn from
 
     @property
     def emb_dim(self) -> int:
@@ -267,14 +259,8 @@ class ModelParams:
         """Every trainable array by name, the embedding table first, then the
         tower's: ``V, b1, U, b2`` (MLP) or ``image_vectors`` (lookup). The
         values are the live arrays, so writing into one updates the model;
-        Adagrad, checkpoints and the gradient check all iterate this table."""
+        Adagrad's state, checkpoints and the gradient check all use these names."""
         return {"embeddings": self.embeddings.rows, **self.tower.arrays()}
-
-    @classmethod
-    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "ModelParams":
-        """Inverse of ``arrays``; the tower kind follows from the names."""
-        tower = MlpImageTower if "V" in arrays else LookupImageTower
-        return cls(embeddings=EmbeddingTable(rows=arrays["embeddings"]), tower=tower.from_arrays(arrays))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

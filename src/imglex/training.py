@@ -56,6 +56,7 @@ from imglex.model import (
     NORM_FLOOR,
     TOWER_KINDS,
     EmbeddingTable,
+    LookupImageTower,
     MlpImageTower,
     ModelParams,
     NonFiniteError,
@@ -343,32 +344,30 @@ def batch_gradients(params: ModelParams, batch: Batch, logit_scale: float) -> Gr
 
 @dataclass
 class OptimizerState:
-    """Adagrad: per-parameter accumulated squared gradients, held in a
-    ModelParams (``accum.arrays()`` names them) whose arrays have the shapes
-    of the parameters'. The embedding accumulator has one row per row the
-    table holds: ``accum.embeddings.rows[k]`` belongs to
-    ``params.embeddings.rows[k]``. A row the table does not hold has a zero
-    accumulator and takes no update."""
+    """Adagrad: the accumulated squared gradients of each parameter array,
+    one array per name of ``ModelParams.arrays()``, in its order and with
+    the parameter's shape. ``accum["embeddings"][k]`` belongs to
+    ``params.embeddings.rows[k]``, the table's held row ``ids[k]``; a row the
+    table does not hold has a zero accumulator and takes no update."""
 
     learning_rate: float
-    accum: ModelParams = field(repr=False)
+    accum: dict[str, np.ndarray] = field(repr=False)
 
     @classmethod
     def for_params(cls, params: ModelParams, learning_rate: float) -> "OptimizerState":
         """Zero accumulators for every array of ``params``."""
-        zeros = {name: np.zeros(theta.shape, theta.dtype) for name, theta in params.arrays().items()}
-        return cls(learning_rate, ModelParams.from_arrays(zeros))
+        # np.zeros, not np.zeros_like: a fresh zero page costs no memory until written.
+        return cls(learning_rate, {name: np.zeros(theta.shape, theta.dtype) for name, theta in params.arrays().items()})
 
     @property
     def emb_accum(self) -> np.ndarray:
         """The embedding accumulators, one row per held table row."""
-        return self.accum.embeddings.rows
+        return self.accum["embeddings"]
 
     @property
     def mlp_accum(self) -> MlpImageTower | None:
         """The MLP tower's accumulators (None for the lookup tower)."""
-        tower = self.accum.tower
-        return tower if isinstance(tower, MlpImageTower) else None
+        return MlpImageTower.from_arrays(self.accum) if "V" in self.accum else None
 
 
 def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None:
@@ -381,7 +380,7 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
     array is written.
     """
     emb_slots = params.embeddings.slots(grads.embeddings.rows)
-    thetas, accums = params.arrays(), opt.accum.arrays()
+    thetas = params.arrays()
     for name, grad in grads.arrays().items():
         if isinstance(grad, RowGradient):
             if grad.rows.size == 0:
@@ -390,7 +389,7 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
         else:
             rows, g = slice(None), grad
         _check_finite("gradient", g)
-        accum = accums[name]
+        accum = opt.accum[name]
         new_accum = accum[rows] + g * g
         _check_finite("Adagrad accumulator", new_accum)
         accum[rows] = new_accum
@@ -623,9 +622,9 @@ def save_checkpoint(
         "embeddings_num_rows": np.array(table.num_rows, dtype=np.int64),
         **params.tower.arrays(),
     }
-    entries.update((f"{name}_accum", accum) for name, accum in opt.accum.tower.arrays().items())
+    entries.update((f"{name}_accum", opt.accum[name]) for name in params.tower.arrays())
     # Last, as in earlier files, so a trained table's file is unchanged byte for byte.
-    entries.update(embeddings=table.rows, embeddings_accum=opt.accum.embeddings.rows)
+    entries.update(embeddings=table.rows, embeddings_accum=opt.accum["embeddings"])
     with atomic_write(path) as fh:
         np.savez(fh, **entries)
 
@@ -756,26 +755,26 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                     arrays[name] = archive[name]
                 except ValueError as exc:  # e.g. an object array, which would need pickle
                     raise DataError(f"{path}: checkpoint entry {name!r} cannot be read: {exc}") from None
+    tower_class = MlpImageTower if "V" in arrays else LookupImageTower
     try:
         raw_meta = arrays.pop("meta")
-        stored = ModelParams.from_arrays(arrays)
-        accums = {name: arrays[f"{name}_accum"] for name in stored.arrays()}
+        rows, tower = arrays["embeddings"], tower_class.from_arrays(arrays)
+        accums = {name: arrays[f"{name}_accum"] for name in ["embeddings", *tower.arrays()]}
         ids, num_rows = arrays["embeddings_ids"], arrays["embeddings_num_rows"]
     except KeyError as exc:
         raise DataError(f"{path}: checkpoint has no {exc.args[0]!r} entry") from None
     meta = _checkpoint_meta(path, raw_meta)
-    tower = "mlp" if isinstance(stored.tower, MlpImageTower) else "lookup"
-    config = _checkpoint_config(path, meta, tower)
-    _check_checkpoint_arrays(path, arrays, list(stored.arrays()), config)
+    config = _checkpoint_config(path, meta, "mlp" if tower_class is MlpImageTower else "lookup")
+    _check_checkpoint_arrays(path, arrays, list(accums), config)
     vocab_hash, epoch = _meta_field(path, meta, "vocab_hash"), _meta_field(path, meta, "epoch")
     if not isinstance(vocab_hash, str):
         raise DataError(f"{path}: checkpoint meta 'vocab_hash' must be a string, got {vocab_hash!r}")
     if type(epoch) is not int or epoch < 0:
         raise DataError(f"{path}: checkpoint meta 'epoch' must be an integer >= 0, got {epoch!r}")
-    table = EmbeddingTable(rows=stored.embeddings.rows, ids=ids, num_rows=int(num_rows), seed=config.seed)
+    table = EmbeddingTable(rows=rows, ids=ids, num_rows=int(num_rows), seed=config.seed)
     return Checkpoint(
-        params=ModelParams(embeddings=table, tower=stored.tower),
-        optimizer=OptimizerState(config.learning_rate, ModelParams.from_arrays(accums)),
+        params=ModelParams(embeddings=table, tower=tower),
+        optimizer=OptimizerState(config.learning_rate, accums),
         config=config,
         vocab_hash=vocab_hash,
         epoch=epoch,

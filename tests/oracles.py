@@ -35,6 +35,12 @@ def pack_examples(examples: Sequence[tuple]) -> Batch:
     return Batch.pack(token_ids, [ids.size for ids in queries], image_rows, [w for _, _, w in examples], features)
 
 
+def full_table(rows, seed: int = 0) -> EmbeddingTable:
+    """An embedding table holding every one of ``rows``, as float64."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return EmbeddingTable(rows=rows, ids=np.arange(len(rows)), num_rows=len(rows), seed=seed)
+
+
 def query_repr(table: EmbeddingTable, token_ids: Sequence[int]) -> np.ndarray:
     """Arithmetic mean of the embedding rows for ``token_ids``.
 

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +380,7 @@ def test_train_single_example_is_data_error(tmp_path, capsys):
     triples = tmp_path / "one.tsv"
     triples.write_text("1.0\ten\tred car\timg1\n", encoding="utf-8")
     out = tmp_path / "one_run"
-    code = run(["train", "--triples", str(triples), "--tower", "lookup", "--buckets", "10", "--out-dir", str(out)])
+    code = run(["train", "--triples", str(triples), "--tower", "lookup", "--min-count", "1", "--buckets", "10", "--out-dir", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("data error: 1 usable training examples")
     assert not out.exists()
@@ -692,9 +693,11 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
         (TRAIN + ["--buckets", "100000000000000000000", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 1,
          "config error: --buckets 100000000000000000000: 0 vocabulary tokens + 100000000000000000000 buckets "
          "exceed the int64 limit of 2**63 - 1 embedding rows"),
-        (TRAIN + ["--emb-dim", "1000000000000", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 1,
+        (TRAIN + ["--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc a\timg2\n", 2,
+         "data error: empty vocabulary: none of the 3 distinct tokens reaches --min-count 6"),
+        (TRAIN + ["--min-count", "1", "--emb-dim", "1000000000000", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 1,
          "config error: the model's float64 arrays cannot be allocated (3 embedding rows, emb_dim 1000000000000, hidden_dim None)"),
-        (TRAIN + ["--logit-scale", "1e160", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n1.0\ten\td\timg3\n", 1,
+        (TRAIN + ["--min-count", "1", "--logit-scale", "1e160", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n1.0\ten\td\timg3\n", 1,
          "training diverged: epoch 0, batch 0: non-finite Adagrad accumulator"),
         (EVAL + ["--similarity"], "EN:a\ten:b\t1\n", 3, "similarity task bad: word 'EN:a' has an invalid language tag"),
         (EVAL + ["--similarity"], ":a\ten:b\t1\n", 3, "similarity task bad: word ':a' has an invalid language tag"),
@@ -721,7 +724,7 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
          "error: --aggregate pools the similarity tasks: pass --similarity"),
     ],
     ids=[
-        "triples-upper", "triples-empty", "buckets-too-many", "emb-dim-too-large", "accumulator-overflow", "similarity-upper", "similarity-empty", "similarity-nan",
+        "triples-upper", "triples-empty", "buckets-too-many", "empty-vocabulary", "emb-dim-too-large", "accumulator-overflow", "similarity-upper", "similarity-empty", "similarity-nan",
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
         "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word", "lexicon-unaware-upper",
         "out-dir-without-report", "aggregate-without-similarity",
@@ -739,27 +742,41 @@ def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, co
     assert capsys.readouterr().err == err.format(**names) + "\n"
     assert not names["out"].exists()
 
-@pytest.mark.parametrize("buckets", [10**11, 2**63 - 1, 2**63])
-def test_train_takes_buckets_up_to_the_int64_limit(tmp_path, capsys, buckets):
-    # No vocabulary token reaches the default --min-count, so the table has
-    # exactly --buckets rows: up to 2**63 - 1 train (only the corpus's rows
+@pytest.mark.parametrize("rows", [10**11, 2**63 - 1, 2**63])
+def test_train_takes_buckets_up_to_the_int64_limit(tmp_path, capsys, rows):
+    # --min-count 4 keeps the 3 tokens v0..v2, so --buckets rows - 3 makes a
+    # table of ``rows`` rows: up to 2**63 - 1 train (only the corpus's rows
     # are held), one more is a config error that writes nothing.
+    buckets = rows - 3
     triples = tmp_path / "triples.tsv"
     triples.write_text("".join(f"1.0\ten\tw{k} v{k % 3}\timg{k % 4}\n" for k in range(12)), encoding="utf-8")
     out = tmp_path / "out"
-    argv = ["train", "--triples", str(triples), "--tower", "lookup", "--emb-dim", "4", "--epochs", "2", "--batch-size", "4"]
+    argv = ["train", "--triples", str(triples), "--tower", "lookup", "--emb-dim", "4", "--epochs", "2", "--batch-size", "4", "--min-count", "4"]
     code = run(argv + ["--buckets", str(buckets), "--out-dir", str(out)])
-    if buckets > 2**63 - 1:
+    if rows > 2**63 - 1:
         assert code == 1 and not out.exists()
         assert capsys.readouterr().err == (
-            f"config error: --buckets {buckets}: 0 vocabulary tokens + {buckets} buckets exceed the int64 limit of 2**63 - 1 embedding rows\n"
+            f"config error: --buckets {buckets}: 3 vocabulary tokens + {buckets} buckets exceed the int64 limit of 2**63 - 1 embedding rows\n"
         )
         return
     assert code == 0
     with np.load(out / "checkpoint.npz") as data:
-        assert int(data["embeddings_num_rows"]) == buckets
-        assert 0 < data["embeddings_ids"].size <= 15 and data["embeddings_ids"][-1] < buckets
-    assert (out / "embeddings.vec").read_text(encoding="utf-8") == "0 4\n"
+        assert int(data["embeddings_num_rows"]) == rows
+        assert 0 < data["embeddings_ids"].size <= 15 and data["embeddings_ids"][-1] < rows
+    assert (out / "embeddings.vec").read_text(encoding="utf-8").splitlines()[0] == "3 4"
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def test_workflow_smoke_commands_succeed(tmp_path, monkeypatch, capsys):
+    # The CI workflow's console-script smoke step, one `imglex ...` line at a
+    # time, in a fresh directory as the runner does: each must exit 0.
+    commands = [shlex.split(line)[1:] for line in WORKFLOW.read_text(encoding="utf-8").splitlines() if line.strip().startswith("imglex ")]
+    assert {argv[0] for argv in commands} == {"gensynth", "filter", "train", "eval", "gradcheck"}
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_gradcheck_cli(capsys):

@@ -14,8 +14,9 @@ from imglex.data import load_features, load_triples, save_features
 from imglex.errors import DataError
 from imglex.evaluation import load_class_task, load_lexicon, load_sim_task
 from imglex.fileio import atomic_write
-from imglex.model import EmbeddingTable, load_word2vec, save_word2vec
+from imglex.model import load_word2vec, save_word2vec
 from imglex.textproc import LangMode, Vocabulary
+from oracles import full_table
 
 LOADERS = {
     "load_triples": load_triples,
@@ -139,7 +140,7 @@ def test_vector_files_round_trip_bit_for_bit(round_trip_dir, rows):
     keys = [f"en:w{n}" for n in range(len(rows))]
     features, vec = round_trip_dir / "features.tsv", round_trip_dir / "emb.vec"
     save_features(features, dict(zip(keys, matrix)))
-    save_word2vec(vec, Vocabulary(tuple(keys), 1, LangMode.AWARE), EmbeddingTable(matrix))
+    save_word2vec(vec, Vocabulary(tuple(keys), 1, LangMode.AWARE), full_table(matrix))
     assert_same_rows(load_features(features), keys, matrix)
     with np.errstate(over="ignore"):
         overflow = np.flatnonzero(~np.isfinite(np.linalg.norm(matrix, axis=1)))

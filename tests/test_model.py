@@ -11,7 +11,6 @@ from imglex.errors import DataError
 from imglex.model import (
     INIT_CHUNK_ROWS,
     TOWER_KINDS,
-    EmbeddingTable,
     LookupImageTower,
     MlpImageTower,
     cosine,
@@ -21,41 +20,37 @@ from imglex.model import (
     save_word2vec,
 )
 from imglex.textproc import LangMode, build_vocab
-from oracles import held_row_sets, image_repr_lookup, image_repr_mlp, load_word2vec_per_value, query_repr
-
-
-def table(rows):
-    return EmbeddingTable(rows=np.asarray(rows, dtype=np.float64))
+from oracles import full_table, held_row_sets, image_repr_lookup, image_repr_mlp, load_word2vec_per_value, query_repr
 
 
 def test_query_repr_single_token():
-    t = table([[1.0, 2.0], [3.0, 4.0]])
+    t = full_table([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(query_repr(t, [1]), [3.0, 4.0])
 
 
 def test_query_repr_mean_of_two():
-    t = table([[1.0, 0.0], [0.0, 1.0]])
+    t = full_table([[1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(query_repr(t, [0, 1]), [0.5, 0.5])
 
 
 def test_query_repr_counts_duplicates():
-    t = table([[3.0, 3.0], [0.0, 0.0]])
+    t = full_table([[3.0, 3.0], [0.0, 0.0]])
     assert np.allclose(query_repr(t, [0, 0, 1]), [2.0, 2.0])
 
 
 def test_query_repr_rejects_empty():
     with pytest.raises(ValueError, match="empty query"):
-        query_repr(table([[1.0]]), [])
+        query_repr(full_table([[1.0]]), [])
 
 
 def test_query_repr_rejects_bad_id():
     with pytest.raises(ValueError):
-        query_repr(table([[1.0]]), [5])
+        query_repr(full_table([[1.0]]), [5])
 
 
 def test_query_repr_permutation_invariant():
     rng = np.random.default_rng(0)
-    t = table(rng.normal(size=(20, 5)))
+    t = full_table(rng.normal(size=(20, 5)))
     ids = rng.integers(0, 20, size=7)
     shuffled = rng.permutation(ids)
     assert np.allclose(query_repr(t, ids), query_repr(t, shuffled))
@@ -196,8 +191,6 @@ def test_embedding_table_refuses_rows_it_cannot_give():
         with pytest.raises(ValueError, match="token id out of range"):
             table.read(ids)
     assert table.read([]).shape == (0, 3)
-    with pytest.raises(ValueError, match="needs the seed of its initial rows"):
-        EmbeddingTable(rows=np.zeros((2, 3)), ids=np.array([0, 5]), num_rows=6)
 
 
 def test_initial_rows_jump_over_huge_gaps():

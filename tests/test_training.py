@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imglex.data import SyntheticSpec, TripleRecord, filter_multilingual, generate_synthetic, prepare_examples
+from imglex.data import FeatureTable, SyntheticSpec, TripleRecord, filter_multilingual, generate_synthetic, prepare_examples
 from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.model import (
     INIT_CHUNK_ROWS,
@@ -45,7 +45,7 @@ from imglex.training import (
     sgd_step,
     train,
 )
-from oracles import directional_check, held_row_sets, image_repr_mlp, numeric_gradients, pack_examples, query_repr
+from oracles import directional_check, full_table, held_row_sets, image_repr_mlp, numeric_gradients, pack_examples, query_repr
 
 LOG4 = 1.3862943611198906
 LOG_1P_EXP_M1 = 0.31326168751822286  # log(1 + e^-1)
@@ -53,7 +53,7 @@ LOG_1P_EXP_M1 = 0.31326168751822286  # log(1 + e^-1)
 
 def lookup_params(emb_rows, image_rows):
     return ModelParams(
-        embeddings=EmbeddingTable(rows=np.asarray(emb_rows, dtype=np.float64)),
+        embeddings=full_table(emb_rows),
         tower=LookupImageTower(vectors=np.asarray(image_rows, dtype=np.float64)),
     )
 
@@ -227,9 +227,9 @@ def test_adagrad_hand_step():
     sgd_step(params, Gradients(embeddings=grads_first), opt)
     # theta -= lr * g / (sqrt(G + g^2) + eps) = 0.1 * 2 / (2 + eps)
     assert params.embeddings.rows[0, 0] == pytest.approx(-0.1 * 2.0 / (math.sqrt(4.0) + ADAGRAD_EPSILON), abs=1e-15)
-    assert opt.accum.embeddings.rows[0, 0] == pytest.approx(4.0)
+    assert opt.accum["embeddings"][0, 0] == pytest.approx(4.0)
     sgd_step(params, Gradients(embeddings=RowGradient(rows=np.array([0]), values=np.array([[2.0]]))), opt)
-    assert opt.accum.embeddings.rows[0, 0] == pytest.approx(8.0)
+    assert opt.accum["embeddings"][0, 0] == pytest.approx(8.0)
 
 
 def test_adagrad_hand_step_dense():
@@ -244,14 +244,14 @@ def test_adagrad_hand_step_dense():
     # theta -= lr * g / (sqrt(g^2) + eps), about lr * sign(g), from b2 = 0
     first_b2 = before["b2"] - 0.1 * g_b2 / (np.sqrt(g_b2 * g_b2) + ADAGRAD_EPSILON)
     assert np.array_equal(params.tower.b2, first_b2)
-    assert np.array_equal(opt.accum.tower.b2, [4.0, 0.25])
+    assert np.array_equal(opt.accum["b2"], [4.0, 0.25])
     assert np.array_equal(params.tower.V, before["V"] - 0.1 * 1.0 / (1.0 + ADAGRAD_EPSILON))
     assert np.array_equal(params.embeddings.rows, before["embeddings"])
-    assert np.all(opt.accum.embeddings.rows == 0.0)
+    assert np.all(opt.accum["embeddings"] == 0.0)
     sgd_step(params, Gradients(embeddings=no_rows, tower=ones.arrays()), opt)
     # G = 2 g^2: theta -= lr * g / (sqrt(2) |g| + eps)
     assert params.tower.b2 == pytest.approx(first_b2 - 0.1 * g_b2 / (np.sqrt(2 * g_b2 * g_b2) + ADAGRAD_EPSILON), rel=1e-15)
-    assert np.array_equal(opt.accum.tower.b2, [8.0, 0.5])
+    assert np.array_equal(opt.accum["b2"], [8.0, 0.5])
 
 
 @pytest.mark.parametrize(
@@ -267,12 +267,9 @@ def test_param_arrays_name_the_live_arrays(tower, names, fields):
     assert list(arrays) == names
     live = [params.embeddings.rows] + [getattr(params.tower, f) for f in fields]
     assert all(a is b for a, b in zip(arrays.values(), live, strict=True))
-    rebuilt = ModelParams.from_arrays(arrays)
-    assert type(rebuilt.tower) is type(params.tower)
-    assert all(a is b for a, b in zip(rebuilt.arrays().values(), live, strict=True))
     opt = OptimizerState.for_params(params, learning_rate=0.5)
-    assert list(opt.accum.arrays()) == names
-    assert all(np.all(a == 0.0) and a.shape == b.shape for a, b in zip(opt.accum.arrays().values(), live))
+    assert list(opt.accum) == names
+    assert all(np.all(a == 0.0) and a.shape == b.shape for a, b in zip(opt.accum.values(), live))
     assert list(batch_gradients(params, batch, 2.0).arrays()) == names
 
 
@@ -302,7 +299,7 @@ def test_sgd_step_rejects_an_overflowing_accumulator_before_writing_it():
     bad = Gradients(embeddings=RowGradient(rows=np.array([0]), values=np.array([[1e200, 1.0]])))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^non-finite Adagrad accumulator$"):
         sgd_step(params, bad, opt)
-    assert params.embeddings.rows.tolist() == [[0.5, 0.25]] and not opt.accum.embeddings.rows.any()
+    assert params.embeddings.rows.tolist() == [[0.5, 0.25]] and not opt.accum["embeddings"].any()
 
 
 def rel_errs_to_numeric(params, batch, logit_scale):
@@ -395,9 +392,9 @@ def all_rows(params, opt):
     holds: a row not held reads as its initial value, its accumulator as 0."""
     table = params.embeddings
     accum = np.zeros((table.num_rows, table.emb_dim))
-    accum[table.ids] = opt.accum.embeddings.rows
+    accum[table.ids] = opt.accum["embeddings"]
     rows = table.read(np.arange(table.num_rows))
-    return {**params.arrays(), "embeddings": rows}, {**opt.accum.arrays(), "embeddings": accum}
+    return {**params.arrays(), "embeddings": rows}, {**opt.accum, "embeddings": accum}
 
 
 def assert_same_checkpoint_arrays(path, loaded, params, opt):
@@ -428,7 +425,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.epoch == 2
     assert loaded.config == config
     assert isinstance(loaded.params.tower, LookupImageTower)
-    assert np.count_nonzero(result.optimizer.accum.tower.vectors) > 0
+    assert np.count_nonzero(result.optimizer.accum["image_vectors"]) > 0
     assert_same_checkpoint_arrays(path, loaded, result.params, result.optimizer)
 
 
@@ -436,7 +433,7 @@ def test_checkpoint_round_trip_mlp(tmp_path):
     params = init_params(1, num_rows=6, emb_dim=4, tower="mlp", feature_dim=3, hidden_dim=5)
     opt = OptimizerState.for_params(params, learning_rate=0.25)
     rng = np.random.default_rng(15)
-    for accum in opt.accum.arrays().values():  # distinct values, so no two arrays can be swapped unseen
+    for accum in opt.accum.values():  # distinct values, so no two arrays can be swapped unseen
         accum[:] = rng.uniform(0.0, 1.0, size=accum.shape)
     config = TrainConfig(tower="mlp", emb_dim=4, hidden_dim=5, learning_rate=0.25)
     path = tmp_path / "ckpt.npz"
@@ -467,7 +464,7 @@ def test_load_checkpoint_memory_is_a_few_chunks(tmp_path, tower):
     params = init_params(0, num_rows=1_000_000, emb_dim=8, tower=tower, feature_dim=3, hidden_dim=5, num_images=2, rows=changed)
     opt = OptimizerState.for_params(params, config.learning_rate)
     params.embeddings.rows[:] += 1.0
-    opt.accum.embeddings.rows[:] = 1.0
+    opt.accum["embeddings"][:] = 1.0
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
     tracemalloc.start()
@@ -480,7 +477,7 @@ def test_load_checkpoint_memory_is_a_few_chunks(tmp_path, tower):
     assert peak < 4 * chunk_bytes, (peak, chunk_bytes)
     table = loaded.params.embeddings
     assert (table.ids.tolist(), table.num_rows, table.seed) == (changed, 1_000_000, 0)
-    assert loaded.optimizer.accum.embeddings.rows.shape == (3, 8)
+    assert loaded.optimizer.accum["embeddings"].shape == (3, 8)
     assert_resaves_byte_for_byte(path, loaded)
 
 
@@ -503,9 +500,9 @@ def test_checkpoint_round_trips_any_stored_rows(round_trip_dir, data, num_rows, 
     params = init_params(5, num_rows=num_rows, emb_dim=2, tower=tower, feature_dim=3, hidden_dim=3, num_images=4, rows=stored)
     opt = OptimizerState.for_params(params, config.learning_rate)
     params.embeddings.rows[::2] *= -1.0  # flips the sign bit, so the value is no longer initial
-    opt.accum.embeddings.rows[1::2] = 0.5
-    for accum in opt.accum.tower.arrays().values():
-        accum.flat[0] = 1.5
+    opt.accum["embeddings"][1::2] = 0.5
+    for name in params.tower.arrays():
+        opt.accum[name].flat[0] = 1.5
     path = round_trip_dir / "ckpt.npz"
     save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
     assert stored_row_ids(path) == stored
@@ -544,10 +541,10 @@ def toy_tables(tower):
         dense_params = init_params(6, num_rows=3000, emb_dim=4, tower=tower, feature_dim=4, hidden_dim=5, num_images=3)
         dense = OptimizerState.for_params(dense_params, config.learning_rate)
         dense_params.embeddings.rows[held] = params.embeddings.rows
-        dense.accum.embeddings.rows[held] = opt.accum.embeddings.rows
+        dense.accum["embeddings"][held] = opt.accum["embeddings"]
         for key, theta in params.tower.arrays().items():
             dense_params.tower.arrays()[key][:] = theta
-            dense.accum.tower.arrays()[key][:] = opt.accum.tower.arrays()[key]
+            dense.accum[key][:] = opt.accum[key]
         tables[name], tables[f"{name}-all-rows"] = (params, opt), (dense_params, dense)
     return tables, config
 
@@ -574,7 +571,7 @@ def test_checkpoint_stores_the_rows_the_table_holds(tmp_path, monkeypatch, tower
             ids = data["embeddings_ids"]
             assert (ids.dtype, ids.tolist()) == (np.int64, table.ids.tolist()), name
             assert data["embeddings"].tobytes() == table.rows.tobytes(), name
-            assert data["embeddings_accum"].tobytes() == opt.accum.embeddings.rows.tobytes(), name
+            assert data["embeddings_accum"].tobytes() == opt.accum["embeddings"].tobytes(), name
         assert_same_checkpoint_arrays(paths[name], load_checkpoint(paths[name]), params, opt)
     for name in ("trained", "untrained"):
         assert_checkpoints_load_the_same(paths[name], paths[f"{name}-all-rows"])
@@ -589,12 +586,12 @@ def test_checkpoint_stores_only_changed_embedding_rows(tmp_path, tower):
     config = TrainConfig(tower=tower, emb_dim=4, hidden_dim=5 if tower == "mlp" else None, learning_rate=0.25, seed=7)
     params = init_params(7, num_rows=10, emb_dim=4, tower=tower, feature_dim=3, hidden_dim=5, num_images=3, rows=[2, 4, 6])
     opt = OptimizerState.for_params(params, config.learning_rate)
-    table, table_accum = params.embeddings.rows, opt.accum.embeddings.rows
+    table, table_accum = params.embeddings.rows, opt.accum["embeddings"]
     table[0, 1] = -table[0, 1]  # row 2: value changed, accumulator zero
     table[1, 3] = np.nextafter(table[1, 3], 1.0)  # row 4: one unit in the last place
     table_accum[2, 0] = 0.25  # row 6: accumulator nonzero, value initial
-    for accum in opt.accum.tower.arrays().values():  # stored whole
-        accum.flat[0] = 1.5
+    for name in params.tower.arrays():  # stored whole
+        opt.accum[name].flat[0] = 1.5
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
     assert stored_row_ids(path) == [2, 4, 6]
@@ -615,7 +612,7 @@ def test_save_checkpoint_draws_only_the_rows_with_a_zero_accumulator(tmp_path, m
     opt = OptimizerState.for_params(params, config.learning_rate)
     if trained:
         params.embeddings.rows[::2] += 1.0
-        opt.accum.embeddings.rows[:, 1] = 0.25
+        opt.accum["embeddings"][:, 1] = 0.25
     drawn: list[int] = []
 
     def counting(seed, ids, emb_dim):
@@ -641,7 +638,7 @@ def test_checkpoint_of_the_compact_optimizer_equals_the_dense_one(tmp_path, towe
     (params, compact), (dense_params, dense) = tables["trained"], tables["trained-all-rows"]
     held = params.embeddings.ids
     params.embeddings.rows[2] = dense_params.embeddings.rows[500] = initial_rows(config.seed, np.array([500]), 4)[0]
-    assert compact.accum.embeddings.rows[2].any()
+    assert compact.accum["embeddings"][2].any()
     paths = tmp_path / "compact.npz", tmp_path / "dense.npz"
     for path, (p, opt) in zip(paths, ((params, compact), (dense_params, dense))):
         save_checkpoint(path, p, opt, config, vocab_hash="h", epoch=2)
@@ -661,7 +658,7 @@ def test_checkpoint_of_changed_rows_only_loads_and_resaves_them(tmp_path):
     opt = OptimizerState.for_params(params, config.learning_rate)
     changed = [1, 3]  # the slots of rows 4 and 1500
     params.embeddings.rows[changed] += 0.125
-    opt.accum.embeddings.rows[changed] = 0.5
+    opt.accum["embeddings"][changed] = 0.5
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
     with np.load(path) as data:
@@ -952,7 +949,7 @@ def test_optimizer_state_is_zero_and_owns_its_arrays():
     params = init_params(2, num_rows=6, emb_dim=4, tower="mlp", feature_dim=3, hidden_dim=5)
     opt = OptimizerState.for_params(params, learning_rate=0.5)
     for name, theta in params.arrays().items():
-        accum = opt.accum.arrays()[name]
+        accum = opt.accum[name]
         assert accum.shape == theta.shape and accum.dtype == theta.dtype, name
         assert not accum.any() and not np.shares_memory(accum, theta), name
 
@@ -969,7 +966,7 @@ def test_dense_optimizer_serves_the_bench_contract():
     t, a = params.tower, opt.mlp_accum
     measured = sum(x.nbytes for x in [table, opt.emb_accum, t.V, t.b1, t.U, t.b2, a.V, a.b1, a.U, a.b2])
     assert measured == 2 * sum(theta.nbytes for theta in params.arrays().values())
-    opt.accum.embeddings.rows[3, 1] = 2.5  # the dense view of a full block is the block itself
+    opt.accum["embeddings"][3, 1] = 2.5  # the dense view of a full block is the block itself
     assert opt.emb_accum[3, 1] == 2.5
 
 
@@ -984,11 +981,11 @@ def test_sgd_step_on_an_uncovered_row_raises_and_writes_nothing():
     opt = OptimizerState.for_params(params, learning_rate=0.1)
     ones = MlpImageTower(V=np.ones((2, 2)), b1=np.ones(2), U=np.ones((2, 2)), b2=np.ones(2))
     sgd_step(params, Gradients(embeddings=RowGradient(rows=np.array([1, 6]), values=np.ones((2, 2))), tower=ones.arrays()), opt)
-    before = [a.copy() for a in [*params.arrays().values(), *opt.accum.arrays().values()]]
+    before = [a.copy() for a in [*params.arrays().values(), *opt.accum.values()]]
     bad = Gradients(embeddings=RowGradient(rows=np.array([1, 5]), values=np.ones((2, 2))), tower=ones.arrays())
     with pytest.raises(ValueError, match="embedding row 5 is not held by the table"):
         sgd_step(params, bad, opt)
-    after = [*params.arrays().values(), *opt.accum.arrays().values()]
+    after = [*params.arrays().values(), *opt.accum.values()]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after, strict=True))
 
 
@@ -1005,8 +1002,8 @@ def test_compact_and_dense_optimizers_step_bit_identically():
         sgd_step(dense_params, batch_gradients(dense_params, batch, 2.0), dense)
     assert table.rows.tobytes() == dense_params.embeddings.rows[held].tobytes()
     assert params.tower.vectors.tobytes() == dense_params.tower.vectors.tobytes()
-    assert compact.accum.embeddings.rows.tobytes() == dense.accum.embeddings.rows[held].tobytes()
-    assert compact.accum.tower.vectors.tobytes() == dense.accum.tower.vectors.tobytes()
+    assert compact.accum["embeddings"].tobytes() == dense.accum["embeddings"][held].tobytes()
+    assert compact.accum["image_vectors"].tobytes() == dense.accum["image_vectors"].tobytes()
 
 
 def test_train_accumulates_only_the_corpus_rows():
@@ -1027,7 +1024,7 @@ def test_train_accumulates_only_the_corpus_rows():
     assert peak < table_bytes / 10, (peak, table_bytes)
     held = np.unique(corpus.token_ids)
     assert result.params.embeddings.ids.tolist() == held.tolist() and result.params.embeddings.num_rows == 200_000
-    assert result.params.embeddings.rows.shape == result.optimizer.accum.embeddings.rows.shape == (held.size, 8)
+    assert result.params.embeddings.rows.shape == result.optimizer.accum["embeddings"].shape == (held.size, 8)
 
 
 def test_train_rejects_token_ids_outside_the_table_before_drawing_it(monkeypatch):
@@ -1248,7 +1245,7 @@ def test_train_accumulator_overflow_is_divergence():
     assert (err.epoch, err.batch, err.what) == (0, 0, "Adagrad accumulator")
     assert str(err) == "epoch 0, batch 0: non-finite Adagrad accumulator"
     result = train(corpus, dataclasses.replace(config, logit_scale=1e150), num_embedding_rows=10, num_images=4)
-    assert all(np.isfinite(accum).all() for accum in result.optimizer.accum.arrays().values())
+    assert all(np.isfinite(accum).all() for accum in result.optimizer.accum.values())
 
 
 def test_train_rejects_examples_for_the_other_tower():
@@ -1317,10 +1314,11 @@ def test_held_rows_train_bit_identically_to_an_all_rows_table(tmp_path, tower):
     assert held.size < vocab.total_ids / 2
     assert result.epoch_losses == losses
     assert table.rows.tobytes() == params.embeddings.rows[held].tobytes()
-    assert result.optimizer.accum.embeddings.rows.tobytes() == opt.accum.embeddings.rows[held].tobytes()
-    assert not np.delete(opt.accum.embeddings.rows, held, axis=0).any()  # no row outside the corpus was touched
-    for got, want in ((result.params.tower, params.tower), (result.optimizer.accum.tower, opt.accum.tower)):
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.arrays().values(), want.arrays().values(), strict=True))
+    assert result.optimizer.accum["embeddings"].tobytes() == opt.accum["embeddings"][held].tobytes()
+    assert not np.delete(opt.accum["embeddings"], held, axis=0).any()  # no row outside the corpus was touched
+    for name in params.tower.arrays():
+        assert result.params.tower.arrays()[name].tobytes() == params.tower.arrays()[name].tobytes(), name
+        assert result.optimizer.accum[name].tobytes() == opt.accum[name].tobytes(), name
     paths = tmp_path / "held.npz", tmp_path / "all.npz"
     save_checkpoint(paths[0], result.params, result.optimizer, config, vocab_hash="h", epoch=3)
     save_checkpoint(paths[1], params, opt, config, vocab_hash="h", epoch=3)
@@ -1388,8 +1386,8 @@ def test_train_on_the_packed_corpus_equals_train_on_its_examples(tower):
     listed = train(pack_examples(examples), config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
     assert packed.epoch_losses == listed.epoch_losses
     assert packed.params.embeddings.ids.tolist() == listed.params.embeddings.ids.tolist()
-    for got, want in ((packed.params, listed.params), (packed.optimizer.accum, listed.optimizer.accum)):
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.arrays().values(), want.arrays().values(), strict=True))
+    for got, want in ((packed.params.arrays(), listed.params.arrays()), (packed.optimizer.accum, listed.optimizer.accum)):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.values(), want.values(), strict=True))
 
 
 @pytest.mark.parametrize("tower", TOWER_KINDS)
@@ -1419,7 +1417,7 @@ def test_train_on_the_packed_corpus_copies_no_feature_row():
     # from, so train() allocates far less than one copy of it.
     n, d = 40_000, 64
     matrix = np.random.default_rng(51).standard_normal((n, d))
-    features = {f"i{k}": row for k, row in enumerate(matrix)}
+    features = FeatureTable([f"i{k}" for k in range(n)], matrix)
     triples = [TripleRecord(1.0, "en", f"w{k % 50}", f"i{k}") for k in range(n)]
     vocab = build_vocab((f"en:w{k}" for k in range(50)), min_count=1, num_buckets=10, mode=LangMode.AWARE)
     prep = prepare_examples(triples, vocab, tower="mlp", features=features)
