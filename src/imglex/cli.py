@@ -192,7 +192,7 @@ def cmd_train(args) -> int:
     if vocab.vocab_size == 0:
         distinct = len({token for t in triples for token in tokenize(t.query, t.lang, lang_mode)})
         raise DataError(f"empty vocabulary: none of the {distinct} distinct tokens reaches --min-count {settings['min_count']}")
-    prepared = prepare_examples(triples, vocab, tower=tower, features=features)
+    prepared = prepare_examples(triples, vocab, tower=tower, features=features, triples_path=args.triples)
     if prepared.examples.size < 2:
         raise DataError(
             f"{prepared.examples.size} usable training examples, the in-batch softmax needs at least 2 "

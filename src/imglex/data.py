@@ -19,9 +19,10 @@ also has a shared image pool so co-occurrence-only training has signal.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +34,23 @@ from imglex.textproc import Vocabulary, is_language_code, tokenize
 from imglex.training import Batch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TripleRecord:
+    """One (query, image, weight) triple. ``line`` is its line in the triples
+    file it was read from (0 if none); it names the triple in errors and is
+    not part of its value."""
+
     weight: float
     lang: str
     query: str
     image_id: str
+    line: int = field(default=0, compare=False)
 
 
 def load_triples(path: str | Path) -> list[TripleRecord]:
-    """Parse a triples TSV; malformed lines raise DataError naming the line."""
+    """Parse a triples TSV; malformed lines raise DataError naming the line.
+    Each record keeps its line number, and the records of one language share
+    one language-code string."""
     records: list[TripleRecord] = []
     for lineno, (raw_weight, lang, query, image_id) in read_rows(path, "triples file", ncols=4):
         weight = parse_number(raw_weight, path, lineno, "weight")
@@ -52,7 +60,7 @@ def load_triples(path: str | Path) -> list[TripleRecord]:
             raise DataError(f"{path}:{lineno}: empty image id")
         if not is_language_code(lang):
             raise DataError(f"{path}:{lineno}: invalid language code {lang!r}")
-        records.append(TripleRecord(weight=weight, lang=lang, query=query, image_id=image_id))
+        records.append(TripleRecord(weight=weight, lang=sys.intern(lang), query=query, image_id=image_id, line=lineno))
     return records
 
 
@@ -185,7 +193,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
             vectors.append(noisy_feature(concept))
         else:
             image_id = pool[concept][int(rng.integers(spec.images_per_concept))]
-        triples.append(TripleRecord(weight=1.0, lang=synthetic_lang(lang), query=query, image_id=image_id))
+        triples.append(TripleRecord(weight=1.0, lang=synthetic_lang(lang), query=query, image_id=image_id, line=n + 1))
 
     lexicon: list[tuple[str, str, int]] = []
     for c in range(spec.num_concepts):
@@ -243,6 +251,7 @@ def prepare_examples(
     vocab: Vocabulary,
     tower: str,
     features: FeatureTable | None = None,
+    triples_path: str | Path = "triples",
 ) -> PreparedCorpus:
     """Tokenize queries, map tokens to ids and images to rows, and pack the
     kept triples into one Batch.
@@ -250,9 +259,11 @@ def prepare_examples(
     MLP mode requires ``features``, a FeatureTable (as load_features or
     generate_synthetic return it) with a vector for every referenced image
     id; each example's image row is that vector's row in the table's
-    matrix, which the batch shares. Lookup mode ignores ``features`` and
-    re-indexes image ids densely in first-seen order. Triples whose query
-    tokenizes to nothing are dropped and counted.
+    matrix, which the batch shares. A kept triple whose image has no vector
+    is a DataError naming ``triples_path`` and the triple's line. Lookup
+    mode ignores ``features`` and re-indexes image ids densely in
+    first-seen order. Triples whose query tokenizes to nothing are dropped
+    and counted.
     """
     if tower not in TOWER_KINDS:
         raise ValueError(f"unknown tower kind {tower!r}")
@@ -275,7 +286,7 @@ def prepare_examples(
         else:
             row = image_index.get(t.image_id)
             if row is None:
-                raise DataError(f"no feature vector for image id {t.image_id!r}")
+                raise DataError(f"{triples_path}:{t.line}: no feature vector for image id {t.image_id!r}")
         token_ids += map(vocab.lookup, tokens)
         counts.append(len(tokens))
         image_rows.append(row)

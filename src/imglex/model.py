@@ -71,12 +71,14 @@ class RowGradient:
         return dense
 
 
-def _scatter_rows(inverse: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
-    """Row sums of ``values`` grouped by ``inverse``: one bincount per column,
-    each adding the rows in order."""
+def _scatter_rows(inverse: np.ndarray, values: np.ndarray, num_rows: int, source: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of ``values[source]`` grouped by ``inverse``: entry t adds
+    row ``source[t]`` of ``values`` (row t if ``source`` is None) to output
+    row ``inverse[t]``. ``values`` is transposed once; then one bincount per
+    column adds the entries in order, so no (len(inverse), dim) copy is made."""
     out = np.empty((num_rows, values.shape[1]))
     for k, column in enumerate(np.ascontiguousarray(values.T)):
-        out[:, k] = np.bincount(inverse, weights=column, minlength=num_rows)
+        out[:, k] = np.bincount(inverse, weights=column if source is None else column[source], minlength=num_rows)
     return out
 
 
@@ -191,16 +193,23 @@ class MlpImageTower:
         if feats.shape[1] != self.feature_dim:
             raise ValueError(f"feature dim {feats.shape[1]} != tower dim {self.feature_dim}")
         _check_finite("image tower parameters", self.V, self.b1, self.U, self.b2)
-        pre_hidden = feats @ self.V.T + self.b1
-        hidden = np.maximum(pre_hidden, 0.0)
-        pre_out = hidden @ self.U.T + self.b2
-        return np.maximum(pre_out, 0.0), (feats, pre_hidden, hidden, pre_out)
+        hidden = feats @ self.V.T
+        hidden += self.b1
+        np.maximum(hidden, 0.0, out=hidden)
+        out = hidden @ self.U.T
+        out += self.b2
+        np.maximum(out, 0.0, out=out)
+        return out, (feats, hidden, out)
 
     def backward(self, d_out: np.ndarray, cache: tuple) -> dict[str, np.ndarray]:
-        """Dense gradient of every weight and bias, given d loss / d output."""
-        feats, pre_hidden, hidden, pre_out = cache
-        d_pre_out = d_out * (pre_out > 0)  # ReLU subgradient at 0 is 0
-        d_pre_hidden = (d_pre_out @ self.U) * (pre_hidden > 0)
+        """Dense gradient of every weight and bias, given d loss / d output.
+
+        The ReLU masks are read from the layer outputs: relu(x) > 0 exactly
+        when x > 0, for NaN and -0.0 too, so no pre-activation is kept."""
+        feats, hidden, out = cache
+        d_pre_out = d_out * (out > 0)  # ReLU subgradient at 0 is 0
+        d_pre_hidden = d_pre_out @ self.U
+        d_pre_hidden *= hidden > 0
         return {
             "V": d_pre_hidden.T @ feats,
             "b1": d_pre_hidden.sum(axis=0),

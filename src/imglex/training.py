@@ -23,6 +23,18 @@ that matrix and the corpus holds no copy of it. A step's forward and
 backward share one B x B float64 buffer: it holds the cosines, then the
 logits, then their shifted exponentials, then the logit gradient.
 
+A step keeps only what its backward reads. Past the B x B buffer, the
+forward leaves the unit query and image rows (B x n each) and the tower's
+cache: the MLP tower's input features and its two layer outputs, whose
+ReLU masks equal the pre-activations' (B x (d + m + n)). The backward forms
+d_q and d_i in place in the outputs of ``g @ i_hat`` and ``g.T @ q_hat``,
+drops the unit rows once it has read them, and the tower cache and d_i once
+the tower's backward has; the query gradients reach the embedding rows one
+column at a time through the token -> query index, with no per-token copy.
+``sgd_step`` updates a row-sparse array in its gathered accumulator rows and
+one more buffer. Each is the same float64 arithmetic in the same order as
+the plain formulas, so the results are bit for bit the same.
+
 ``train`` holds in its embedding table only the distinct token ids of the
 corpus, the only rows any step can read or give a gradient to; every other
 row keeps its initial value (``imglex.model.EmbeddingTable``). Each step maps
@@ -70,7 +82,7 @@ BRUTEFORCE_MAX_BATCH = 64
 ADAGRAD_EPSILON = 1e-8
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainExample:
     """One example of the benchmark's per-example view (see the module docstring)."""
 
@@ -305,9 +317,12 @@ def batch_loss_bruteforce(params: ModelParams, batch: Batch, logit_scale: float)
 
 
 def _loss_and_gradients(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndarray | None = None):
-    """Gradients and the mean weighted loss; ``buf`` as in ``_forward``."""
+    """Gradients and the mean weighted loss; ``buf`` as in ``_forward``.
+    Each (B, n) array is dropped once it has been read for the last time
+    (see the module docstring)."""
     weighted, _, cache = _forward(params, batch, logit_scale, buf)
     (g, exp_sums, q_hat, q_inv, i_hat, i_inv, touched, inverse, tower_cache) = cache
+    del cache
     b = batch.size
     # d(mean weighted loss)/d logits, then through logits = scale * cosines:
     # g = scale * w_q / B * (softmax row q - one-hot q), built in place.
@@ -318,21 +333,28 @@ def _loss_and_gradients(params: ModelParams, batch: Batch, logit_scale: float, b
     # Cosine backward: d cos(a,b)/da = (b_hat - cos * a_hat) / |a|. The
     # cos-weighted row and column sums come from the matmul outputs:
     # sum_j g_qj cos_qj = q_hat_q . (g @ i_hat)_q, and likewise per column.
-    g_i = g @ i_hat
-    g_q = g.T @ q_hat
-    row_dot = np.einsum("ij,ij->i", q_hat, g_i)
-    col_dot = np.einsum("ij,ij->i", i_hat, g_q)
-    d_q = q_inv[:, None] * (g_i - row_dot[:, None] * q_hat)
-    d_i = i_inv[:, None] * (g_q - col_dot[:, None] * i_hat)
+    # d_q = q_inv * (g @ i_hat - row_dot * q_hat) is formed in the matmul's
+    # output, and q_hat, not read again, holds row_dot * q_hat; d_i likewise.
+    d_q = g @ i_hat
+    d_i = g.T @ q_hat
+    row_dot = np.einsum("ij,ij->i", q_hat, d_q)
+    col_dot = np.einsum("ij,ij->i", i_hat, d_i)
+    q_hat *= row_dot[:, None]
+    d_q -= q_hat
+    d_q *= q_inv[:, None]
+    i_hat *= col_dot[:, None]
+    d_i -= i_hat
+    d_i *= i_inv[:, None]
+    del q_hat, i_hat
+    tower = params.tower.backward(d_i, tower_cache)
+    del d_i, tower_cache
     # Scatter query gradients onto the touched embedding rows (mean backward:
-    # each token occurrence receives dQ_q / token_count).
-    per_query = d_q / batch.counts[:, None]
-    per_token = per_query[np.repeat(np.arange(b), batch.counts)]
-    grads = Gradients(
-        embeddings=RowGradient(rows=touched, values=_scatter_rows(inverse, per_token, touched.size)),
-        tower=params.tower.backward(d_i, tower_cache),
-    )
-    return grads, float(weighted.mean())
+    # each token occurrence receives dQ_q / token_count), reading each
+    # token's query row in place of a per-token copy.
+    d_q /= batch.counts[:, None]
+    query_of_token = np.repeat(np.arange(b), batch.counts)
+    embeddings = RowGradient(rows=touched, values=_scatter_rows(inverse, d_q, touched.size, query_of_token))
+    return Gradients(embeddings, tower), float(weighted.mean())
 
 
 def batch_gradients(params: ModelParams, batch: Batch, logit_scale: float) -> Gradients:
@@ -382,18 +404,28 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptimizerState) -> None
     emb_slots = params.embeddings.slots(grads.embeddings.rows)
     thetas = params.arrays()
     for name, grad in grads.arrays().items():
+        accum = opt.accum[name]
         if isinstance(grad, RowGradient):
             if grad.rows.size == 0:
                 continue
             rows, g = (emb_slots if name == "embeddings" else grad.rows), grad.values
+            new_accum = accum[rows]  # a gathered copy
         else:
             rows, g = slice(None), grad
-        _check_finite("gradient", g)
-        accum = opt.accum[name]
-        new_accum = accum[rows] + g * g
-        _check_finite("Adagrad accumulator", new_accum)
+            new_accum = accum.copy()
+        # The update is computed in new_accum and one more buffer, with the
+        # arithmetic of lr * g / (sqrt(accum + g * g) + eps).
+        update = np.multiply(g, g)
+        new_accum += update
+        if not np.all(np.isfinite(new_accum)):  # g * g of a non-finite g is not finite
+            _check_finite("gradient", g)
+            raise NonFiniteError("Adagrad accumulator")
         accum[rows] = new_accum
-        thetas[name][rows] -= opt.learning_rate * g / (np.sqrt(new_accum) + ADAGRAD_EPSILON)
+        np.multiply(opt.learning_rate, g, out=update)
+        np.sqrt(new_accum, out=new_accum)
+        new_accum += ADAGRAD_EPSILON
+        update /= new_accum
+        thetas[name][rows] -= update
 
 
 @dataclass

@@ -683,6 +683,7 @@ def test_eval_reads_the_language_mode_from_the_export(synth64_dir, tmp_path, cap
 EVAL = ["eval", "--embeddings", "{vec}"]
 EVAL_BARE = ["eval", "--embeddings", "{bare_vec}"]  # an export of bare tokens: unaware mode
 TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
+TRAIN_MLP = ["train", "--features", "{feat}", "--min-count", "1", "--buckets", "10", "--out-dir", "{out}"]  # features of img1 only
 
 
 @pytest.mark.parametrize(
@@ -699,6 +700,11 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
          "config error: the model's float64 arrays cannot be allocated (3 embedding rows, emb_dim 1000000000000, hidden_dim None)"),
         (TRAIN + ["--min-count", "1", "--logit-scale", "1e160", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n1.0\ten\td\timg3\n", 1,
          "training diverged: epoch 0, batch 0: non-finite Adagrad accumulator"),
+        (TRAIN_MLP + ["--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 2,
+         "data error: {path}:2: no feature vector for image id 'img2'"),
+        # The filter drops line 2 (img3 has one language); the error still names line 4.
+        (TRAIN_MLP + ["--filter-multilingual", "--triples"], "1.0\ten\ta\timg1\n1.0\ten\tb\timg3\n1.0\tde\tc\timg1\n1.0\ten\td\timg2\n1.0\tde\te\timg2\n", 2,
+         "data error: {path}:4: no feature vector for image id 'img2'"),
         (EVAL + ["--similarity"], "EN:a\ten:b\t1\n", 3, "similarity task bad: word 'EN:a' has an invalid language tag"),
         (EVAL + ["--similarity"], ":a\ten:b\t1\n", 3, "similarity task bad: word ':a' has an invalid language tag"),
         (EVAL + ["--similarity"], "en:a\ten:b\tnan\nen:a\ten:c\t1\nen:b\ten:c\tinf\n", 2,
@@ -724,7 +730,8 @@ TRAIN = ["train", "--tower", "lookup", "--buckets", "10", "--out-dir", "{out}"]
          "error: --aggregate pools the similarity tasks: pass --similarity"),
     ],
     ids=[
-        "triples-upper", "triples-empty", "buckets-too-many", "empty-vocabulary", "emb-dim-too-large", "accumulator-overflow", "similarity-upper", "similarity-empty", "similarity-nan",
+        "triples-upper", "triples-empty", "buckets-too-many", "empty-vocabulary", "emb-dim-too-large", "accumulator-overflow",
+        "image-without-features", "image-without-features-filtered", "similarity-upper", "similarity-empty", "similarity-nan",
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
         "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word", "lexicon-unaware-upper",
         "out-dir-without-report", "aggregate-without-similarity",
@@ -737,7 +744,9 @@ def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, co
     vec.write_text("4 2\nen:a 1 0\nen:b 0 1\nen:c 1 1\nde:b 1 0.5\n", encoding="utf-8")
     bare_vec = tmp_path / "bare.vec"
     bare_vec.write_text("3 2\na 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
-    names = {"vec": vec, "bare_vec": bare_vec, "out": tmp_path / "out", "path": path}
+    feat = tmp_path / "feats.tsv"
+    feat.write_text("img1\t1.0,0.0\n", encoding="utf-8")
+    names = {"vec": vec, "bare_vec": bare_vec, "feat": feat, "out": tmp_path / "out", "path": path}
     assert run([arg.format(**names) for arg in argv] + [str(path)]) == code
     assert capsys.readouterr().err == err.format(**names) + "\n"
     assert not names["out"].exists()

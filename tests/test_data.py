@@ -39,6 +39,22 @@ def test_load_triples_basic(tmp_path):
     assert records[1].weight == 0.5
 
 
+def test_load_triples_records_are_slotted_with_one_string_per_language(tmp_path):
+    # 30,000 records stay in memory through a training run: no per-record
+    # __dict__, one shared language-code string per language, and each
+    # record's line in the file.
+    path = tmp_path / "triples.tsv"
+    langs = ["en", "de", "en", "fr", "de", "en"]
+    path.write_text("".join(f"1.0\t{lang}\tq{k}\timg{k % 2}\n" for k, lang in enumerate(langs)), encoding="utf-8")
+    records = load_triples(path)
+    assert not any(hasattr(t, "__dict__") for t in records)
+    assert {lang: len({id(t.lang) for t in records if t.lang == lang}) for lang in langs} == {"en": 1, "de": 1, "fr": 1}
+    assert [t.line for t in records] == [1, 2, 3, 4, 5, 6]
+    # The line names the record's origin and is not part of its value.
+    assert records[0] == triple(1.0, "en", "q0", "img0") and records[0].line != triple(1.0, "en", "q0", "img0").line
+    assert [t.line for t in filter_multilingual(records)] == [1, 2, 3, 4, 5, 6]
+
+
 def test_load_triples_wrong_column_count(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("1.0\ten\tno image column\n", encoding="utf-8")

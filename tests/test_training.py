@@ -43,6 +43,7 @@ from imglex.training import (
     load_checkpoint,
     save_checkpoint,
     sgd_step,
+    _loss_and_gradients,
     train,
 )
 from oracles import directional_check, full_table, held_row_sets, image_repr_mlp, numeric_gradients, pack_examples, query_repr
@@ -300,6 +301,114 @@ def test_sgd_step_rejects_an_overflowing_accumulator_before_writing_it():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^non-finite Adagrad accumulator$"):
         sgd_step(params, bad, opt)
     assert params.embeddings.rows.tolist() == [[0.5, 0.25]] and not opt.accum["embeddings"].any()
+
+
+@pytest.mark.parametrize(
+    "name, bad, what",
+    [
+        ("embeddings", np.inf, "gradient"),
+        ("embeddings", np.nan, "gradient"),
+        ("embeddings", 1e200, "Adagrad accumulator"),
+        ("V", -np.inf, "gradient"),
+        ("V", np.nan, "gradient"),
+        ("V", 1e200, "Adagrad accumulator"),
+    ],
+)
+def test_sgd_step_names_a_non_finite_gradient_or_accumulator_and_writes_nothing(name, bad, what):
+    # Row-sparse (embeddings) and dense (V) branches: a non-finite gradient is
+    # named as the gradient, a finite one whose square overflows as the accumulator.
+    tower = MlpImageTower(V=np.full((2, 2), 0.5), b1=np.full(2, 0.5), U=np.full((2, 2), 0.5), b2=np.full(2, 0.5))
+    params = ModelParams(embeddings=full_table([[0.5, 0.5]]), tower=tower)
+    opt = OptimizerState.for_params(params, learning_rate=0.1)
+    values = {n: np.full_like(theta, 0.25) for n, theta in params.arrays().items()}
+    values[name][0, 0] = bad
+    grads = Gradients(
+        embeddings=RowGradient(rows=np.array([0]), values=values.pop("embeddings")),
+        tower=values,
+    )
+    before = {n: theta.copy() for n, theta in params.arrays().items()}
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match=f"^non-finite {what}$"):
+        sgd_step(params, grads, opt)
+    # Arrays before the failing one were updated; the failing one and its accumulator were not.
+    assert np.array_equal(params.arrays()[name], before[name]) and not opt.accum[name].any()
+
+
+def test_mlp_relu_masks_from_outputs_equal_the_pre_activation_masks():
+    # The tower caches relu(x), not x: relu(x) > 0 exactly where x > 0,
+    # also for NaN, -0.0 and 0.0.
+    x = np.array([np.nan, -0.0, 0.0, -1.0, 1.0, 1e-300, -np.inf, np.inf])
+    assert np.array_equal(np.maximum(x, 0.0) > 0, x > 0)
+    # backward from the cached outputs equals the formula over the
+    # pre-activations, bit for bit, with those values in both layers.
+    rng = np.random.default_rng(8)
+    tower = MlpImageTower(V=rng.normal(size=(8, 3)), b1=rng.normal(size=8), U=rng.normal(size=(8, 8)), b2=rng.normal(size=8))
+    feats = rng.normal(size=(8, 3))
+    pre_hidden, pre_out = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+    pre_hidden[0], pre_out[1] = x, x
+    d_out = rng.normal(size=(8, 8))
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        got = tower.backward(d_out, (feats, np.maximum(pre_hidden, 0.0), np.maximum(pre_out, 0.0)))
+        d_pre_out = d_out * (pre_out > 0)
+        d_pre_hidden = (d_pre_out @ tower.U) * (pre_hidden > 0)
+        want = {"V": d_pre_hidden.T @ feats, "b1": d_pre_hidden.sum(axis=0), "U": d_pre_out.T @ np.maximum(pre_hidden, 0.0), "b2": d_pre_out.sum(axis=0)}
+    assert list(got) == list(want) and all(got[k].tobytes() == want[k].tobytes() for k in want)
+    # The forward's in-place bias add and ReLU are the out-of-place formula's bits.
+    out, (cached_feats, hidden, cached_out) = tower.forward(feats)
+    want_hidden = np.maximum(feats @ tower.V.T + tower.b1, 0.0)
+    assert hidden.tobytes() == want_hidden.tobytes() and cached_feats is feats and cached_out is out
+    assert out.tobytes() == np.maximum(want_hidden @ tower.U.T + tower.b2, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("tower", TOWER_KINDS)
+def test_a_b1000_step_allocates_only_what_its_backward_reads(tower):
+    # One step of train() at B=1000 (emb n=100, hidden m=200, features
+    # d=64), the B x B buffer and the model, optimizer and batch already
+    # held. Bounds from the shapes, each plus 15% for the small arrays:
+    # - _loss_and_gradients peaks with the MLP tower in its backward, holding
+    #   its cache (feats, hidden, out: B(d + m + n) floats), d_q and d_i
+    #   (2Bn), the gradients of out and hidden (B(n + m)) and their boolean
+    #   masks; with the lookup tower in the forward, holding q_raw, i_raw,
+    #   q_hat and i_hat (4Bn).
+    # - sgd_step, above the gradients it is given, holds three arrays the
+    #   shape of the largest row-sparse gradient (R rows): the gathered
+    #   accumulator, the update and the gather of theta[rows] -= update.
+    # A step that made per-token copies of the query gradients, cached the
+    # pre-activations and kept the formulas' temporaries peaked at 15.6 MB
+    # (MLP) and 10.1 MB (lookup) in the first, and at 4.7 MB, four such
+    # arrays, in the second (R = 1,464 here).
+    b, n, m, d, num_rows, num_images = 1000, 100, 200, 64, 3000, 500
+    rng = np.random.default_rng(3)
+    counts = rng.integers(1, 4, size=b)
+    token_ids = rng.integers(0, num_rows, size=counts.sum())
+    if tower == "mlp":
+        features, image_rows = rng.standard_normal((b, d)), rng.permutation(b)
+    else:
+        features, image_rows = None, rng.integers(0, num_images, size=b)
+    batch = Batch.pack(token_ids, counts, image_rows, np.ones(b), features)
+    held = np.unique(token_ids)
+    params = init_params(0, num_rows=num_rows, emb_dim=n, tower=tower, feature_dim=d, hidden_dim=m, num_images=num_images, rows=held)
+    opt = OptimizerState.for_params(params, learning_rate=0.5)
+    buf = np.empty((b, b))
+    f = 8  # bytes per float64
+    if tower == "mlp":
+        backward_bound = f * b * (d + m + n) + f * b * 2 * n + (f + 1) * b * (n + m)
+    else:
+        backward_bound = f * b * 4 * n
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grads, _ = _loss_and_gradients(params, batch, 10.0, buf)
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sgd_step(params, grads, opt)
+        sgd_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    widest = max(g.values.size for g in grads.arrays().values() if isinstance(g, RowGradient))
+    assert widest == held.size * n
+    assert backward_peak <= 1.15 * backward_bound, (backward_peak, backward_bound)
+    assert sgd_peak <= 1.15 * f * 3 * widest, (sgd_peak, f * 3 * widest)
 
 
 def rel_errs_to_numeric(params, batch, logit_scale):
