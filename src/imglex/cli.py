@@ -37,7 +37,7 @@ from imglex.data import (
     gen_synthetic,
     load_features,
     load_triples,
-    prepare_examples,
+    prepare_corpus,
     save_triples,
 )
 from imglex.errors import ConfigError, DataError, EvalError, ImglexError, TrainingDiverged
@@ -53,8 +53,8 @@ from imglex.evaluation import (
     load_sim_task,
 )
 from imglex.fileio import write_lines
-from imglex.model import MAX_EMBEDDING_ROWS, TOWER_KINDS, load_word2vec, save_word2vec
-from imglex.textproc import LangMode, build_vocab, mode_of_tokens, tokenize
+from imglex.model import TOWER_KINDS, load_word2vec, save_word2vec
+from imglex.textproc import LangMode, mode_of_tokens
 from imglex.training import TrainConfig, grad_check, save_checkpoint, save_loss_curve, train
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -177,27 +177,15 @@ def cmd_train(args) -> int:
         triples = filter_multilingual(triples)
         print(f"multilingual filter: kept {len(triples)} of {before} triples")
     features = load_features(args.features) if tower == "mlp" else None
-    lang_mode = LangMode(settings["lang_mode"])
-    vocab = build_vocab(
-        (token for t in triples for token in tokenize(t.query, t.lang, lang_mode)),
+    vocab, prepared = prepare_corpus(
+        triples,
+        tower=tower,
+        features=features,
+        mode=LangMode(settings["lang_mode"]),
         min_count=settings["min_count"],
         num_buckets=settings["buckets"],
-        mode=lang_mode,
+        triples_path=args.triples,
     )
-    if vocab.total_ids > MAX_EMBEDDING_ROWS:
-        raise ConfigError(
-            f"--buckets {vocab.num_buckets}: {vocab.vocab_size} vocabulary tokens + {vocab.num_buckets} buckets "
-            f"exceed the int64 limit of 2**63 - 1 embedding rows"
-        )
-    if vocab.vocab_size == 0:
-        distinct = len({token for t in triples for token in tokenize(t.query, t.lang, lang_mode)})
-        raise DataError(f"empty vocabulary: none of the {distinct} distinct tokens reaches --min-count {settings['min_count']}")
-    prepared = prepare_examples(triples, vocab, tower=tower, features=features, triples_path=args.triples)
-    if prepared.examples.size < 2:
-        raise DataError(
-            f"{prepared.examples.size} usable training examples, the in-batch softmax needs at least 2 "
-            "(every query tokenized to nothing?)"
-        )
     result = train(prepared.examples, config, num_embedding_rows=vocab.total_ids, num_images=prepared.num_images)
 
     out = Path(args.out_dir)

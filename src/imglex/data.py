@@ -1,4 +1,5 @@
-"""Corpus file formats, the >=2-language image filter, and synthetic data.
+"""Corpus file formats, the >=2-language image filter, synthetic data, and
+the packed corpus training reads (``prepare_corpus``).
 
 File formats (UTF-8, LF, '.' decimal separator):
   triples.tsv   weight<TAB>lang<TAB>query<TAB>image_id
@@ -23,14 +24,15 @@ import sys
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from imglex.errors import ConfigError, DataError
 from imglex.fileio import parse_number, read_rows, read_vectors, vector_row, write_lines
-from imglex.model import TOWER_KINDS
-from imglex.textproc import Vocabulary, is_language_code, tokenize
+from imglex.model import MAX_EMBEDDING_ROWS, TOWER_KINDS
+from imglex.textproc import LangMode, Vocabulary, build_vocab, is_language_code, tokenize
 from imglex.training import Batch
 
 
@@ -263,21 +265,77 @@ def prepare_examples(
     is a DataError naming ``triples_path`` and the triple's line. Lookup
     mode ignores ``features`` and re-indexes image ids densely in
     first-seen order. Triples whose query tokenizes to nothing are dropped
-    and counted.
+    and counted. ``prepare_corpus`` builds the vocabulary and packs in one
+    call.
     """
+    table = _tower_features(tower, features)
+    queries = (tokenize(t.query, t.lang, vocab.mode) for t in triples)
+    return _pack(zip(triples, queries), vocab, table, triples_path)
+
+
+def prepare_corpus(
+    triples: Sequence[TripleRecord],
+    *,
+    tower: str,
+    features: FeatureTable | None = None,
+    mode: LangMode,
+    min_count: int,
+    num_buckets: int,
+    triples_path: str | Path = "triples",
+) -> tuple[Vocabulary, PreparedCorpus]:
+    """The vocabulary of the triples' queries and their packed corpus, as
+    ``build_vocab`` and ``prepare_examples`` make them, tokenizing each query
+    once.
+
+    Raises, in this order: ConfigError when the vocabulary plus
+    ``num_buckets`` exceeds MAX_EMBEDDING_ROWS embedding rows; DataError
+    when no token reaches ``min_count``; prepare_examples' DataError for an
+    image without a feature vector; DataError when fewer than 2 triples are
+    kept, as the in-batch softmax needs 2.
+    """
+    table = _tower_features(tower, features)
+    queries = [tokenize(t.query, t.lang, mode) for t in triples]
+    vocab = build_vocab(chain.from_iterable(queries), min_count=min_count, num_buckets=num_buckets, mode=mode)
+    if vocab.total_ids > MAX_EMBEDDING_ROWS:
+        raise ConfigError(
+            f"--buckets {vocab.num_buckets}: {vocab.vocab_size} vocabulary tokens + {vocab.num_buckets} buckets "
+            f"exceed the int64 limit of 2**63 - 1 embedding rows"
+        )
+    if vocab.vocab_size == 0:
+        distinct = len(set(chain.from_iterable(queries)))
+        raise DataError(f"empty vocabulary: none of the {distinct} distinct tokens reaches --min-count {min_count}")
+    prepared = _pack(zip(triples, queries), vocab, table, triples_path)
+    if prepared.examples.size < 2:
+        raise DataError(
+            f"{prepared.examples.size} usable training examples, the in-batch softmax needs at least 2 "
+            "(every query tokenized to nothing?)"
+        )
+    return vocab, prepared
+
+
+def _tower_features(tower: str, features: FeatureTable | None) -> FeatureTable | None:
+    """The table the MLP tower's image rows index, or None for the lookup tower."""
     if tower not in TOWER_KINDS:
         raise ValueError(f"unknown tower kind {tower!r}")
     if tower == "mlp" and features is None:
         raise ValueError("mlp tower requires a feature table")
-    table = features if tower == "mlp" else None
+    return features if tower == "mlp" else None
+
+
+def _pack(
+    tokenized: Iterable[tuple[TripleRecord, list[str]]],
+    vocab: Vocabulary,
+    table: FeatureTable | None,
+    triples_path: str | Path,
+) -> PreparedCorpus:
+    """Pack each (triple, query tokens) pair whose tokens are not empty; see prepare_examples."""
     image_index = {} if table is None else table.index
     token_ids: list[int] = []
     counts: list[int] = []
     image_rows: list[int] = []
     weights: list[float] = []
     dropped = 0
-    for t in triples:
-        tokens = tokenize(t.query, t.lang, vocab.mode)
+    for t, tokens in tokenized:
         if not tokens:
             dropped += 1
             continue

@@ -16,12 +16,12 @@ for both towers.
 
 ``train`` has one input, the packed corpus: one Batch (flat token ids with
 per-query counts and offsets, one image row and one weight per example), as
-``imglex.data.prepare_examples`` returns it, and it gathers every
-mini-batch from it by index. The MLP tower's image rows index the feature
-matrix ``load_features`` read, so a step gathers its B feature rows from
-that matrix and the corpus holds no copy of it. A step's forward and
-backward share one B x B float64 buffer: it holds the cosines, then the
-logits, then their shifted exponentials, then the logit gradient.
+``imglex.data.prepare_corpus`` returns it with its vocabulary, and it
+gathers every mini-batch from it by index. The MLP tower's image rows
+index the feature matrix ``load_features`` read, so a step gathers its B
+feature rows from that matrix and the corpus holds no copy of it. A step's
+forward and backward share one B x B float64 buffer: it holds the cosines,
+then the logits, then their shifted exponentials, then the logit gradient.
 
 A step keeps only what its backward reads. Past the B x B buffer, the
 forward leaves the unit query and image rows (B x n each) and the tower's
@@ -38,10 +38,12 @@ the plain formulas, so the results are bit for bit the same.
 ``train`` holds in its embedding table only the distinct token ids of the
 corpus, the only rows any step can read or give a gradient to; every other
 row keeps its initial value (``imglex.model.EmbeddingTable``). Each step maps
-its tokens to rows of that block with one ``np.searchsorted``. Adagrad's
-accumulators have the shapes of the parameters, so the embedding
-accumulator lines up row for row with the held rows, and the memory of both
-grows with the rows the corpus holds, not with the hash buckets.
+its tokens to rows of that block with one ``np.searchsorted`` and gathers
+each touched row once: the finiteness check and the bag of words read that
+one copy. Adagrad's accumulators have the shapes of the parameters, so the
+embedding accumulator lines up row for row with the held rows, and the
+memory of both grows with the rows the corpus holds, not with the hash
+buckets.
 
 The per-example view is kept for ``bench/`` only; each name goes with its lines:
 - ``TrainExample`` and a Batch read as a sequence (``len``, iteration, an
@@ -102,7 +104,7 @@ class Batch(Sequence):
     None. ``images`` gathers what the image tower's forward takes.
 
     The packed corpus of a run is one Batch, ``train``'s one input:
-    ``imglex.data.prepare_examples`` packs it from the triples (``pack``),
+    ``imglex.data.prepare_corpus`` packs it from the triples (``pack``),
     and ``select`` gathers a sub-batch by example index, so each step of
     ``train`` is an index gather. The benchmark also reads a Batch as a
     sequence of examples, each image a row view of ``features``.
@@ -244,9 +246,10 @@ def _forward(params: ModelParams, batch: Batch, logit_scale: float, buf: np.ndar
     touched, inverse = np.unique(batch.token_ids, return_inverse=True)
     if touched[0] < 0 or touched[-1] >= table.num_rows:
         raise ValueError("token id out of range")
-    slots = table.slots(touched)
-    _check_finite("embedding rows", table.rows[slots])
-    q_raw = _bow_forward(table.rows, slots[inverse], batch)
+    touched_rows = table.rows[table.slots(touched)]
+    _check_finite("embedding rows", touched_rows)
+    q_raw = _bow_forward(touched_rows, inverse, batch)
+    del touched_rows
     i_raw, tower_cache = params.tower.forward(batch.images)
     _check_finite("image tower output", i_raw)
     q_hat, q_inv = _safe_unit_rows(q_raw, "query norm")
@@ -480,12 +483,13 @@ def train(
 ) -> TrainResult:
     """Shuffled mini-batch training, deterministic given config.seed.
 
-    ``corpus`` is the packed corpus, one Batch such as
-    ``PreparedCorpus.examples``, trained on as it is. Each epoch reshuffles
-    with a seeded RNG and gathers batches of config.batch_size from it; the
-    final partial batch is kept, but a single leftover example joins the
-    batch before it (alone, its in-batch softmax is constant: zero loss and
-    zero gradient). Returns the trained parameters (an embedding table of
+    ``corpus`` is the packed corpus, one Batch such as the
+    ``PreparedCorpus.examples`` that ``imglex.data.prepare_corpus``
+    returns, trained on as it is. Each epoch reshuffles with a seeded RNG
+    and gathers batches of config.batch_size from it; the final partial
+    batch is kept, but a single leftover example joins the batch before it
+    (alone, its in-batch softmax is constant: zero loss and zero gradient).
+    Returns the trained parameters (an embedding table of
     ``num_embedding_rows`` rows holding the corpus's distinct token ids), the
     optimizer and the per-epoch mean weighted loss. Memory follows the rows
     held, not ``num_embedding_rows``. A token id outside

@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from imglex.data import SyntheticSpec, generate_synthetic, prepare_examples
-from imglex.textproc import LangMode, build_vocab, tokenize
+from imglex.data import SyntheticSpec, generate_synthetic, prepare_corpus
+from imglex.textproc import LangMode
 from imglex.training import TrainConfig, train
 
 
@@ -34,7 +34,8 @@ def naive_spearman(x, y):
 
 @pytest.fixture(scope="session")
 def small_synth_corpus():
-    """A small synthetic corpus and its vocabulary, shared by a few tests."""
+    """A small synthetic corpus, its vocabulary and its MLP packed corpus,
+    shared by a few tests."""
     spec = SyntheticSpec(
         num_concepts=5,
         num_languages=2,
@@ -47,20 +48,16 @@ def small_synth_corpus():
         isolated_image_fraction=0.2,
     )
     corpus = generate_synthetic(spec)
-    vocab = build_vocab(
-        (tok for t in corpus.triples for tok in tokenize(t.query, t.lang, LangMode.AWARE)),
-        min_count=6,
-        num_buckets=50,
-        mode=LangMode.AWARE,
+    vocab, prep = prepare_corpus(
+        corpus.triples, tower="mlp", features=corpus.features, mode=LangMode.AWARE, min_count=6, num_buckets=50
     )
-    return corpus, vocab
+    return corpus, vocab, prep
 
 
 @pytest.fixture(scope="session")
 def small_synth_training_run(small_synth_corpus):
     """A small but non-trivial MLP training run shared by a few tests."""
-    corpus, vocab = small_synth_corpus
-    prep = prepare_examples(corpus.triples, vocab, tower="mlp", features=corpus.features)
+    _, vocab, prep = small_synth_corpus
     config = TrainConfig(
         tower="mlp", emb_dim=8, hidden_dim=16, batch_size=128, epochs=5, learning_rate=0.5, logit_scale=10.0, seed=3
     )

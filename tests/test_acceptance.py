@@ -19,7 +19,7 @@ from imglex.data import (
     gen_synthetic,
     load_features,
     load_triples,
-    prepare_examples,
+    prepare_corpus,
 )
 from imglex.evaluation import (
     ScoredResult,
@@ -30,7 +30,7 @@ from imglex.evaluation import (
     spearman,
 )
 from imglex.model import init_params
-from imglex.textproc import LangMode, Vocabulary, build_vocab, tokenize
+from imglex.textproc import LangMode, Vocabulary, tokenize
 from imglex.training import (
     TrainConfig,
     batch_loss,
@@ -78,13 +78,7 @@ def recovery_corpus(tmp_path_factory):
 
 def train_and_score(triples, features, lexicon, tower):
     mode = LangMode.AWARE
-    vocab = build_vocab(
-        (tok for t in triples for tok in tokenize(t.query, t.lang, mode)),
-        min_count=6,
-        num_buckets=1000,
-        mode=mode,
-    )
-    prep = prepare_examples(triples, vocab, tower=tower, features=features if tower == "mlp" else None)
+    vocab, prep = prepare_corpus(triples, tower=tower, features=features, mode=mode, min_count=6, num_buckets=1000)
     config = TrainConfig(tower=tower, hidden_dim=32 if tower == "mlp" else None, **RECOVERY_TRAIN)
     started = time.perf_counter()
     result = train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)

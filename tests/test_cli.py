@@ -705,6 +705,9 @@ TRAIN_MLP = ["train", "--features", "{feat}", "--min-count", "1", "--buckets", "
         # The filter drops line 2 (img3 has one language); the error still names line 4.
         (TRAIN_MLP + ["--filter-multilingual", "--triples"], "1.0\ten\ta\timg1\n1.0\ten\tb\timg3\n1.0\tde\tc\timg1\n1.0\ten\td\timg2\n1.0\tde\te\timg2\n", 2,
          "data error: {path}:4: no feature vector for image id 'img2'"),
+        # No token reaches --min-count 6 and img2 has no features: the vocabulary is checked first.
+        (TRAIN_MLP + ["--min-count", "6", "--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\timg2\n", 2,
+         "data error: empty vocabulary: none of the 3 distinct tokens reaches --min-count 6"),
         (EVAL + ["--similarity"], "EN:a\ten:b\t1\n", 3, "similarity task bad: word 'EN:a' has an invalid language tag"),
         (EVAL + ["--similarity"], ":a\ten:b\t1\n", 3, "similarity task bad: word ':a' has an invalid language tag"),
         (EVAL + ["--similarity"], "en:a\ten:b\tnan\nen:a\ten:c\t1\nen:b\ten:c\tinf\n", 2,
@@ -731,7 +734,8 @@ TRAIN_MLP = ["train", "--features", "{feat}", "--min-count", "1", "--buckets", "
     ],
     ids=[
         "triples-upper", "triples-empty", "buckets-too-many", "empty-vocabulary", "emb-dim-too-large", "accumulator-overflow",
-        "image-without-features", "image-without-features-filtered", "similarity-upper", "similarity-empty", "similarity-nan",
+        "image-without-features", "image-without-features-filtered", "empty-vocabulary-before-features",
+        "similarity-upper", "similarity-empty", "similarity-nan",
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
         "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word", "lexicon-unaware-upper",
         "out-dir-without-report", "aggregate-without-similarity",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import imglex.data
 from imglex.data import (
     FeatureTable,
     SyntheticSpec,
@@ -18,12 +19,13 @@ from imglex.data import (
     generate_synthetic,
     load_features,
     load_triples,
+    prepare_corpus,
     prepare_examples,
     save_features,
     save_triples,
 )
 from imglex.errors import DataError
-from imglex.textproc import LangMode, build_vocab
+from imglex.textproc import LangMode, build_vocab, tokenize
 from oracles import load_features_per_value
 
 
@@ -385,6 +387,58 @@ def test_prepare_examples_shares_the_loaded_matrix(tmp_path):
 def test_prepare_examples_checks_the_weights():
     with pytest.raises(ValueError, match="weights must be finite and non-negative"):
         prepared_fixture("lookup", triples=[triple(-1.0, "en", "back", "a")])
+
+
+def corpus_triples():
+    """A synthetic corpus plus a surface form two languages share, a query
+    that tokenizes to nothing and an image seen twice."""
+    corpus = generate_synthetic(small_spec())
+    extra = [
+        triple(1.0, "en", "Actor!", "c0i0"),
+        triple(0.5, "es", "actor", "c1i1"),
+        triple(2.0, "de", "???", "c0i0"),
+        triple(1.0, "es", "actor l0w0k0", "c0i0"),
+    ]
+    return corpus.triples + extra, corpus.features
+
+
+@pytest.mark.parametrize("mode", list(LangMode))
+@pytest.mark.parametrize("tower", ["mlp", "lookup"])
+def test_prepare_corpus_is_build_vocab_then_prepare_examples(tower, mode):
+    triples, features = corpus_triples()
+    vocab, prep = prepare_corpus(triples, tower=tower, features=features, mode=mode, min_count=2, num_buckets=7)
+    want_vocab = build_vocab(
+        (token for t in triples for token in tokenize(t.query, t.lang, mode)), min_count=2, num_buckets=7, mode=mode
+    )
+    want = prepare_examples(triples, want_vocab, tower=tower, features=features)
+    assert vocab == want_vocab and vocab.vocab_size > 0
+    for name in ("token_ids", "counts", "offsets", "image_rows", "weights"):
+        got, expected = getattr(prep.examples, name), getattr(want.examples, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    assert prep.examples.features is want.examples.features
+    assert (prep.dropped, prep.num_images, prep.feature_dim) == (want.dropped, want.num_images, want.feature_dim)
+    assert prep.dropped == 1
+    if mode is LangMode.UNAWARE:
+        assert "actor" in vocab.index
+
+
+@pytest.mark.parametrize("min_count, error", [(2, None), (10**6, "empty vocabulary: none of the")])
+def test_prepare_corpus_tokenizes_each_query_once(monkeypatch, min_count, error):
+    triples, features = corpus_triples()
+    calls = []
+
+    def counted(query, lang, mode):
+        calls.append(query)
+        return tokenize(query, lang, mode)
+
+    monkeypatch.setattr(imglex.data, "tokenize", counted)
+    kwargs = dict(tower="mlp", features=features, mode=LangMode.AWARE, min_count=min_count, num_buckets=7)
+    if error is None:
+        prepare_corpus(triples, **kwargs)
+    else:
+        with pytest.raises(DataError, match=error):
+            prepare_corpus(triples, **kwargs)
+    assert calls == [t.query for t in triples]
 
 
 @pytest.fixture(scope="module")

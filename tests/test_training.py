@@ -1184,7 +1184,7 @@ PINNED_LOOKUP_LOSSES = [5.869362419337293, 3.572898210119778, 3.3741842761207943
 
 def test_train_epoch_losses_pinned(small_synth_corpus, small_synth_training_run):
     assert small_synth_training_run.epoch_losses == pytest.approx(PINNED_MLP_LOSSES, rel=1e-9, abs=0)
-    corpus, vocab = small_synth_corpus
+    corpus, vocab, _ = small_synth_corpus
     prep = prepare_examples(corpus.triples, vocab, tower="lookup")
     config = TrainConfig(tower="lookup", emb_dim=8, batch_size=128, epochs=5, learning_rate=0.5, logit_scale=10.0, seed=3)
     result = train(prep.examples, config, num_embedding_rows=vocab.total_ids, num_images=prep.num_images)
