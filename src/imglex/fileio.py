@@ -7,14 +7,17 @@ follows :func:`parse_number`. Files of vector rows are read by
 :func:`read_vectors` and written with :func:`vector_row`. Every artifact
 writer goes through :func:`atomic_write`, so a failed run never leaves a
 partial output file: content is written to a temporary file in the target
-directory and moved into place with os.replace.
+directory and moved into place with os.replace, and the file gets the
+mode open() would give it under the umask. :func:`write_lines` streams a
+line file: each line is encoded as it is written, so a writer holds one
+line of the file, not the whole text.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import tempfile
+import secrets
 from contextlib import closing, contextmanager, suppress
 from itertools import chain
 from pathlib import Path
@@ -117,7 +120,10 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # A fresh name, created exclusively with mode 0o666, so the umask applies
+    # (mkstemp would make every artifact owner-only).
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh
@@ -134,6 +140,8 @@ def encode_lines(lines: Iterable[str]) -> bytes:
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write ``lines`` to ``path`` atomically, each terminated by LF."""
+    """Write ``lines`` to ``path`` atomically, each terminated by LF: the
+    bytes of :func:`encode_lines`, each line encoded as the file's buffer
+    takes it, so only one line's text is held at a time."""
     with atomic_write(path) as fh:
-        fh.write(encode_lines(lines))
+        fh.writelines(f"{line}\n".encode("utf-8") for line in lines)

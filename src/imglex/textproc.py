@@ -15,11 +15,12 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from imglex.errors import DataError
-from imglex.fileio import atomic_write, encode_lines, read_rows
+from imglex.fileio import encode_lines, read_rows, write_lines
 
 # Separators are everything that is not a Unicode letter or digit; underscore
 # is explicitly a separator even though regex \w would keep it.
@@ -114,18 +115,21 @@ class Vocabulary:
             return found
         return len(self.tokens) + fnv1a64(token.encode("utf-8")) % self.num_buckets
 
+    def _lines(self) -> Iterator[str]:
+        """The lines of the vocabulary file: "<vocab_size> <num_buckets> <mode>", then one token per line."""
+        return chain([f"{self.vocab_size} {self.num_buckets} {self.mode.value}"], self.tokens)
+
     def serialize(self) -> bytes:
-        """The file :meth:`save` writes: "<vocab_size> <num_buckets> <mode>", then one token per line."""
-        return encode_lines([f"{self.vocab_size} {self.num_buckets} {self.mode.value}", *self.tokens])
+        """The bytes of the file :meth:`save` writes."""
+        return encode_lines(self._lines())
 
     def content_hash(self) -> str:
         """Hex SHA-256 of :meth:`serialize`; checkpoints record it as ``vocab_hash``."""
         return hashlib.sha256(self.serialize()).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        """Write :meth:`serialize` to ``path`` atomically."""
-        with atomic_write(path) as fh:
-            fh.write(self.serialize())
+        """Write the vocabulary file to ``path`` with imglex.fileio.write_lines."""
+        write_lines(path, self._lines())
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

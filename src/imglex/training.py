@@ -661,8 +661,16 @@ def save_checkpoint(
     entries.update((f"{name}_accum", opt.accum[name]) for name in params.tower.arrays())
     # Last, as in earlier files, so a trained table's file is unchanged byte for byte.
     entries.update(embeddings=table.rows, embeddings_accum=opt.accum["embeddings"])
-    with atomic_write(path) as fh:
-        np.savez(fh, **entries)
+    # The archive np.savez writes, member for member, but each array's own
+    # buffer is written into its member: np.savez copies it through tobytes.
+    with atomic_write(path) as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
+        for name, value in entries.items():
+            # The header is taken from the C-ordered array, which the data follows.
+            array = np.asarray(value, order="C")
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
+                # A 1-D byte view: Python 3.10's zipfile counts len(data), not bytes.
+                member.write(array.reshape(-1).view(np.uint8))
 
 
 @dataclass

@@ -3,6 +3,7 @@ atomic writer, through every loader and writer that uses them."""
 
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from imglex.data import load_features, load_triples, save_features
 from imglex.errors import DataError
 from imglex.evaluation import load_class_task, load_lexicon, load_sim_task
-from imglex.fileio import atomic_write
+from imglex.fileio import atomic_write, encode_lines, write_lines
 from imglex.model import load_word2vec, save_word2vec
 from imglex.textproc import LangMode, Vocabulary
 from oracles import full_table
@@ -161,3 +162,33 @@ def test_atomic_write_failure_keeps_existing_file(tmp_path):
     assert path.read_bytes() == b"old"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.bin"]
 
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_atomic_write_file_mode_follows_the_umask(tmp_path, umask, mode):
+    # As open() would create it: 0o666 less the umask, not owner-only.
+    previous = os.umask(umask)
+    try:
+        with atomic_write(tmp_path / "artifact.bin") as fh:
+            fh.write(b"content")
+        write_lines(tmp_path / "lines.txt", ["a", "b"])
+    finally:
+        os.umask(previous)
+    assert {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {"artifact.bin": mode, "lines.txt": mode}
+
+
+# case -> lines: none, more short lines than the 8 KiB file buffer holds, a
+# line longer than that buffer, and lines of 2-, 3- and 4-byte UTF-8 characters
+WRITE_LINES_CASES = {
+    "no-lines": [],
+    "short-lines-past-the-buffer": [f"line {n}" for n in range(1025)],
+    "a-line-longer-than-the-buffer": ["a" * 20_000, "b"],
+    "non-ascii": ["en:straße\tde:weiß", "", "zh:图像 ja:画像", "emoji 🙂"] * 512,
+}
+
+
+@pytest.mark.parametrize("case", WRITE_LINES_CASES)
+def test_write_lines_writes_the_bytes_of_encode_lines(tmp_path, case):
+    lines = WRITE_LINES_CASES[case]
+    path = tmp_path / "lines.txt"
+    write_lines(path, iter(lines))
+    assert path.read_bytes() == encode_lines(lines)

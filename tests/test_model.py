@@ -1,6 +1,7 @@
 """Tower forward passes, cosine, initialization, and the word2vec export."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from imglex.model import (
     load_word2vec,
     save_word2vec,
 )
-from imglex.textproc import LangMode, build_vocab
+from imglex.textproc import LangMode, Vocabulary, build_vocab
 from oracles import full_table, held_row_sets, image_repr_lookup, image_repr_mlp, load_word2vec_per_value, query_repr
 
 
@@ -237,6 +238,24 @@ def test_word2vec_round_trip(tmp_path):
     assert set(vectors) == {"en:a", "en:b"}
     for token, idx in vocab.index.items():
         assert np.array_equal(vectors[token], params.embeddings.rows[idx])
+
+
+def test_save_word2vec_does_not_hold_the_file(tmp_path):
+    # 20,000 rows of 100 values: a 45 MB file, written a line at a time from
+    # a chunk of table rows (0.8 MB) at a time.
+    vocab = Vocabulary(tuple(f"en:w{n}" for n in range(20_000)), 1, LangMode.AWARE)
+    params = init_params(0, num_rows=vocab.total_ids, emb_dim=100, tower="lookup", num_images=2)
+    path = tmp_path / "emb.vec"
+    tracemalloc.start()
+    try:
+        save_word2vec(path, vocab, params.embeddings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+    with path.open("rb") as fh:
+        assert fh.readline() == b"20000 100\n"
+        assert sum(1 for _ in fh) == 20_000
 
 
 @pytest.fixture(scope="module")

@@ -590,6 +590,54 @@ def test_load_checkpoint_memory_is_a_few_chunks(tmp_path, tower):
     assert_resaves_byte_for_byte(path, loaded)
 
 
+@pytest.mark.parametrize("tower", TOWER_KINDS)
+def test_save_checkpoint_writes_the_archive_np_savez_writes(tmp_path, tower):
+    path, entries = saved_checkpoint_entries(tmp_path, tower)
+    reference = tmp_path / "savez.npz"
+    np.savez(reference, **entries)
+    arrays = ["V", "b1", "U", "b2"] if tower == "mlp" else ["image_vectors"]
+    names = ["meta", "embeddings_ids", "embeddings_num_rows", *arrays, *(f"{name}_accum" for name in arrays), "embeddings", "embeddings_accum"]
+    with zipfile.ZipFile(path) as got, zipfile.ZipFile(reference) as want:
+        assert got.namelist() == want.namelist() == [f"{name}.npy" for name in names]
+        for member in want.namelist():
+            assert got.read(member) == want.read(member), member
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_save_checkpoint_stores_f_ordered_and_0d_arrays_by_value(tmp_path):
+    params = init_params(1, num_rows=6, emb_dim=4, tower="mlp", feature_dim=3, hidden_dim=5)
+    params.tower = dataclasses.replace(params.tower, V=np.asfortranarray(params.tower.V), U=np.asfortranarray(params.tower.U))
+    assert not params.tower.V.flags.c_contiguous
+    opt = OptimizerState.for_params(params, learning_rate=0.25)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, params, opt, TrainConfig(tower="mlp", emb_dim=4, hidden_dim=5), vocab_hash="h", epoch=0)
+    with np.load(path) as data:
+        assert np.array_equal(data["V"], params.tower.V) and np.array_equal(data["U"], params.tower.U)
+        assert data["embeddings_num_rows"].shape == () and data["embeddings_num_rows"] == 6
+    loaded = load_checkpoint(path)
+    assert np.array_equal(loaded.params.tower.V, params.tower.V) and np.array_equal(loaded.params.tower.U, params.tower.U)
+    assert loaded.params.embeddings.num_rows == 6
+
+
+def test_save_checkpoint_copies_no_array(tmp_path):
+    # A 20.8 MB table and its accumulator go into the archive from their own
+    # buffers; np.savez would copy each through a 16 MB tobytes buffer.
+    params = init_params(0, num_rows=26_000, emb_dim=100, tower="lookup", num_images=2)
+    opt = OptimizerState.for_params(params, learning_rate=0.25)
+    config = TrainConfig(tower="lookup", emb_dim=100)
+    path = tmp_path / "ckpt.npz"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, params, opt, config, vocab_hash="h", epoch=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert params.embeddings.rows.nbytes >= 20_000_000
+    assert peak < 1_000_000, peak
+    with np.load(path) as data:
+        assert np.array_equal(data["embeddings"], params.embeddings.rows)
+
+
 @pytest.fixture(scope="module")
 def round_trip_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("checkpoint_round_trip")
