@@ -6,6 +6,12 @@ File formats (UTF-8, LF, '.' decimal separator):
   features.tsv  image_id<TAB>f1,f2,...,fd
   lexicon.tsv   lang1:word1<TAB>lang2:word2<TAB>concept_id
 
+Image features are fixed inputs that every run reloads, so ``load_features``
+parses the bytes of a features file once: it keeps the parsed ids and
+matrix in a feature cache next to the file (``feature_cache_path``), keyed
+by the SHA-256 of those bytes, and reads them from there while the file's
+bytes stay the same.
+
 The synthetic generator provides ground truth the real corpus cannot: it
 draws unit-norm concept prototype vectors, gives every concept a few words
 per language, and emits (query, image, weight) triples whose image features
@@ -20,9 +26,13 @@ also has a shared image pool so co-occurrence-only training has signal.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import stat
 import sys
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -30,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from imglex.errors import ConfigError, DataError
-from imglex.fileio import parse_number, read_rows, read_vectors, vector_row, write_lines
+from imglex.fileio import file_digest, parse_number, read_rows, read_vectors, vector_row, write_lines, write_npz
 from imglex.model import MAX_EMBEDDING_ROWS, TOWER_KINDS
 from imglex.textproc import LangMode, Vocabulary, build_vocab, is_language_code, tokenize
 from imglex.training import Batch
@@ -91,10 +101,84 @@ class FeatureTable(Mapping[str, np.ndarray]):
         return len(self.index)
 
 
+# Bump whenever the syntax imglex.fileio.read_vectors accepts changes: a
+# feature cache written under another version is never read.
+FEATURE_CACHE_VERSION = 1
+
+
+def feature_cache_path(path: str | Path) -> Path:
+    """The feature cache next to the features file ``path``: ``.<name>.imglex-cache.npz``."""
+    path = Path(path)
+    return path.with_name(f".{path.name}.imglex-cache.npz")
+
+
 def load_features(path: str | Path) -> FeatureTable:
     """Parse a features TSV into a FeatureTable over the matrix that
-    imglex.fileio.read_vectors reads; d is set by the first row."""
-    return FeatureTable(*read_vectors(path, lambda: read_rows(path, "features file", ncols=2), ",", "feature value"))
+    imglex.fileio.read_vectors reads; d is set by the first row.
+
+    A regular file is parsed once per content: the parse writes the ids and
+    the matrix to the cache ``feature_cache_path(path)``, keyed by the
+    SHA-256 of the bytes parsed and FEATURE_CACHE_VERSION, and a later load
+    of the same bytes reads them from there, bit for bit the same. A cache
+    never changes a result or fails a load: one that cannot be read or
+    fails a check is parsed over and rewritten, a failed cache write is
+    ignored, a bad file raises the parse's DataError and writes no cache,
+    and input that is not a regular file (a pipe) is parsed with no cache.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except OSError:
+        regular = False  # the parse names the file in its DataError
+    cache = feature_cache_path(path) if regular else None
+    if cache is not None and cache.exists():
+        cached = _read_feature_cache(path, cache)
+        if cached is not None:
+            return FeatureTable(*cached)
+    digests: list[hashlib._Hash] = []
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        digests.append(hashlib.sha256())
+        return read_rows(path, "features file", ncols=2, digest=digests[-1])
+
+    ids, matrix = read_vectors(path, rows, ",", "feature value")
+    if cache is not None:
+        # The last pass read the whole file: the key is the digest of the bytes these rows came from.
+        key = np.frombuffer(_feature_cache_key(digests[-1].hexdigest()), dtype=np.uint8)
+        with suppress(OSError):  # a read-only directory or a full disk costs the next load a parse, nothing more
+            write_npz(cache, {"key": key, "ids": _joined_ids(ids), "vectors": matrix})
+    return FeatureTable(ids, matrix)
+
+
+def _feature_cache_key(digest: str) -> bytes:
+    return f"sha256:{digest} version:{FEATURE_CACHE_VERSION}".encode("ascii")
+
+
+def _joined_ids(ids: list[str]) -> np.ndarray:
+    # Bytes, not a "<U" array, which would drop an id's trailing NULs.
+    return np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8)
+
+
+def _read_feature_cache(path: str | Path, cache: Path) -> tuple[list[str], np.ndarray] | None:
+    """The ids and matrix ``cache`` holds for the current bytes of ``path``,
+    or None if it holds none that pass every check."""
+    try:
+        key = _feature_cache_key(file_digest(path))
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+            stored_key = archive["key"]
+            if stored_key.dtype != np.uint8 or stored_key.tobytes() != key:
+                return None
+            raw_ids, matrix = archive["ids"], archive["vectors"]
+        text = raw_ids.tobytes().decode("utf-8")
+    # A cache is only a shortcut: whatever a damaged one raises (OSError,
+    # BadZipFile, EOFError, KeyError, ValueError, ...), the parse decides.
+    except Exception:
+        return None
+    if raw_ids.dtype != np.uint8 or raw_ids.ndim != 1 or matrix.dtype != np.float64 or matrix.ndim != 2:
+        return None
+    ids = text.split("\n") if len(matrix) or text else []
+    if len(ids) == len(matrix) == len(set(ids)) and np.isfinite(matrix).all():
+        return ids, matrix
+    return None
 
 
 def save_features(path: str | Path, features: Mapping[str, np.ndarray]) -> None:

@@ -10,36 +10,83 @@ partial output file: content is written to a temporary file in the target
 directory and moved into place with os.replace, and the file gets the
 mode open() would give it under the umask. :func:`write_lines` streams a
 line file: each line is encoded as it is written, so a writer holds one
-line of the file, not the whole text.
+line of the file, not the whole text. :func:`write_npz` writes the archive
+np.savez writes from each array's own buffer. :func:`file_digest` and
+``read_rows(digest=)`` hash a file's bytes in 1 MiB chunks, never the whole
+file at once.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import os
 import secrets
+import zipfile
 from contextlib import closing, contextmanager, suppress
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from imglex.errors import DataError
 
+DIGEST_CHUNK_BYTES = 1 << 20
+
+
+def file_digest(path: str | Path) -> str:
+    """Hex SHA-256 of the bytes of the file at ``path``, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(DIGEST_CHUNK_BYTES), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+class _DigestingReader(io.RawIOBase):
+    """An unbuffered binary file that feeds every byte read from it into ``digest``."""
+
+    def __init__(self, raw: BinaryIO, digest: hashlib._Hash):
+        self.raw, self.digest = raw, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(buffer)
+        self.digest.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self.raw.close()
+        super().close()
+
 
 def read_rows(
-    path: str | Path, what: str, ncols: int | None = None, sep: str = "\t", maxsplit: int = -1
+    path: str | Path,
+    what: str,
+    ncols: int | None = None,
+    sep: str = "\t",
+    maxsplit: int = -1,
+    digest: hashlib._Hash | None = None,
 ) -> Iterator[tuple[int, list[str]]]:
     """Yield ``(lineno, fields)`` for each line of the UTF-8 file at ``path``.
 
     ``fields`` is the line without its terminator, split on ``sep`` (at most
     ``maxsplit`` times). With ``ncols`` set, a line with another number of
     fields raises DataError. ``what`` names the file in the error raised
-    when it cannot be opened.
+    when it cannot be opened. Each byte read is fed into ``digest`` when it
+    is given (a hashlib object), so once the last row is yielded it has
+    hashed exactly the bytes the rows came from.
     """
     try:
-        fh = open(path, encoding="utf-8")
+        if digest is None:
+            fh = open(path, encoding="utf-8")
+        else:
+            raw = _DigestingReader(open(path, "rb", buffering=0), digest)
+            fh = io.TextIOWrapper(io.BufferedReader(raw, DIGEST_CHUNK_BYTES), encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
     kind = "tab" if sep == "\t" else repr(sep)
@@ -134,14 +181,24 @@ def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
-def encode_lines(lines: Iterable[str]) -> bytes:
-    """UTF-8 text of ``lines``, each terminated by LF: the layout of every line file."""
-    return "".join(f"{line}\n" for line in lines).encode("utf-8")
-
-
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write ``lines`` to ``path`` atomically, each terminated by LF: the
-    bytes of :func:`encode_lines`, each line encoded as the file's buffer
-    takes it, so only one line's text is held at a time."""
+    """Write ``lines`` to ``path`` atomically as UTF-8, each terminated by
+    LF (the layout of every line file), each line encoded as the file's
+    buffer takes it, so only one line's text is held at a time."""
     with atomic_write(path) as fh:
         fh.writelines(f"{line}\n".encode("utf-8") for line in lines)
+
+
+def write_npz(path: str | Path, entries: Mapping[str, np.ndarray]) -> None:
+    """Write ``entries`` to ``path`` atomically as the archive ``np.savez(path,
+    **entries)`` writes, member for member, but each array's own buffer is
+    written into its member: np.savez copies it through tobytes. An array
+    that is not C-contiguous is stored in C order."""
+    with atomic_write(path) as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
+        for name, value in entries.items():
+            # The header is taken from the C-ordered array, which the data follows.
+            array = np.asarray(value, order="C")
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
+                # A 1-D byte view: Python 3.10's zipfile counts len(data), not bytes.
+                member.write(array.reshape(-1).view(np.uint8))

@@ -15,12 +15,12 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from imglex.errors import DataError
-from imglex.fileio import encode_lines, read_rows, write_lines
+from imglex.fileio import read_rows, write_lines
 
 # Separators are everything that is not a Unicode letter or digit; underscore
 # is explicitly a separator even though regex \w would keep it.
@@ -119,13 +119,13 @@ class Vocabulary:
         """The lines of the vocabulary file: "<vocab_size> <num_buckets> <mode>", then one token per line."""
         return chain([f"{self.vocab_size} {self.num_buckets} {self.mode.value}"], self.tokens)
 
-    def serialize(self) -> bytes:
-        """The bytes of the file :meth:`save` writes."""
-        return encode_lines(self._lines())
-
     def content_hash(self) -> str:
-        """Hex SHA-256 of :meth:`serialize`; checkpoints record it as ``vocab_hash``."""
-        return hashlib.sha256(self.serialize()).hexdigest()
+        """Hex SHA-256 of the file :meth:`save` writes, hashed 1024 lines at a
+        time; checkpoints record it as ``vocab_hash``."""
+        digest, lines = hashlib.sha256(), self._lines()
+        while chunk := "".join(f"{line}\n" for line in islice(lines, 1024)):
+            digest.update(chunk.encode("utf-8"))
+        return digest.hexdigest()
 
     def save(self, path: str | Path) -> None:
         """Write the vocabulary file to ``path`` with imglex.fileio.write_lines."""

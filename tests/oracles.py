@@ -7,7 +7,7 @@ correctness gate imports it); everything here is used by tests only, as is
 """
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
@@ -268,6 +268,12 @@ def load_features_per_value(path) -> dict[str, np.ndarray]:
             raise DataError(f"{path}:{lineno}: expected {dim} feature values, got {vec.size}")
         features[image_id] = vec
     return features
+
+
+def encode_lines(lines: Iterable[str]) -> bytes:
+    """UTF-8 text of ``lines``, each terminated by LF, built whole: the bytes
+    imglex.fileio.write_lines must write."""
+    return "".join(f"{line}\n" for line in lines).encode("utf-8")
 
 
 def load_word2vec_per_value(path) -> dict[str, np.ndarray]:

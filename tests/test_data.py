@@ -1,8 +1,12 @@
 """Corpus file formats, the multilingual filter, and the synthetic generator."""
 
+import errno
 import hashlib
 import math
+import os
 import random
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +14,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import imglex.data
+import imglex.fileio
 from imglex.data import (
     FeatureTable,
     SyntheticSpec,
     TripleRecord,
+    feature_cache_path,
     filter_multilingual,
     gen_synthetic,
     generate_synthetic,
@@ -329,20 +335,35 @@ def assert_same_features(got, want):
         assert got[image_id].dtype == vec.dtype and got[image_id].tobytes() == vec.tobytes(), image_id
 
 
+def parse_forbidden(*args, **kwargs):
+    raise AssertionError("the features file was parsed, not read from its cache")
+
+
+def load_warm(monkeypatch, path):
+    """load_features served by the feature cache alone: a parse fails the test."""
+    with monkeypatch.context() as patch:
+        patch.setattr(imglex.data, "read_vectors", parse_forbidden)
+        return load_features(path)
+
+
 @pytest.mark.parametrize("content, expected", [case[1:] for case in FEATURE_CASES], ids=[case[0] for case in FEATURE_CASES])
-def test_load_features_edge_cases(tmp_path, content, expected):
+def test_load_features_edge_cases(tmp_path, monkeypatch, content, expected):
     path = tmp_path / "f.tsv"
     path.write_text(content, encoding="utf-8")
     if isinstance(expected, str):
-        with pytest.raises(DataError) as err:
-            load_features(path)
-        assert str(err.value) == f"{path}:{expected}"
+        for _ in ("cold", "again"):  # a bad file writes no cache, so each load parses it
+            with pytest.raises(DataError) as err:
+                load_features(path)
+            assert str(err.value) == f"{path}:{expected}"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["f.tsv"]
         with pytest.raises(DataError) as reference:
             load_features_per_value(path)
         assert str(reference.value) == str(err.value)
         return
     want = {image_id: np.array(values, dtype=np.float64) for image_id, values in expected.items()}
     assert_same_features(load_features(path), want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".f.tsv.imglex-cache.npz", "f.tsv"]
+    assert_same_features(load_warm(monkeypatch, path), want)
     assert_same_features(load_features_per_value(path), want)
 
 
@@ -355,22 +376,206 @@ def test_load_features_rows_view_one_matrix(tmp_path):
     assert matrix.shape == (2, 3) and matrix.dtype == np.float64
 
 
-def test_feature_table_reads_the_file_in_order(tmp_path):
+def test_feature_table_reads_the_file_in_order(tmp_path, monkeypatch):
     path = tmp_path / "f.tsv"
     path.write_text("b\t1.5,-0.0\na\t3.0,4.0\nc\t5e-324,1e+308\n", encoding="utf-8")  # as save_features writes
+    for table in (load_features(path), load_warm(monkeypatch, path)):  # parsed, then from the cache
+        assert isinstance(table, FeatureTable)
+        assert len(table) == 3 and list(table) == ["b", "a", "c"] and "a" in table and "z" not in table
+        assert table.matrix.shape == (3, 2) and [table.index[k] for k in table] == [0, 1, 2]
+        assert_same_features(table, load_features_per_value(path))
+        with pytest.raises(KeyError):
+            table["z"]
+        assert table.get("z") is None
+        with pytest.raises(ValueError, match="read-only"):
+            table["a"][0] = 1.0
+        copy = tmp_path / "copy.tsv"
+        save_features(copy, table)
+        assert copy.read_bytes() == path.read_bytes()
+
+
+FEATURES = "a\t1,2\nb\t3,4\n"
+
+
+def test_feature_cache_sits_next_to_the_file(tmp_path):
+    assert feature_cache_path(tmp_path / "features.tsv") == tmp_path / ".features.tsv.imglex-cache.npz"
+    assert feature_cache_path("features.tsv") == Path(".features.tsv.imglex-cache.npz")
+
+
+def test_feature_cache_is_keyed_by_the_bytes_not_the_size_or_mtime(tmp_path, monkeypatch):
+    path = tmp_path / "f.tsv"
+    path.write_text(FEATURES, encoding="utf-8")
+    load_features(path)
+    before = path.stat()
+    path.write_text(FEATURES.replace("4", "5"), encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    want = {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 5.0])}
+    assert_same_features(load_features(path), want)
+    assert_same_features(load_warm(monkeypatch, path), want)
+
+
+def test_feature_cache_of_another_version_is_parsed_over(tmp_path, monkeypatch):
+    path = tmp_path / "f.tsv"
+    path.write_text(FEATURES, encoding="utf-8")
+    load_features(path)
+    monkeypatch.setattr(imglex.data, "FEATURE_CACHE_VERSION", imglex.data.FEATURE_CACHE_VERSION + 1)
+    parses = []
+
+    def read_vectors(*args):
+        parses.append(args[0])
+        return imglex.fileio.read_vectors(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(imglex.data, "read_vectors", read_vectors)
+        assert_same_features(load_features(path), load_features_per_value(path))
+    assert parses == [path]
+    assert_same_features(load_warm(monkeypatch, path), load_features_per_value(path))
+
+
+def test_feature_cache_is_keyed_by_the_bytes_the_parse_read(tmp_path, monkeypatch):
+    # The file changes while it loads: between the parse's two reads ("1_0" is
+    # not np.loadtxt syntax, so the per-value pass reads the file again), then
+    # after the parse. A later load of any of the file's contents gets its values.
+    path = tmp_path / "f.tsv"
+    path.write_text("a\t1_0\n", encoding="utf-8")
+    reads = []
+
+    def read_rows(*args, **kwargs):
+        reads.append(args[0])
+        if len(reads) == 2:
+            path.write_text("a\t2_0\n", encoding="utf-8")
+        return imglex.fileio.read_rows(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(imglex.data, "read_rows", read_rows)
+        assert load_features(path)["a"].tolist() == [20.0]
+    assert reads == [path, path]
+    path.write_text("a\t1_0\n", encoding="utf-8")
+    assert load_features(path)["a"].tolist() == [10.0]
+
+    def read_vectors(*args):
+        parsed = imglex.fileio.read_vectors(*args)
+        path.write_text("a\t3_0\n", encoding="utf-8")
+        return parsed
+
+    path.write_text("a\t4,5\n", encoding="utf-8")
+    with monkeypatch.context() as patch:
+        patch.setattr(imglex.data, "read_vectors", read_vectors)
+        assert load_features(path)["a"].tolist() == [4.0, 5.0]
+    assert load_features(path)["a"].tolist() == [30.0]
+
+
+def rewrite_cache(cache, **changes):
+    """Rewrite the archive at ``cache`` with some members replaced (None drops
+    one, a callable maps the stored array)."""
+    with np.load(cache) as archive:
+        members = {name: archive[name] for name in archive.files}
+    members.update((name, change(members[name]) if callable(change) else change) for name, change in changes.items())
+    np.savez(cache, **{name: value for name, value in members.items() if value is not None})
+
+
+def write_npy(cache, array):
+    with cache.open("wb") as fh:
+        np.save(fh, array)
+
+
+# case -> what damages the cache of FEATURES; each is a miss that is parsed over and rewritten
+CORRUPT_CACHES = {
+    "empty file": lambda cache: cache.write_bytes(b""),
+    "not a zip": lambda cache: cache.write_bytes(b"not an archive\n"),
+    "truncated": lambda cache: cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2]),
+    "an npy file": lambda cache: write_npy(cache, np.zeros((2, 2))),
+    "no vectors": lambda cache: rewrite_cache(cache, vectors=None),
+    "no key": lambda cache: rewrite_cache(cache, key=None),
+    "wrong key": lambda cache: rewrite_cache(cache, key=np.frombuffer(b"sha256:0 version:1", dtype=np.uint8)),
+    "key of another dtype": lambda cache: rewrite_cache(cache, key=lambda key: key.astype(np.int16)),
+    "ids as a unicode array": lambda cache: rewrite_cache(cache, ids=np.array(["a", "b"])),
+    "pickled ids": lambda cache: rewrite_cache(cache, ids=np.array(["a", "b"], dtype=object)),
+    "ids not UTF-8": lambda cache: rewrite_cache(cache, ids=np.frombuffer(b"\xff\nb", dtype=np.uint8)),
+    "fewer ids than rows": lambda cache: rewrite_cache(cache, ids=np.frombuffer(b"a", dtype=np.uint8)),
+    "duplicate ids": lambda cache: rewrite_cache(cache, ids=np.frombuffer(b"a\na", dtype=np.uint8)),
+    "float32 vectors": lambda cache: rewrite_cache(cache, vectors=np.zeros((2, 2), dtype=np.float32)),
+    "1-D vectors": lambda cache: rewrite_cache(cache, vectors=np.zeros(2)),
+    "non-finite value": lambda cache: rewrite_cache(cache, vectors=np.array([[1.0, 2.0], [3.0, np.nan]])),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_CACHES)
+def test_a_damaged_feature_cache_is_parsed_over_and_rewritten(tmp_path, monkeypatch, case):
+    path = tmp_path / "f.tsv"
+    path.write_text(FEATURES, encoding="utf-8")
+    load_features(path)
+    CORRUPT_CACHES[case](feature_cache_path(path))
+    want = load_features_per_value(path)
+    assert_same_features(load_features(path), want)
+    assert_same_features(load_warm(monkeypatch, path), want)
+
+
+def test_an_unreadable_feature_cache_is_parsed_over(tmp_path):
+    path = tmp_path / "f.tsv"
+    path.write_text(FEATURES, encoding="utf-8")
+    feature_cache_path(path).mkdir()  # can be neither read nor replaced
+    assert_same_features(load_features(path), load_features_per_value(path))
+    assert feature_cache_path(path).is_dir()
+
+
+def fail_with(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+def open_failing_for_temporary_files(path, *args, real_open=os.open):
+    if str(path).endswith(".tmp"):
+        raise PermissionError(errno.EACCES, "Permission denied")
+    return real_open(path, *args)
+
+
+# where the cache write fails -> (object, attribute, replacement)
+FAILED_WRITES = {
+    "creating the file": (os, "open", open_failing_for_temporary_files),
+    "writing a member": (np.lib.format, "write_array_header_1_0", fail_with(OSError(errno.ENOSPC, "No space left on device"))),
+    "moving it into place": (os, "replace", fail_with(PermissionError(errno.EACCES, "Permission denied"))),
+}
+
+
+@pytest.mark.parametrize("where", FAILED_WRITES)
+def test_a_failed_feature_cache_write_is_ignored(tmp_path, monkeypatch, where):
+    path = tmp_path / "f.tsv"
+    path.write_text(FEATURES, encoding="utf-8")
+    monkeypatch.setattr(*FAILED_WRITES[where])
+    assert_same_features(load_features(path), load_features_per_value(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.tsv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_features_from_a_pipe_are_parsed_with_no_cache(tmp_path):
+    path = tmp_path / "f.tsv"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(FEATURES,), kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
     table = load_features(path)
-    assert isinstance(table, FeatureTable)
-    assert len(table) == 3 and list(table) == ["b", "a", "c"] and "a" in table and "z" not in table
-    assert table.matrix.shape == (3, 2) and [table.index[k] for k in table] == [0, 1, 2]
-    assert_same_features(table, load_features_per_value(path))
-    with pytest.raises(KeyError):
-        table["z"]
-    assert table.get("z") is None
-    with pytest.raises(ValueError, match="read-only"):
-        table["a"][0] = 1.0
-    copy = tmp_path / "copy.tsv"
-    save_features(copy, table)
-    assert copy.read_bytes() == path.read_bytes()
+    writer.join(timeout=10)
+    assert_same_features(table, {"a": np.array([1.0, 2.0]), "b": np.array([3.0, 4.0])})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.tsv"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["a\x00\t1\n\x00b\x00\t2\nstraße 图像\t3\n two words \t4\n\t5\n", "\t5\n", "\x00\t5\n", ""],
+    ids=["NULs, non-ASCII, spaces and an empty id", "one empty id", "one NUL id", "empty file"],
+)
+def test_feature_cache_keeps_every_id_exactly(tmp_path, monkeypatch, content):
+    path = tmp_path / "f.tsv"
+    path.write_text(content, encoding="utf-8")
+    want = load_features_per_value(path)
+    assert_same_features(load_features(path), want)
+    warm = load_warm(monkeypatch, path)
+    assert_same_features(warm, want)
+    assert warm.matrix.shape == load_features(path).matrix.shape
 
 
 def test_prepare_examples_shares_the_loaded_matrix(tmp_path):

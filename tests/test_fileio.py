@@ -2,6 +2,7 @@
 atomic writer, through every loader and writer that uses them."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 from imglex.data import load_features, load_triples, save_features
 from imglex.errors import DataError
 from imglex.evaluation import load_class_task, load_lexicon, load_sim_task
-from imglex.fileio import atomic_write, encode_lines, write_lines
+from imglex.fileio import atomic_write, file_digest, write_lines, write_npz
 from imglex.model import load_word2vec, save_word2vec
 from imglex.textproc import LangMode, Vocabulary
-from oracles import full_table
+from oracles import encode_lines, full_table
 
 LOADERS = {
     "load_triples": load_triples,
@@ -192,3 +193,27 @@ def test_write_lines_writes_the_bytes_of_encode_lines(tmp_path, case):
     path = tmp_path / "lines.txt"
     write_lines(path, iter(lines))
     assert path.read_bytes() == encode_lines(lines)
+
+
+def test_write_npz_writes_the_archive_np_savez_writes(tmp_path):
+    entries = {
+        "bytes": np.frombuffer("a\x00\nstraße".encode("utf-8"), dtype=np.uint8),
+        "empty": np.empty((0, 0)),
+        "scalar": np.array(7, dtype=np.int64),
+        "matrix": np.random.default_rng(0).standard_normal((50, 7)),
+    }
+    write_npz(tmp_path / "got.npz", entries)
+    np.savez(tmp_path / "want.npz", **entries)
+    assert (tmp_path / "got.npz").read_bytes() == (tmp_path / "want.npz").read_bytes()
+    # Another layout is stored in C order, by value.
+    fortran = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+    write_npz(tmp_path / "fortran.npz", {"fortran": fortran})
+    with np.load(tmp_path / "fortran.npz") as archive:
+        assert archive["fortran"].flags.c_contiguous and np.array_equal(archive["fortran"], fortran)
+
+
+@pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 << 20])
+def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size):
+    path = tmp_path / "data.bin"
+    path.write_bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes())
+    assert file_digest(path) == hashlib.sha256(path.read_bytes()).hexdigest()
