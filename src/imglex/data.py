@@ -32,7 +32,7 @@ import stat
 import sys
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -114,7 +114,7 @@ def feature_cache_path(path: str | Path) -> Path:
 
 def load_features(path: str | Path) -> FeatureTable:
     """Parse a features TSV into a FeatureTable over the matrix that
-    imglex.fileio.read_vectors reads; d is set by the first row.
+    imglex.fileio.read_vectors reads in one pass; d is set by the first row.
 
     A regular file is parsed once per content: the parse writes the ids and
     the matrix to the cache ``feature_cache_path(path)``, keyed by the
@@ -134,16 +134,12 @@ def load_features(path: str | Path) -> FeatureTable:
         cached = _read_feature_cache(path, cache)
         if cached is not None:
             return FeatureTable(*cached)
-    digests: list[hashlib._Hash] = []
-
-    def rows() -> Iterator[tuple[int, list[str]]]:
-        digests.append(hashlib.sha256())
-        return read_rows(path, "features file", ncols=2, digest=digests[-1])
-
-    ids, matrix = read_vectors(path, rows, ",", "feature value")
+    digest = hashlib.sha256()
+    with closing(read_rows(path, "features file", ncols=2, digest=digest)) as rows:
+        ids, matrix = read_vectors(path, rows, ",", "feature value")
     if cache is not None:
-        # The last pass read the whole file: the key is the digest of the bytes these rows came from.
-        key = np.frombuffer(_feature_cache_key(digests[-1].hexdigest()), dtype=np.uint8)
+        # The one pass read the whole file: the key is the digest of the bytes these rows came from.
+        key = np.frombuffer(_feature_cache_key(digest.hexdigest()), dtype=np.uint8)
         with suppress(OSError):  # a read-only directory or a full disk costs the next load a parse, nothing more
             write_npz(cache, {"key": key, "ids": _joined_ids(ids), "vectors": matrix})
     return FeatureTable(ids, matrix)
@@ -244,7 +240,10 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCorpus:
     """Deterministic in-memory generation; see gen_synthetic for the files."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    protos = rng.standard_normal((spec.num_concepts, spec.feature_dim))
+    try:
+        protos = rng.standard_normal((spec.num_concepts, spec.feature_dim))
+    except (MemoryError, ValueError):  # ValueError is numpy's "array is too big"
+        raise ConfigError(f"cannot allocate the {spec.num_concepts} x {spec.feature_dim} float64 concept prototypes") from None
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
 
     def noisy_feature(concept: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 Every line-file loader reads through :func:`read_rows`, so a file that is
 missing, not UTF-8 or has the wrong number of columns fails with a
 :class:`DataError` naming the file and line; every number in an input file
-follows :func:`parse_number`. Files of vector rows are read by
+follows :func:`parse_number`. Files of vector rows are read in one pass by
 :func:`read_vectors` and written with :func:`vector_row`. Every artifact
 writer goes through :func:`atomic_write`, so a failed run never leaves a
 partial output file: content is written to a temporary file in the target
@@ -24,16 +24,17 @@ import math
 import os
 import secrets
 import zipfile
-from contextlib import closing, contextmanager, suppress
-from itertools import chain
+from contextlib import contextmanager, suppress
+from itertools import islice
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from imglex.errors import DataError
 
 DIGEST_CHUNK_BYTES = 1 << 20
+VECTOR_CHUNK_ROWS = 1024  # rows read_vectors converts per np.loadtxt call
 
 
 def file_digest(path: str | Path) -> str:
@@ -115,42 +116,57 @@ def parse_number(raw: str, path: str | Path, lineno: int, what: str) -> float:
 
 
 def read_vectors(
-    path: str | Path, rows: Callable[[], Iterator[tuple[int, list[str]]]], sep: str, what: str, dim: int | None = None
+    path: str | Path, rows: Iterator[tuple[int, list[str]]], sep: str, what: str, dim: int | None = None
 ) -> tuple[list[str], np.ndarray]:
     """Keys and (N, d) float64 matrix of the rows ``(lineno, [key, values])``
-    that each call of ``rows`` reads, ``values`` being ``sep``-separated
-    ``what`` numbers. d is ``dim`` or the first row's length; keys are unique.
+    ``rows`` yields, ``values`` being ``sep``-separated ``what`` numbers. d
+    is ``dim`` or the first row's length; keys are unique.
 
-    One np.loadtxt pass converts every value (for the ASCII syntax it
-    accepts, exactly as float() does). A file it rejects or that fails a
-    check is read again with parse_number per value, which raises the first
-    bad line's DataError, or returns float()'s values (``1_0``, non-ASCII digits).
+    ``rows`` is read once: np.loadtxt converts VECTOR_CHUNK_ROWS rows a call
+    (for the ASCII syntax it accepts, exactly as float() does), and a chunk
+    it rejects or that fails a check goes through parse_number per value,
+    which raises the first bad line's DataError (before one ``rows`` raises)
+    or returns float()'s values (``1_0``, non-ASCII digits).
     """
-    keys: list[str] = []
+    keys: dict[str, None] = {}
 
-    def value_fields() -> Iterator[str]:
-        for _, fields in rows():
-            if len(fields) < 2 or not fields[1]:
-                # loadtxt would skip the empty line and shift every later row onto the wrong key.
-                raise ValueError("no values")
-            keys.append(fields[0])
-            yield fields[1]
+    def convert(chunk: list[tuple[int, list[str]]], dim: int | None) -> np.ndarray:
+        new = dict.fromkeys(fields[0] for _, fields in chunk)
+        # loadtxt warns on no rows, and would skip an empty line and shift every later row onto the wrong key.
+        if 0 < len(new) == len(chunk) and keys.keys().isdisjoint(new) and all(len(f) == 2 and f[1] for _, f in chunk):
+            with suppress(ValueError):
+                block = np.loadtxt([f[1] for _, f in chunk], delimiter=sep, comments=None, dtype=np.float64, ndmin=2)
+                if len(block) == len(chunk) and dim in (None, block.shape[1]) and np.isfinite(block).all():
+                    keys.update(new)
+                    return block
+        vectors = []
+        for lineno, (key, *values) in chunk:
+            if key in keys:
+                raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
+            keys[key] = None
+            vectors.append([parse_number(raw, path, lineno, what) for raw in values[0].split(sep)] if values else [])
+            dim = len(vectors[-1]) if dim is None else dim
+            if len(vectors[-1]) != dim:
+                raise DataError(f"{path}:{lineno}: expected {dim} {what}s, got {len(vectors[-1])}")
+        return np.array(vectors, dtype=np.float64)
 
-    # Any failure, a DataError from read_rows too, falls through to the per-value pass: it raises in file order.
-    with suppress(StopIteration, ValueError), closing(value_fields()) as values:
-        # The peek keeps an empty file (StopIteration) from loadtxt, which warns on input without rows.
-        matrix = np.loadtxt(chain([next(values)], values), delimiter=sep, comments=None, dtype=np.float64, ndmin=2)
-        if len(matrix) == len(keys) == len(set(keys)) and dim in (None, matrix.shape[1]) and np.isfinite(matrix).all():
-            return keys, matrix
-    vectors: dict[str, list[float]] = {}
-    for lineno, (key, *values) in rows():
-        if key in vectors:
-            raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
-        vec = vectors[key] = [parse_number(raw, path, lineno, what) for raw in values[0].split(sep)] if values else []
-        dim = len(vec) if dim is None else dim
-        if len(vec) != dim:
-            raise DataError(f"{path}:{lineno}: expected {dim} {what}s, got {len(vec)}")
-    return list(vectors), np.array(list(vectors.values()) or np.empty((0, 0)), dtype=np.float64)
+    matrix, size = np.empty((0, 0)), 0
+    while True:
+        chunk: list[tuple[int, list[str]]] = []
+        try:
+            chunk.extend(islice(rows, VECTOR_CHUNK_ROWS))  # extend keeps the rows read before the error
+        except DataError:
+            convert(chunk, dim)  # so an earlier bad line's error wins
+            raise
+        if not chunk:
+            matrix.resize((size, matrix.shape[1]), refcheck=False)
+            return list(keys), matrix
+        block = convert(chunk, dim)
+        size, dim = size + len(block), block.shape[1]
+        if size > len(matrix):  # in place: concatenated blocks would hold the matrix twice
+            capacity = size if len(chunk) < VECTOR_CHUNK_ROWS else max(2 * len(matrix), size)  # short: the last chunk
+            matrix.resize((capacity, dim), refcheck=False)
+        matrix[size - len(block) : size] = block
 
 
 def vector_row(key: str, vector: Iterable[float], key_sep: str, sep: str) -> str:

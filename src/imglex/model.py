@@ -16,9 +16,9 @@ single-example forms for tests live in tests/oracles.py.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -354,13 +354,13 @@ def load_word2vec(path: str | Path) -> dict[str, np.ndarray]:
     """Load a word2vec text export into a token -> vector map: the rows are
     read by imglex.fileio.read_vectors, d from the header, and a row whose
     L2 norm overflows is a DataError, so no cosine of two rows overflows."""
-    rows = partial(read_rows, path, "embeddings file", sep=" ", maxsplit=1)
-    header = " ".join(next(rows(), (1, []))[1])
-    try:
-        count, dim = (int(x) for x in header.split())
-    except ValueError:
-        raise DataError(f"{path}:1: malformed word2vec header {header!r}, expected '<count> <dim>'") from None
-    tokens, matrix = read_vectors(path, lambda: islice(rows(), 1, None), " ", "vector value", dim)
+    with closing(read_rows(path, "embeddings file", sep=" ", maxsplit=1)) as rows:
+        header = " ".join(next(rows, (1, []))[1])
+        try:
+            count, dim = (int(x) for x in header.split())
+        except ValueError:
+            raise DataError(f"{path}:1: malformed word2vec header {header!r}, expected '<count> <dim>'") from None
+        tokens, matrix = read_vectors(path, rows, " ", "vector value", dim)
     if len(tokens) != count:
         raise DataError(f"{path}:1: header claims {count} rows, found {len(tokens)}")
     with np.errstate(over="ignore"):

@@ -2,8 +2,10 @@
 
 import argparse
 import dataclasses
+import os
 import re
 import shlex
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from imglex.evaluation import lexicon_retrieval, load_lexicon
 from imglex.model import load_word2vec
 from imglex.textproc import LangMode, Vocabulary, tokenize
 from imglex.training import TrainConfig, load_checkpoint
+from single_read import PIPE_KINDS, load_piped, pipe_of
 
 
 def run(argv):
@@ -78,8 +81,12 @@ def test_every_synthetic_setting_has_one_flag_named_after_it():
         ("--sigma", "nan", "noise_sigma must be finite and >= 0"),
         ("--sigma", "inf", "noise_sigma must be finite and >= 0"),
         ("--isolated-fraction", "1.5", "isolated_image_fraction must be in [0, 1]"),
+        # numpy refuses these allocations at once (1.42 PiB; more than an array can index), so nothing is allocated.
+        ("--feature-dim", "10000000000000", "cannot allocate the 20 x 10000000000000 float64 concept prototypes"),
+        ("--feature-dim", "10000000000000000000", "cannot allocate the 20 x 10000000000000000000 float64 concept prototypes"),
     ],
-    ids=["concepts", "words-per-concept", "sigma", "sigma-nan", "sigma-inf", "isolated-fraction"],
+    ids=["concepts", "words-per-concept", "sigma", "sigma-nan", "sigma-inf", "isolated-fraction", "feature-dim-PiB",
+         "feature-dim-past-intp"],
 )
 def test_gensynth_config_error_is_one_line_and_writes_nothing(tmp_path, capsys, flag, value, message):
     out = tmp_path / "corpus"
@@ -574,6 +581,16 @@ def test_eval_lexicon_reports_retrieval(trained_embeddings, synth_dir, capsys):
     assert want.n_words == 16 and want.precision_at_1 > 0.5
 
 
+@pytest.mark.parametrize("kind", PIPE_KINDS)
+def test_eval_reads_the_embeddings_from_a_pipe(trained_embeddings, synth_dir, tmp_path, capsys, kind):
+    argv = ["eval", "--lexicon", str(synth_dir / "lexicon.tsv"), "--embeddings"]
+    assert run(argv + [str(trained_embeddings)]) == 0
+    from_file = capsys.readouterr()
+    _, code = load_piped(kind, tmp_path, trained_embeddings.read_text(encoding="utf-8"), lambda path: run(argv + [str(path)]))
+    assert code == 0
+    assert capsys.readouterr() == from_file and from_file.out.startswith("lexicon: precision@1 ")
+
+
 def test_eval_lexicon_with_similarity(trained_embeddings, synth_dir, tmp_path, capsys):
     tokens = sorted(load_word2vec(trained_embeddings))
     task = tmp_path / "sim.tsv"
@@ -782,14 +799,38 @@ def test_train_takes_buckets_up_to_the_int64_limit(tmp_path, capsys, rows):
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
 
+@contextmanager
+def cat_pipes(line):
+    """``line`` with each ``<(cat FILE)`` replaced, as bash does, by the
+    /dev/fd/N of an anonymous pipe that a thread fills with FILE's bytes."""
+    pipes = []
+
+    def substitute(match):
+        pipes.append(pipe_of(Path(match.group(1)).read_bytes()))
+        return f"/dev/fd/{pipes[-1][0]}"
+
+    try:
+        yield re.sub(r"<\(cat (\S+)\)", substitute, line)
+    finally:
+        for read_fd, writer in pipes:
+            os.close(read_fd)
+            writer.join(10)
+            assert not writer.is_alive()
+
+
 def test_workflow_smoke_commands_succeed(tmp_path, monkeypatch, capsys):
     # The CI workflow's console-script smoke step, one `imglex ...` line at a
-    # time, in a fresh directory as the runner does: each must exit 0.
-    commands = [shlex.split(line)[1:] for line in WORKFLOW.read_text(encoding="utf-8").splitlines() if line.strip().startswith("imglex ")]
-    assert {argv[0] for argv in commands} == {"gensynth", "filter", "train", "eval", "gradcheck"}
+    # time, in a fresh directory as the runner does: each must exit 0. Output
+    # redirections are dropped, and `<(cat FILE)` is FILE through a pipe.
+    lines = [line.strip() for line in WORKFLOW.read_text(encoding="utf-8").splitlines() if line.strip().startswith("imglex ")]
+    lines = [re.sub(r" > \S+$", "", line) for line in lines]
+    assert {shlex.split(line)[1] for line in lines} == {"gensynth", "filter", "train", "eval", "gradcheck"}
+    assert any("<(cat " in line for line in lines)
     monkeypatch.chdir(tmp_path)
-    for argv in commands:
-        assert run(argv) == 0, (argv, capsys.readouterr().err)
+    for line in lines:
+        with cat_pipes(line) as piped:
+            argv = shlex.split(piped)[1:]
+            assert run(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_gradcheck_cli(capsys):

@@ -33,6 +33,7 @@ from imglex.data import (
 from imglex.errors import DataError
 from imglex.textproc import LangMode, build_vocab, tokenize
 from oracles import load_features_per_value
+from single_read import PIPE_KINDS, counted_reads, load_piped
 
 
 def triple(weight, lang, query, image_id):
@@ -304,6 +305,11 @@ def test_prepare_examples_preserves_order():
     assert prep.examples.image_rows.tolist() == [0, 1, 2, 3, 4]
 
 
+# One chunk of read_vectors' rows: in the cases that follow it, line N1 opens chunk 2.
+CHUNK = "".join(f"i{n}\t{n},-0.5\n" for n in range(imglex.fileio.VECTOR_CHUNK_ROWS))
+CHUNK_VECTORS = {f"i{n}": [float(n), -0.5] for n in range(imglex.fileio.VECTOR_CHUNK_ROWS)}
+N1 = imglex.fileio.VECTOR_CHUNK_ROWS + 1
+
 # (case, features.tsv content, vectors by id, or the DataError message after "f.tsv:")
 FEATURE_CASES = [
     ("empty file", "", {}),
@@ -326,6 +332,13 @@ FEATURE_CASES = [
     ("duplicate id", "a\t1,2\nb\t3,4\na\t5,6\n", "3: duplicate key 'a'"),
     ("first bad line wins", "a\t1\nb\tx\nc\n", "2: non-numeric feature value 'x'"),
     ("column count", "a\t1\nb\t2\t3\n", "2: expected 2 tab-separated columns, got 3"),
+    ("rows in two chunks", CHUNK + "b\t5,6\n", {**CHUNK_VECTORS, "b": [5.0, 6.0]}),
+    ("underscore digits in chunk 2", CHUNK + "b\t1_0,2\n", {**CHUNK_VECTORS, "b": [10.0, 2.0]}),
+    ("bad value in chunk 2", CHUNK + "b\t1,2\nc\tx,3\n", f"{N1 + 1}: non-numeric feature value 'x'"),
+    ("duplicate id across chunks", CHUNK + "i0\t5,6\n", f"{N1}: duplicate key 'i0'"),
+    ("length change across chunks", CHUNK + "b\t5,6,7\n", f"{N1}: expected 2 feature values, got 3"),
+    ("column count opens chunk 2", CHUNK + "b\n", f"{N1}: expected 2 tab-separated columns, got 1"),
+    ("column count after a bad value in chunk 2", CHUNK + "b\t1,2\nc\tx,3\nd\t4\t5\n", f"{N1 + 1}: non-numeric feature value 'x'"),
 ]
 
 
@@ -435,23 +448,25 @@ def test_feature_cache_of_another_version_is_parsed_over(tmp_path, monkeypatch):
 
 
 def test_feature_cache_is_keyed_by_the_bytes_the_parse_read(tmp_path, monkeypatch):
-    # The file changes while it loads: between the parse's two reads ("1_0" is
-    # not np.loadtxt syntax, so the per-value pass reads the file again), then
-    # after the parse. A later load of any of the file's contents gets its values.
+    # The file changes while it loads: once the parse's one read has taken its
+    # bytes ("1_0" is not np.loadtxt syntax, so the per-value conversion runs,
+    # with no second read), then after the parse. A later load of any of the
+    # file's contents gets its values.
     path = tmp_path / "f.tsv"
     path.write_text("a\t1_0\n", encoding="utf-8")
     reads = []
 
     def read_rows(*args, **kwargs):
         reads.append(args[0])
-        if len(reads) == 2:
+        for row in imglex.fileio.read_rows(*args, **kwargs):
             path.write_text("a\t2_0\n", encoding="utf-8")
-        return imglex.fileio.read_rows(*args, **kwargs)
+            yield row
 
     with monkeypatch.context() as patch:
         patch.setattr(imglex.data, "read_rows", read_rows)
-        assert load_features(path)["a"].tolist() == [20.0]
-    assert reads == [path, path]
+        assert load_features(path)["a"].tolist() == [10.0]
+    assert reads == [path]
+    assert load_features(path)["a"].tolist() == [20.0]
     path.write_text("a\t1_0\n", encoding="utf-8")
     assert load_features(path)["a"].tolist() == [10.0]
 
@@ -549,6 +564,34 @@ def test_a_failed_feature_cache_write_is_ignored(tmp_path, monkeypatch, where):
     monkeypatch.setattr(*FAILED_WRITES[where])
     assert_same_features(load_features(path), load_features_per_value(path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.tsv"]
+
+
+@pytest.mark.parametrize("content", [FEATURES, "a\t1_0,2\nb\t3,4\n", "a\t1,2\nb\tx,4\n"], ids=["clean", "1_0", "bad value"])
+def test_a_features_parse_opens_the_file_once(tmp_path, content):
+    path = tmp_path / "f.tsv"
+    path.write_text(content, encoding="utf-8")
+    with counted_reads(imglex.data) as (reads, opens):
+        try:
+            got = load_features(path)
+        except DataError as exc:
+            got = exc
+    assert reads == [path] and opens == [path]
+    if isinstance(got, DataError):
+        assert str(got) == f"{path}:2: non-numeric feature value 'x'"
+    else:
+        assert_same_features(got, load_features_per_value(path))
+
+
+@pytest.mark.parametrize("kind", PIPE_KINDS)
+@pytest.mark.parametrize("content, expected", [case[1:] for case in FEATURE_CASES], ids=[case[0] for case in FEATURE_CASES])
+def test_load_features_from_a_pipe(tmp_path, kind, content, expected):
+    # One pass over the pipe: the regular file's rows or its DataError, and no cache.
+    path, got = load_piped(kind, tmp_path, content, load_features)
+    if isinstance(expected, str):
+        assert isinstance(got, DataError) and str(got) == f"{path}:{expected}"
+    else:
+        assert_same_features(got, {image_id: np.array(values, dtype=np.float64) for image_id, values in expected.items()})
+    assert [p.name for p in tmp_path.iterdir()] == ([] if kind == "anonymous" else ["pipe"])
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -687,8 +730,14 @@ def test_load_features_agrees_with_per_value_parse(features_path, lines):
     try:
         want = load_features_per_value(features_path)
     except DataError as exc:
-        with pytest.raises(DataError) as err:
-            load_features(features_path)
-        assert str(err.value) == str(exc)
-    else:
-        assert_same_features(load_features(features_path), want)
+        want = exc
+    for chunk_rows in (imglex.fileio.VECTOR_CHUNK_ROWS, 2):  # at 2 rows a chunk, the lines cross chunks
+        feature_cache_path(features_path).unlink(missing_ok=True)  # parse even a content seen before
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(imglex.fileio, "VECTOR_CHUNK_ROWS", chunk_rows)
+            if isinstance(want, DataError):
+                with pytest.raises(DataError) as err:
+                    load_features(features_path)
+                assert str(err.value) == str(want)
+            else:
+                assert_same_features(load_features(features_path), want)

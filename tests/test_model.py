@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imglex.fileio
+import imglex.model
 from imglex.errors import DataError
 from imglex.model import (
     INIT_CHUNK_ROWS,
@@ -22,6 +24,7 @@ from imglex.model import (
 )
 from imglex.textproc import LangMode, Vocabulary, build_vocab
 from oracles import full_table, held_row_sets, image_repr_lookup, image_repr_mlp, load_word2vec_per_value, query_repr
+from single_read import PIPE_KINDS, counted_reads, load_piped
 
 
 def test_query_repr_single_token():
@@ -283,14 +286,58 @@ def test_load_word2vec_agrees_with_per_value_parse(vec_path, dim, lines, extra_c
     try:
         want = load_word2vec_per_value(vec_path)
     except DataError as exc:
-        with pytest.raises(DataError) as err:
-            load_word2vec(vec_path)
-        assert str(err.value) == str(exc)
+        want = exc
+    for chunk_rows in (imglex.fileio.VECTOR_CHUNK_ROWS, 2):  # at 2 rows a chunk, the rows cross chunks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(imglex.fileio, "VECTOR_CHUNK_ROWS", chunk_rows)
+            if isinstance(want, DataError):
+                with pytest.raises(DataError) as err:
+                    load_word2vec(vec_path)
+                assert str(err.value) == str(want)
+            else:
+                assert_same_vectors(load_word2vec(vec_path), want)
+
+
+def assert_same_vectors(got, want):
+    assert list(got) == list(want)
+    for token, vec in want.items():
+        assert got[token].dtype == vec.dtype and got[token].tobytes() == vec.tobytes(), token
+
+
+MANY_ROWS = "3000 2\n" + "".join(f"w{n} {n} -0.5\n" for n in range(3000))
+# (case, embeddings.vec content, vectors by token, or the DataError message after the path and ":")
+VEC_CASES = [
+    ("clean", "2 2\na 0.5 -1\nb 3 4\n", {"a": [0.5, -1.0], "b": [3.0, 4.0]}),
+    ("underscore digits", "2 2\na 1_0 -1\nb 3 4\n", {"a": [10.0, -1.0], "b": [3.0, 4.0]}),
+    ("bad value", "2 2\na 0.5 -1\nb x 4\n", "3: non-numeric vector value 'x'"),
+    ("rows in three chunks", MANY_ROWS, {f"w{n}": [float(n), -0.5] for n in range(3000)}),
+]
+
+
+@pytest.mark.parametrize("content, expected", [case[1:] for case in VEC_CASES], ids=[case[0] for case in VEC_CASES])
+def test_a_word2vec_load_opens_the_file_once(tmp_path, content, expected):
+    path = tmp_path / "emb.vec"
+    path.write_text(content, encoding="utf-8")
+    with counted_reads(imglex.model) as (reads, opens):
+        try:
+            got = load_word2vec(path)
+        except DataError as exc:
+            got = exc
+    assert reads == [path] and opens == [path]
+    if isinstance(expected, str):
+        assert isinstance(got, DataError) and str(got) == f"{path}:{expected}"
     else:
-        got = load_word2vec(vec_path)
-        assert list(got) == list(want)
-        for token, vec in want.items():
-            assert got[token].dtype == vec.dtype and got[token].tobytes() == vec.tobytes(), token
+        assert_same_vectors(got, {token: np.array(v) for token, v in expected.items()})
+
+
+@pytest.mark.parametrize("kind", PIPE_KINDS)
+@pytest.mark.parametrize("content, expected", [case[1:] for case in VEC_CASES], ids=[case[0] for case in VEC_CASES])
+def test_load_word2vec_from_a_pipe(tmp_path, kind, content, expected):
+    path, got = load_piped(kind, tmp_path, content, load_word2vec)
+    if isinstance(expected, str):
+        assert isinstance(got, DataError) and str(got) == f"{path}:{expected}"
+    else:
+        assert_same_vectors(got, {token: np.array(v) for token, v in expected.items()})
 
 
 def test_load_word2vec_rejects_malformed(tmp_path):
