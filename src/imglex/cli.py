@@ -52,7 +52,7 @@ from imglex.evaluation import (
     load_lexicon,
     load_sim_task,
 )
-from imglex.fileio import write_lines
+from imglex.fileio import file_digest, write_lines
 from imglex.model import TOWER_KINDS, load_word2vec, save_word2vec
 from imglex.textproc import LangMode, mode_of_tokens
 from imglex.training import TrainConfig, grad_check, save_checkpoint, save_loss_curve, train
@@ -196,7 +196,7 @@ def cmd_train(args) -> int:
         result.params,
         result.optimizer,
         config,
-        vocab_hash=vocab.content_hash(),
+        vocab_hash=file_digest(out / "vocab.txt"),
         epoch=config.epochs,
     )
     save_loss_curve(out / "loss.csv", result.epoch_losses)

@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from imglex.errors import ConfigError, DataError
-from imglex.fileio import file_digest, parse_number, read_rows, read_vectors, vector_row, write_lines, write_npz
+from imglex.fileio import file_digest, parse_number, read_npz, read_rows, read_vectors, vector_row, write_lines, write_npz
 from imglex.model import MAX_EMBEDDING_ROWS, TOWER_KINDS
 from imglex.textproc import LangMode, Vocabulary, build_vocab, is_language_code, tokenize
 from imglex.training import Batch
@@ -159,17 +159,15 @@ def _read_feature_cache(path: str | Path, cache: Path) -> tuple[list[str], np.nd
     or None if it holds none that pass every check."""
     try:
         key = _feature_cache_key(file_digest(path))
-        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
-            stored_key = archive["key"]
-            if stored_key.dtype != np.uint8 or stored_key.tobytes() != key:
-                return None
-            raw_ids, matrix = archive["ids"], archive["vectors"]
+        archive = read_npz(cache, "feature cache")
+        stored_key, raw_ids, matrix = archive["key"], archive["ids"], archive["vectors"]
+        kinds = (stored_key.dtype, raw_ids.dtype, raw_ids.ndim, matrix.dtype, matrix.ndim)
+        if kinds != (np.uint8, np.uint8, 1, np.float64, 2) or stored_key.tobytes() != key:
+            return None
         text = raw_ids.tobytes().decode("utf-8")
-    # A cache is only a shortcut: whatever a damaged one raises (OSError,
-    # BadZipFile, EOFError, KeyError, ValueError, ...), the parse decides.
+    # A cache is only a shortcut: whatever a damaged one raises (read_npz's DataError, KeyError,
+    # AttributeError for a member that is no .npy file, UnicodeDecodeError, ...), the parse decides.
     except Exception:
-        return None
-    if raw_ids.dtype != np.uint8 or raw_ids.ndim != 1 or matrix.dtype != np.float64 or matrix.ndim != 2:
         return None
     ids = text.split("\n") if len(matrix) or text else []
     if len(ids) == len(matrix) == len(set(ids)) and np.isfinite(matrix).all():

@@ -11,9 +11,10 @@ directory and moved into place with os.replace, and the file gets the
 mode open() would give it under the umask. :func:`write_lines` streams a
 line file: each line is encoded as it is written, so a writer holds one
 line of the file, not the whole text. :func:`write_npz` writes the archive
-np.savez writes from each array's own buffer. :func:`file_digest` and
-``read_rows(digest=)`` hash a file's bytes in 1 MiB chunks, never the whole
-file at once.
+np.savez writes from each array's own buffer; :func:`read_npz`, the one
+archive reader, raises a DataError naming the file and member for any defect.
+:func:`file_digest` and ``read_rows(digest=)`` hash a file's bytes in 1 MiB
+chunks, never the whole file at once.
 """
 
 from __future__ import annotations
@@ -218,3 +219,32 @@ def write_npz(path: str | Path, entries: Mapping[str, np.ndarray]) -> None:
                 np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(array))
                 # A 1-D byte view: Python 3.10's zipfile counts len(data), not bytes.
                 member.write(array.reshape(-1).view(np.uint8))
+
+
+def read_npz(path: str | Path, what: str) -> dict[str, np.ndarray | bytes]:
+    """Every member of the ``.npz`` archive at ``path``, read now, by name
+    without ``.npy``: an array, or the bytes of a member that is no .npy file.
+    A file that cannot be opened or is no archive, and a member that cannot
+    be read (a CRC or decompression error, short data, an object array, a
+    shape that cannot be allocated) raise DataError naming ``path``, ``what``
+    it is and the member."""
+    try:
+        fh = open(path, "rb")  # opened here: np.load leaks the handle of a bad zip
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from None
+    with fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+        except Exception:  # BadZipFile, EOFError, ValueError (whose message speaks of pickled data), ...
+            archive = None
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise DataError(f"{path}: not a {what}: not an .npz archive")
+        entries = {}
+        with archive:
+            for name in archive.files:
+                try:
+                    entries[name] = archive[name]
+                # Each a defect of the file: BadZipFile, zlib.error, EOFError, ValueError, MemoryError, OSError, RuntimeError, ...
+                except Exception as exc:
+                    raise DataError(f"{path}: {what} entry {name!r} cannot be read: {str(exc) or type(exc).__name__}") from None
+    return entries

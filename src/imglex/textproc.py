@@ -11,13 +11,12 @@ stable across platforms.
 from __future__ import annotations
 
 import enum
-import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from imglex.errors import DataError
 from imglex.fileio import read_rows, write_lines
@@ -115,21 +114,9 @@ class Vocabulary:
             return found
         return len(self.tokens) + fnv1a64(token.encode("utf-8")) % self.num_buckets
 
-    def _lines(self) -> Iterator[str]:
-        """The lines of the vocabulary file: "<vocab_size> <num_buckets> <mode>", then one token per line."""
-        return chain([f"{self.vocab_size} {self.num_buckets} {self.mode.value}"], self.tokens)
-
-    def content_hash(self) -> str:
-        """Hex SHA-256 of the file :meth:`save` writes, hashed 1024 lines at a
-        time; checkpoints record it as ``vocab_hash``."""
-        digest, lines = hashlib.sha256(), self._lines()
-        while chunk := "".join(f"{line}\n" for line in islice(lines, 1024)):
-            digest.update(chunk.encode("utf-8"))
-        return digest.hexdigest()
-
     def save(self, path: str | Path) -> None:
-        """Write the vocabulary file to ``path`` with imglex.fileio.write_lines."""
-        write_lines(path, self._lines())
+        """Write "<vocab_size> <num_buckets> <mode>", then one token per line, to ``path``."""
+        write_lines(path, chain([f"{self.vocab_size} {self.num_buckets} {self.mode.value}"], self.tokens))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -56,7 +56,6 @@ The per-example view is kept for ``bench/`` only; each name goes with its lines:
 from __future__ import annotations
 
 import json
-import zipfile
 from collections.abc import Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -64,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 from imglex.errors import ConfigError, DataError, TrainingDiverged
-from imglex.fileio import write_lines, write_npz
+from imglex.fileio import read_npz, write_lines, write_npz
 from imglex.model import (
     MAX_EMBEDDING_ROWS,
     NORM_FLOOR,
@@ -762,34 +761,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     stores fewer rows than its table held (earlier files left out the rows
     training had not changed) loads the same way. The tower is the stored
     one.
-    A missing or unreadable file, a file that is not an ``.npz`` archive, an
-    archive without an entry save_checkpoint writes, a ``meta`` entry that
-    is not the JSON object save_checkpoint writes (a string ``vocab_hash``,
-    an integer ``epoch`` >= 0 and a ``config`` that TrainConfig.validate
-    accepts and whose tower matches the arrays), an
-    array whose dtype or shape save_checkpoint would not write for that
+    A missing or unreadable file, a file that is not an ``.npz`` archive or
+    has a member imglex.fileio.read_npz cannot read, an archive without an
+    entry save_checkpoint writes, a ``meta`` entry that is not the JSON
+    object save_checkpoint writes (a string ``vocab_hash``, an integer
+    ``epoch`` >= 0 and a ``config`` that TrainConfig.validate accepts and
+    whose tower matches the arrays), another entry that is not an .npy
+    array or whose dtype or shape save_checkpoint would not write for that
     config and a table row count past MAX_EMBEDDING_ROWS each raise DataError
     naming the file and the entry or field. Other ``meta`` keys are ignored.
     The optimizer's rate is ``config.learning_rate``.
     """
-    try:
-        fh = open(path, "rb")  # opened here: np.load leaks the handle of a bad zip
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from None
-    with fh:
-        try:
-            archive = np.load(fh)
-        except (ValueError, EOFError, zipfile.BadZipFile):
-            archive = None  # np.load's own message speaks of pickled data
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise DataError(f"{path}: not a checkpoint: not an .npz archive")
-        arrays = {}
-        with archive:
-            for name in archive.files:
-                try:
-                    arrays[name] = archive[name]
-                except ValueError as exc:  # e.g. an object array, which would need pickle
-                    raise DataError(f"{path}: checkpoint entry {name!r} cannot be read: {exc}") from None
+    arrays = read_npz(path, "checkpoint")
+    if not_npy := [name for name, value in arrays.items() if name != "meta" and isinstance(value, bytes)]:
+        raise DataError(f"{path}: checkpoint entry {not_npy[0]!r} is not an .npy array")
     tower_class = MlpImageTower if "V" in arrays else LookupImageTower
     try:
         raw_meta = arrays.pop("meta")

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import os
 import re
 import shlex
@@ -241,6 +242,17 @@ def test_train_checkpoint_table_is_the_export(synth64_dir, tmp_path):
         assert np.stack([vectors[token] for token in vocab.tokens]).tobytes() == table.read(np.arange(vocab.vocab_size)).tobytes()
         with np.load(out / "checkpoint.npz") as data:
             assert data["embeddings_ids"].tolist() == table.ids.tolist() and table.ids.size < vocab.vocab_size + 200
+
+
+@pytest.mark.parametrize("preset", ["mlp-100", "baseline"])
+def test_train_checkpoint_vocab_hash_is_the_sha256_of_vocab_txt(synth64_dir, tmp_path, preset):
+    out = tmp_path / preset
+    argv = ["train", "--triples", str(synth64_dir / "triples.tsv"), "--preset", preset, "--epochs", "1", "--buckets", "200"]
+    if preset == "mlp-100":
+        argv += ["--features", str(synth64_dir / "features.tsv")]
+    assert run(argv + ["--out-dir", str(out)]) == 0
+    checkpoint = load_checkpoint(out / "checkpoint.npz")
+    assert checkpoint.vocab_hash == hashlib.sha256((out / "vocab.txt").read_bytes()).hexdigest()
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:

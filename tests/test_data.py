@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import imglex.data
 import imglex.fileio
+from damaged_npz import DAMAGED_MEMBERS, rewrite_member
 from imglex.data import (
     FeatureTable,
     SyntheticSpec,
@@ -514,6 +515,8 @@ CORRUPT_CACHES = {
     "float32 vectors": lambda cache: rewrite_cache(cache, vectors=np.zeros((2, 2), dtype=np.float32)),
     "1-D vectors": lambda cache: rewrite_cache(cache, vectors=np.zeros(2)),
     "non-finite value": lambda cache: rewrite_cache(cache, vectors=np.array([[1.0, 2.0], [3.0, np.nan]])),
+    "vectors not an npy file": lambda cache: rewrite_member(cache, "vectors", b"\x93garbage\xff"),
+    **{f"vectors: {case}": lambda cache, damage=damage: damage(cache, "vectors") for case, damage in DAMAGED_MEMBERS.items()},
 }
 
 

@@ -5,17 +5,20 @@ import dataclasses
 import hashlib
 import math
 import os
+import random
 import re
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from damaged_npz import DAMAGED_MEMBERS, npy_bytes
 from imglex.data import load_features, load_triples, save_features
 from imglex.errors import DataError
 from imglex.evaluation import load_class_task, load_lexicon, load_sim_task
-from imglex.fileio import atomic_write, file_digest, write_lines, write_npz
+from imglex.fileio import atomic_write, file_digest, read_npz, write_lines, write_npz
 from imglex.model import load_word2vec, save_word2vec
 from imglex.textproc import LangMode, Vocabulary
 from oracles import encode_lines, full_table
@@ -210,6 +213,93 @@ def test_write_npz_writes_the_archive_np_savez_writes(tmp_path):
     write_npz(tmp_path / "fortran.npz", {"fortran": fortran})
     with np.load(tmp_path / "fortran.npz") as archive:
         assert archive["fortran"].flags.c_contiguous and np.array_equal(archive["fortran"], fortran)
+
+
+NPZ_ENTRIES = {
+    "key": np.frombuffer(b"sha256:0 version:1", dtype=np.uint8),
+    "scalar": np.array(2**63 - 1, dtype=np.int64),
+    "empty": np.empty((0, 3)),
+    "float32": np.array([[-0.0, np.nan], [np.inf, 1e-45]], dtype=np.float32),
+    "matrix": np.random.default_rng(1).standard_normal((40, 6)),
+}
+
+
+def test_read_npz_reads_what_write_npz_wrote(tmp_path):
+    path = tmp_path / "a.npz"
+    write_npz(path, NPZ_ENTRIES)
+    got = read_npz(path, "test archive")
+    assert list(got) == list(NPZ_ENTRIES)
+    for name, array in NPZ_ENTRIES.items():
+        assert (got[name].dtype, got[name].shape, got[name].tobytes()) == (array.dtype, array.shape, array.tobytes()), name
+        assert got[name].flags.writeable and got[name].flags.c_contiguous, name
+    # A member that is not an .npy file comes back as its bytes.
+    with zipfile.ZipFile(path, "a") as archive:
+        archive.writestr("notes.txt", b"\x93 not npy")
+    assert read_npz(path, "test archive")["notes.txt"] == b"\x93 not npy"
+
+
+def written_then_damaged(damage):
+    def make(path):
+        write_npz(path, NPZ_ENTRIES)
+        damage(path, "matrix")
+
+    return make
+
+
+# case -> (what makes the file at path, its DataError with {path} for the path)
+READ_NPZ_FAILURES = {
+    "missing file": (lambda path: None, "cannot read test archive {path}: [Errno 2] No such file or directory"),
+    "a directory": (lambda path: path.mkdir(), "cannot read test archive {path}: [Errno 21] Is a directory"),
+    "empty file": (lambda path: path.write_bytes(b""), "{path}: not a test archive: not an .npz archive"),
+    "text": (lambda path: path.write_bytes(b"not an archive\n"), "{path}: not a test archive: not an .npz archive"),
+    "bad zip": (lambda path: path.write_bytes(b"PK\x03\x04truncated"), "{path}: not a test archive: not an .npz archive"),
+    "an npy file": (lambda path: path.write_bytes(npy_bytes(np.arange(3.0))), "{path}: not a test archive: not an .npz archive"),
+    "pickled member": (
+        lambda path: np.savez(path, objects=np.array([{}], dtype=object)),
+        "{path}: test archive entry 'objects' cannot be read: Object arrays cannot be loaded when allow_pickle=False",
+    ),
+    **{
+        case: (written_then_damaged(damage), "{path}: test archive entry 'matrix' cannot be read: ")
+        for case, damage in DAMAGED_MEMBERS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", READ_NPZ_FAILURES)
+def test_read_npz_failure_is_data_error(tmp_path, case):
+    make, message = READ_NPZ_FAILURES[case]
+    path = tmp_path / "a.npz"
+    make(path)
+    with pytest.raises(DataError) as err:
+        read_npz(path, "test archive")
+    assert str(err.value).startswith(message.format(path=path))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list open descriptors")
+@pytest.mark.parametrize("case", READ_NPZ_FAILURES)
+def test_read_npz_failure_leaves_no_file_open(tmp_path, case):
+    path = tmp_path / "a.npz"
+    READ_NPZ_FAILURES[case][0](path)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(DataError):  # the exception, and the frames it holds, stay alive
+        read_npz(path, "test archive")
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["stored", "compressed"])
+def test_read_npz_of_randomly_damaged_bytes_reads_or_raises_data_error(tmp_path, compressed):
+    path = tmp_path / "a.npz"
+    (np.savez_compressed if compressed else np.savez)(path, **NPZ_ENTRIES)
+    valid, rng = path.read_bytes(), random.Random(int(compressed))
+    for _ in range(300):
+        data = bytearray(valid)
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        path.write_bytes(bytes(data[: rng.randrange(len(data))] if rng.random() < 0.2 else data))
+        try:
+            read_npz(path, "test archive")
+        except DataError:
+            pass  # any other exception fails the test
 
 
 @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 3 << 20])

@@ -1,7 +1,6 @@
 """Loss, gradients, optimizer, train loop, gradient checker, checkpointing."""
 
 import dataclasses
-import io
 import json
 import math
 import re
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from damaged_npz import DAMAGED_MEMBERS, npy_bytes, rewrite_member
 from imglex.data import FeatureTable, SyntheticSpec, TripleRecord, filter_multilingual, generate_synthetic, prepare_examples
 from imglex.errors import ConfigError, DataError, TrainingDiverged
 from imglex.model import (
@@ -853,12 +853,6 @@ def test_load_checkpoint_missing_file_is_data_error(tmp_path):
         load_checkpoint(tmp_path / "missing.npz")
 
 
-def npy_bytes(array):
-    buffer = io.BytesIO()
-    np.save(buffer, array)
-    return buffer.getvalue()
-
-
 @pytest.mark.parametrize(
     "content",
     [b"", b"not an archive\n", b"PK\x03\x04truncated", npy_bytes(np.arange(3.0))],
@@ -1099,6 +1093,22 @@ def test_load_checkpoint_meta_member_not_npy_is_data_error(tmp_path):
             archive.writestr(f"{name}.npy", npy_bytes(array))
         archive.writestr("meta.npy", b"\x93garbage\xff")
     with pytest.raises(DataError, match=r"ckpt\.npz: checkpoint 'meta' entry is not UTF-8 JSON"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", DAMAGED_MEMBERS)
+def test_load_checkpoint_damaged_member_is_data_error(tmp_path, case):
+    path, _ = saved_checkpoint_entries(tmp_path)
+    DAMAGED_MEMBERS[case](path, "embeddings")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: checkpoint entry 'embeddings' cannot be read: ")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["embeddings", "embeddings_accum", "embeddings_ids", "embeddings_num_rows", "image_vectors"])
+def test_load_checkpoint_array_member_not_npy_is_data_error(tmp_path, name):
+    path, _ = saved_checkpoint_entries(tmp_path)
+    rewrite_member(path, name, b"\x93garbage\xff")
+    with pytest.raises(DataError, match="^" + re.escape(f"{path}: checkpoint entry {name!r} is not an .npy array")):
         load_checkpoint(path)
 
 
