@@ -42,7 +42,7 @@ import numpy as np
 from imglex.errors import ConfigError, DataError
 from imglex.fileio import file_digest, parse_number, read_npz, read_rows, read_vectors, vector_row, write_lines, write_npz
 from imglex.model import MAX_EMBEDDING_ROWS, TOWER_KINDS
-from imglex.textproc import LangMode, Vocabulary, build_vocab, is_language_code, tokenize
+from imglex.textproc import LangMode, Vocabulary, build_vocab, fnv1a64_many, is_language_code, tokenize
 from imglex.training import Batch
 
 
@@ -409,9 +409,17 @@ def _pack(
     table: FeatureTable | None,
     triples_path: str | Path,
 ) -> PreparedCorpus:
-    """Pack each (triple, query tokens) pair whose tokens are not empty; see prepare_examples."""
+    """Pack each (triple, query tokens) pair whose tokens are not empty; see prepare_examples.
+
+    A token's id is ``vocab.lookup(token)``. In-vocabulary tokens are mapped
+    as they are packed; each OOV occurrence is packed as -1 with its UTF-8
+    bytes appended to one buffer, and the markers are filled in order from
+    one ``fnv1a64_many`` call over that buffer."""
     image_index = {} if table is None else table.index
+    vocab_id = vocab.index.get
     token_ids: list[int] = []
+    oov_bytes = bytearray()
+    oov_lengths: list[int] = []
     counts: list[int] = []
     image_rows: list[int] = []
     weights: list[float] = []
@@ -426,11 +434,33 @@ def _pack(
             row = image_index.get(t.image_id)
             if row is None:
                 raise DataError(f"{triples_path}:{t.line}: no feature vector for image id {t.image_id!r}")
-        token_ids += map(vocab.lookup, tokens)
+        for token in tokens:
+            found = vocab_id(token)
+            if found is None:
+                token_ids.append(-1)
+                encoded = token.encode("utf-8")
+                oov_bytes += encoded
+                oov_lengths.append(len(encoded))
+            else:
+                token_ids.append(found)
         counts.append(len(tokens))
         image_rows.append(row)
         weights.append(t.weight)
+    if oov_lengths:
+        token_ids = _fill_buckets(token_ids, vocab, fnv1a64_many(oov_bytes, oov_lengths))
     examples = Batch.pack(token_ids, counts, image_rows, weights, None if table is None else table.matrix)
     if table is None:
         return PreparedCorpus(examples=examples, dropped=dropped, num_images=len(image_index))
     return PreparedCorpus(examples=examples, dropped=dropped, feature_dim=table.matrix.shape[1] if counts else None)
+
+
+def _fill_buckets(token_ids: list[int], vocab: Vocabulary, hashes: np.ndarray) -> np.ndarray | list[int]:
+    """``token_ids`` with its k-th -1 marker replaced by the bucket id of
+    ``hashes[k]``: ``vocab_size + hashes[k] % num_buckets``."""
+    if vocab.total_ids - 1 > MAX_EMBEDDING_ROWS:
+        # Some bucket ids may not fit int64: Python ints, so Batch.pack rejects those as any id past int64.
+        buckets = iter(hashes.tolist())
+        return [i if i >= 0 else vocab.vocab_size + next(buckets) % vocab.num_buckets for i in token_ids]
+    ids = np.array(token_ids, dtype=np.int64)
+    ids[ids < 0] = (hashes % np.uint64(vocab.num_buckets)).astype(np.int64) + np.int64(vocab.vocab_size)
+    return ids

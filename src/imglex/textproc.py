@@ -6,6 +6,15 @@ frequency (lexicographic tie-break, so ids are reproducible across runs);
 ids vocab_size..vocab_size+num_buckets-1 are hash buckets shared by all
 out-of-vocabulary tokens, assigned with FNV-1a 64 so bucket assignment is
 stable across platforms.
+
+``tokenize`` has two paths with one result. A lowercased query whose
+whitespace-separated parts are all letters and digits (``str.isalnum``,
+exactly the characters the separator pattern ``[\\W_]+`` does not match) is
+split on whitespace alone; any other query goes through the separator
+pattern. ``fnv1a64_many`` hashes many byte strings in one vectorised pass
+(``uint64`` XOR-then-multiply, one byte position at a time over the strings
+still that long), so packing a corpus hashes all its out-of-vocabulary
+tokens at once; ``Vocabulary.lookup`` is its one-token case.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from imglex.errors import DataError
 from imglex.fileio import read_rows, write_lines
 
@@ -25,9 +36,8 @@ from imglex.fileio import read_rows, write_lines
 # is explicitly a separator even though regex \w would keep it.
 _SEPARATORS = re.compile(r"[\W_]+")
 
-_FNV64_OFFSET = 0xCBF29CE484222325
-_FNV64_PRIME = 0x100000001B3
-_U64_MASK = 0xFFFFFFFFFFFFFFFF
+_FNV64_OFFSET = np.uint64(0xCBF29CE484222325)
+_FNV64_PRIME = np.uint64(0x100000001B3)
 
 
 class LangMode(enum.Enum):
@@ -42,13 +52,25 @@ class LangMode(enum.Enum):
     UNAWARE = "unaware"
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash of ``data`` (seed-free, portable)."""
-    h = _FNV64_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV64_PRIME) & _U64_MASK
-    return h
+def fnv1a64_many(data: bytes | bytearray, lengths: Iterable[int]) -> np.ndarray:
+    """FNV-1a 64-bit hash (seed-free, portable) of each byte string laid end
+    to end in ``data``, string k being the next ``lengths[k]`` bytes, as a
+    ``uint64`` array. The work is O(total bytes): byte position j is hashed
+    in for the strings longer than j, which sorting by length makes a prefix."""
+    lengths = np.fromiter(lengths, dtype=np.int64)
+    buffer = np.frombuffer(data, dtype=np.uint8)
+    if np.any(lengths < 0) or lengths.sum() != buffer.size:
+        raise ValueError(f"lengths must be non-negative and sum to the {buffer.size} bytes of data")
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    longer_than = lengths.size - np.cumsum(np.bincount(lengths))[:-1]  # [j]: how many strings have a byte j
+    hashes = np.full(lengths.size, _FNV64_OFFSET, dtype=np.uint64)
+    for j, live in enumerate(longer_than.tolist()):
+        hashes[:live] ^= buffer[starts[:live] + j]
+        hashes[:live] *= _FNV64_PRIME
+    out = np.empty_like(hashes)
+    out[order] = hashes
+    return out
 
 
 def is_language_code(lang: str | None) -> bool:
@@ -66,9 +88,14 @@ def tokenize(raw_query: str, lang: str | None, mode: LangMode) -> list[str]:
     """
     if mode is LangMode.AWARE and not is_language_code(lang):
         raise ValueError(f"aware mode requires a non-empty lowercase language code, got {lang!r}")
-    surfaces = _SEPARATORS.sub(" ", raw_query.lower()).split()
+    lowered = raw_query.lower()
+    surfaces = lowered.split()
+    # No part holds a separator: the pattern would only rewrite the whitespace runs split() already drops.
+    if not "".join(surfaces).isalnum():
+        surfaces = _SEPARATORS.sub(" ", lowered).split()
     if mode is LangMode.AWARE:
-        return [f"{lang}:{surface}" for surface in surfaces]
+        prefix = f"{lang}:"
+        return [prefix + surface for surface in surfaces]
     return surfaces
 
 
@@ -112,7 +139,8 @@ class Vocabulary:
         found = self.index.get(token)
         if found is not None:
             return found
-        return len(self.tokens) + fnv1a64(token.encode("utf-8")) % self.num_buckets
+        data = token.encode("utf-8")
+        return len(self.tokens) + int(fnv1a64_many(data, [len(data)])[0]) % self.num_buckets
 
     def save(self, path: str | Path) -> None:
         """Write "<vocab_size> <num_buckets> <mode>", then one token per line, to ``path``."""

@@ -7,6 +7,7 @@ correctness gate imports it); everything here is used by tests only, as is
 """
 
 import math
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,8 +17,34 @@ from imglex.errors import DataError, EvalError
 from imglex.evaluation import LexiconPair, RetrievalResult, Vectors, task_token
 from imglex.fileio import read_rows
 from imglex.model import INIT_CHUNK_ROWS, NORM_FLOOR, EmbeddingTable, LookupImageTower, MlpImageTower, ModelParams, RowGradient
-from imglex.textproc import LangMode, is_language_code
+from imglex.textproc import LangMode, Vocabulary, is_language_code
 from imglex.training import Batch, batch_gradients, batch_loss
+
+
+def fnv1a64(data: bytes) -> int:
+    """FNV-1a 64-bit hash of ``data``, one byte at a time in Python ints."""
+    h = 0xCBF29CE484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+
+def lookup(vocab: Vocabulary, token: str) -> int:
+    """``Vocabulary.lookup`` token by token: the vocabulary id, or the bucket
+    ``vocab_size + fnv1a64(UTF-8 bytes) % num_buckets``."""
+    found = vocab.index.get(token)
+    return found if found is not None else vocab.vocab_size + fnv1a64(token.encode("utf-8")) % vocab.num_buckets
+
+
+def tokenize_regex(raw_query: str, lang: str | None, mode: LangMode) -> list[str]:
+    """``imglex.textproc.tokenize`` through the separator pattern alone: every
+    run of characters that are not Unicode letters or digits (underscore
+    included) becomes one space in the lowercased text, which is then split."""
+    if mode is LangMode.AWARE and not is_language_code(lang):
+        raise ValueError(f"aware mode requires a non-empty lowercase language code, got {lang!r}")
+    surfaces = re.sub(r"[\W_]+", " ", raw_query.lower()).split()
+    return [f"{lang}:{surface}" for surface in surfaces] if mode is LangMode.AWARE else surfaces
 
 
 def pack_examples(examples: Sequence[tuple]) -> Batch:

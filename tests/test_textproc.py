@@ -2,10 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imglex.errors import DataError
-from imglex.textproc import LangMode, Vocabulary, build_vocab, fnv1a64, mode_of_tokens, tokenize
+from imglex.model import MAX_EMBEDDING_ROWS
+from imglex.textproc import LangMode, Vocabulary, build_vocab, fnv1a64_many, mode_of_tokens, tokenize
+from oracles import fnv1a64, tokenize_regex
 
 # Published FNV-1a 64 reference vectors.
 FNV_VECTORS = {
@@ -47,6 +52,63 @@ def test_tokenize_aware_requires_lowercase_lang():
         tokenize("pain", None, LangMode.AWARE)
     # Unaware mode ignores the language entirely.
     assert tokenize("pain", None, LangMode.UNAWARE) == ["pain"]
+
+
+# Characters for every branch of tokenize's whitespace-split path: ASCII
+# letters and digits, underscore and punctuation; whitespace str.split()
+# splits on (\x1c-\x1f, NEL, no-break and ideographic space); characters
+# whose lowercase changes the text around them (combining acute, dotted
+# capital I, final sigma, sharp s); other letters and digits (superscript
+# two, Arabic-Indic digits, CJK); an emoji and NUL.
+TOKENIZER_CHARS = list(
+    "aZ09_-.,!'?"
+    "\x1c\x1d\x1e\x1f\x85\xa0 \u3000\t\n"
+    "\u0301İΣß"
+    "²٠٣٩中文"
+    "\U0001f600\x00"
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    raw_query=st.text(st.sampled_from(TOKENIZER_CHARS), max_size=12),
+    lang=st.sampled_from(["en", "l0", "pt-br"]),
+    mode=st.sampled_from(list(LangMode)),
+)
+@example(raw_query="", lang="en", mode=LangMode.AWARE)
+@example(raw_query="_-. \x85\x00", lang="en", mode=LangMode.AWARE)
+@example(raw_query="ΟΔΟΣ Σ aΣ", lang="el", mode=LangMode.UNAWARE)
+@example(raw_query="İstanbul Straße", lang="tr", mode=LangMode.AWARE)
+def test_tokenize_equals_the_separator_pattern(raw_query, lang, mode):
+    assert tokenize(raw_query, lang, mode) == tokenize_regex(raw_query, lang, mode)
+
+
+# One character of each UTF-8 length, 1 to 4 bytes.
+UTF8_WIDTHS = ["a", "é", "€", "\U0001f600"]
+HASH_TOKENS = st.one_of(
+    st.just(""),
+    st.text(st.sampled_from(UTF8_WIDTHS) | st.characters(codec="utf-8"), max_size=12),
+    st.builds(lambda char, n: char * n, st.sampled_from(UTF8_WIDTHS), st.integers(1, 1250)),  # 1 to 5,000 bytes
+    st.integers(1, 5000).map("x".__mul__),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=st.lists(HASH_TOKENS, max_size=40), repeats=st.integers(0, 40))
+@example(tokens=[], repeats=0)
+@example(tokens=["", "a", "", "x" * 5000, "😀" * 1250], repeats=3)
+def test_fnv1a64_many_equals_the_byte_loop(tokens, repeats):
+    tokens += tokens[:repeats]
+    encoded = [token.encode("utf-8") for token in tokens]
+    hashes = fnv1a64_many(b"".join(encoded), [len(e) for e in encoded])
+    assert hashes.dtype == np.uint64
+    assert hashes.tolist() == [fnv1a64(e) for e in encoded]
+
+
+def test_fnv1a64_many_rejects_lengths_that_do_not_cover_the_data():
+    for lengths in ([2], [4], [-1, 4]):
+        with pytest.raises(ValueError, match="sum to the 3 bytes"):
+            fnv1a64_many(b"abc", lengths)
 
 
 @pytest.mark.parametrize(
@@ -111,6 +173,20 @@ def test_lookup_oov_goes_to_bucket_region():
 def test_fnv1a64_published_vectors():
     for data, expected in FNV_VECTORS.items():
         assert fnv1a64(data) == expected
+
+
+def test_fnv1a64_many_published_vectors():
+    data = list(FNV_VECTORS)
+    assert fnv1a64_many(b"".join(data), map(len, data)).tolist() == list(FNV_VECTORS.values())
+    for one, expected in FNV_VECTORS.items():
+        assert fnv1a64_many(one, [len(one)]).tolist() == [expected]
+
+
+@pytest.mark.parametrize("num_buckets", [1, 7, 200_000, 10**11, MAX_EMBEDDING_ROWS - 3])
+def test_lookup_oov_bucket_is_the_oracle_hash(num_buckets):
+    vocab = Vocabulary(("en:a", "en:b", "en:c"), num_buckets, LangMode.AWARE)
+    for token in ["", "en:zzzunseen", "de:straße", "zh:中文", "x" * 300]:
+        assert vocab.lookup(token) == 3 + fnv1a64(token.encode("utf-8")) % num_buckets
 
 
 def test_lookup_oov_uses_fnv1a64():
