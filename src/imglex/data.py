@@ -41,8 +41,8 @@ import numpy as np
 
 from imglex.errors import ConfigError, DataError
 from imglex.fileio import file_digest, parse_number, read_npz, read_rows, read_vectors, vector_row, write_lines, write_npz
-from imglex.model import MAX_EMBEDDING_ROWS, TOWER_KINDS
-from imglex.textproc import LangMode, Vocabulary, build_vocab, fnv1a64_many, is_language_code, tokenize
+from imglex.model import TOWER_KINDS
+from imglex.textproc import LangMode, Vocabulary, build_vocab, is_language_code, tokenize
 from imglex.training import Batch
 
 
@@ -166,7 +166,7 @@ def _read_feature_cache(path: str | Path, cache: Path) -> tuple[list[str], np.nd
             return None
         text = raw_ids.tobytes().decode("utf-8")
     # A cache is only a shortcut: whatever a damaged one raises (read_npz's DataError, KeyError,
-    # AttributeError for a member that is no .npy file, UnicodeDecodeError, ...), the parse decides.
+    # UnicodeDecodeError, ...), the parse decides.
     except Exception:
         return None
     ids = text.split("\n") if len(matrix) or text else []
@@ -368,20 +368,18 @@ def prepare_corpus(
     ``build_vocab`` and ``prepare_examples`` make them, tokenizing each query
     once.
 
-    Raises, in this order: ConfigError when the vocabulary plus
-    ``num_buckets`` exceeds MAX_EMBEDDING_ROWS embedding rows; DataError
-    when no token reaches ``min_count``; prepare_examples' DataError for an
-    image without a feature vector; DataError when fewer than 2 triples are
-    kept, as the in-batch softmax needs 2.
+    Raises, in this order: ConfigError "--buckets N: <the Vocabulary's
+    OverflowError>" past MAX_EMBEDDING_ROWS ids; DataError when no token
+    reaches ``min_count``; prepare_examples' DataError for an image without
+    a feature vector; DataError when fewer than 2 triples are kept, as the
+    in-batch softmax needs 2.
     """
     table = _tower_features(tower, features)
     queries = [tokenize(t.query, t.lang, mode) for t in triples]
-    vocab = build_vocab(chain.from_iterable(queries), min_count=min_count, num_buckets=num_buckets, mode=mode)
-    if vocab.total_ids > MAX_EMBEDDING_ROWS:
-        raise ConfigError(
-            f"--buckets {vocab.num_buckets}: {vocab.vocab_size} vocabulary tokens + {vocab.num_buckets} buckets "
-            f"exceed the int64 limit of 2**63 - 1 embedding rows"
-        )
+    try:
+        vocab = build_vocab(chain.from_iterable(queries), min_count=min_count, num_buckets=num_buckets, mode=mode)
+    except OverflowError as exc:
+        raise ConfigError(f"--buckets {num_buckets}: {exc}") from None
     if vocab.vocab_size == 0:
         distinct = len(set(chain.from_iterable(queries)))
         raise DataError(f"empty vocabulary: none of the {distinct} distinct tokens reaches --min-count {min_count}")
@@ -414,7 +412,7 @@ def _pack(
     A token's id is ``vocab.lookup(token)``. In-vocabulary tokens are mapped
     as they are packed; each OOV occurrence is packed as -1 with its UTF-8
     bytes appended to one buffer, and the markers are filled in order from
-    one ``fnv1a64_many`` call over that buffer."""
+    one ``vocab.bucket_ids`` call over that buffer."""
     image_index = {} if table is None else table.index
     vocab_id = vocab.index.get
     token_ids: list[int] = []
@@ -446,21 +444,11 @@ def _pack(
         counts.append(len(tokens))
         image_rows.append(row)
         weights.append(t.weight)
-    if oov_lengths:
-        token_ids = _fill_buckets(token_ids, vocab, fnv1a64_many(oov_bytes, oov_lengths))
+    buckets = vocab.bucket_ids(oov_bytes, oov_lengths)
+    token_ids = np.array(token_ids, dtype=np.int64)  # rebound: the list is freed before packing
+    token_ids[token_ids < 0] = buckets
     examples = Batch.pack(token_ids, counts, image_rows, weights, None if table is None else table.matrix)
     if table is None:
         return PreparedCorpus(examples=examples, dropped=dropped, num_images=len(image_index))
     return PreparedCorpus(examples=examples, dropped=dropped, feature_dim=table.matrix.shape[1] if counts else None)
 
-
-def _fill_buckets(token_ids: list[int], vocab: Vocabulary, hashes: np.ndarray) -> np.ndarray | list[int]:
-    """``token_ids`` with its k-th -1 marker replaced by the bucket id of
-    ``hashes[k]``: ``vocab_size + hashes[k] % num_buckets``."""
-    if vocab.total_ids - 1 > MAX_EMBEDDING_ROWS:
-        # Some bucket ids may not fit int64: Python ints, so Batch.pack rejects those as any id past int64.
-        buckets = iter(hashes.tolist())
-        return [i if i >= 0 else vocab.vocab_size + next(buckets) % vocab.num_buckets for i in token_ids]
-    ids = np.array(token_ids, dtype=np.int64)
-    ids[ids < 0] = (hashes % np.uint64(vocab.num_buckets)).astype(np.int64) + np.int64(vocab.vocab_size)
-    return ids

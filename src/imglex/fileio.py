@@ -221,13 +221,13 @@ def write_npz(path: str | Path, entries: Mapping[str, np.ndarray]) -> None:
                 member.write(array.reshape(-1).view(np.uint8))
 
 
-def read_npz(path: str | Path, what: str) -> dict[str, np.ndarray | bytes]:
-    """Every member of the ``.npz`` archive at ``path``, read now, by name
-    without ``.npy``: an array, or the bytes of a member that is no .npy file.
-    A file that cannot be opened or is no archive, and a member that cannot
-    be read (a CRC or decompression error, short data, an object array, a
-    shape that cannot be allocated) raise DataError naming ``path``, ``what``
-    it is and the member."""
+def read_npz(path: str | Path, what: str) -> dict[str, np.ndarray]:
+    """Every member of the ``.npz`` archive at ``path``, read now, as an
+    array by name without ``.npy``. A file that cannot be opened or is no
+    archive, a member that is no .npy file, and a member that cannot be read
+    (a CRC or decompression error, short data, an object array, a shape that
+    cannot be allocated) raise DataError naming ``path``, ``what`` it is and
+    the member."""
     try:
         fh = open(path, "rb")  # opened here: np.load leaks the handle of a bad zip
     except OSError as exc:
@@ -247,4 +247,6 @@ def read_npz(path: str | Path, what: str) -> dict[str, np.ndarray | bytes]:
                 # Each a defect of the file: BadZipFile, zlib.error, EOFError, ValueError, MemoryError, OSError, RuntimeError, ...
                 except Exception as exc:
                     raise DataError(f"{path}: {what} entry {name!r} cannot be read: {str(exc) or type(exc).__name__}") from None
+                if not isinstance(entries[name], np.ndarray):  # np.load returns the bytes of a member that is no .npy file
+                    raise DataError(f"{path}: {what} entry {name!r} is not an .npy array")
     return entries

@@ -26,7 +26,7 @@ import numpy as np
 
 from imglex.errors import DataError
 from imglex.fileio import read_rows, read_vectors, vector_row, write_lines
-from imglex.textproc import Vocabulary
+from imglex.textproc import MAX_EMBEDDING_ROWS, Vocabulary  # noqa: F401  (MAX_EMBEDDING_ROWS is re-exported)
 
 # The image tower kinds, by the name TrainConfig.tower and init_params take.
 TOWER_KINDS = ("mlp", "lookup")
@@ -38,9 +38,6 @@ NORM_FLOOR = 1e-12
 # Rows per chunk of the word2vec export, which reads the table this many
 # rows at a time.
 INIT_CHUNK_ROWS = 1024
-
-# Token ids and a checkpoint's table row count are int64.
-MAX_EMBEDDING_ROWS = 2**63 - 1
 
 
 class NonFiniteError(ValueError):

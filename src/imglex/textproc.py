@@ -5,7 +5,7 @@ Ids 0..vocab_size-1 are in-vocabulary tokens ordered by descending corpus
 frequency (lexicographic tie-break, so ids are reproducible across runs);
 ids vocab_size..vocab_size+num_buckets-1 are hash buckets shared by all
 out-of-vocabulary tokens, assigned with FNV-1a 64 so bucket assignment is
-stable across platforms.
+stable across platforms. ``Vocabulary`` owns this rule; each id fits an int64.
 
 ``tokenize`` has two paths with one result. A lowercased query whose
 whitespace-separated parts are all letters and digits (``str.isalnum``,
@@ -38,6 +38,9 @@ _SEPARATORS = re.compile(r"[\W_]+")
 
 _FNV64_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV64_PRIME = np.uint64(0x100000001B3)
+
+# Token ids and a checkpoint's table row count are int64.
+MAX_EMBEDDING_ROWS = 2**63 - 1
 
 
 class LangMode(enum.Enum):
@@ -110,7 +113,9 @@ def mode_of_tokens(tokens: Iterable[str]) -> LangMode:
 class Vocabulary:
     """Bidirectional token<->id map with a shared OOV hash-bucket region.
 
-    Immutable after construction; safe for concurrent reads.
+    A token's id is its index, or if OOV its bucket (``bucket_ids``). A
+    ``total_ids`` past MAX_EMBEDDING_ROWS is an OverflowError. Immutable
+    after construction; safe for concurrent reads.
     """
 
     tokens: tuple[str, ...]
@@ -121,6 +126,10 @@ class Vocabulary:
     def __post_init__(self):
         if self.num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
+        if self.total_ids > MAX_EMBEDDING_ROWS:
+            raise OverflowError(
+                f"{self.vocab_size} vocabulary tokens + {self.num_buckets} buckets exceed the int64 limit of 2**63 - 1 embedding rows"
+            )
         object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
@@ -134,13 +143,19 @@ class Vocabulary:
         """Number of embedding rows: in-vocabulary tokens plus hash buckets."""
         return len(self.tokens) + self.num_buckets
 
+    def bucket_ids(self, data: bytes | bytearray, lengths: Iterable[int]) -> np.ndarray:
+        """The int64 id of each OOV token, as UTF-8 laid end to end in ``data``
+        (see ``fnv1a64_many``): vocab_size + its FNV-1a 64 hash % num_buckets."""
+        buckets = fnv1a64_many(data, lengths) % np.uint64(self.num_buckets)
+        return buckets.astype(np.int64) + np.int64(self.vocab_size)
+
     def lookup(self, token: str) -> int:
         """Id of ``token``: its vocabulary id, or a hash bucket if OOV."""
         found = self.index.get(token)
         if found is not None:
             return found
         data = token.encode("utf-8")
-        return len(self.tokens) + int(fnv1a64_many(data, [len(data)])[0]) % self.num_buckets
+        return int(self.bucket_ids(data, [len(data)])[0])
 
     def save(self, path: str | Path) -> None:
         """Write "<vocab_size> <num_buckets> <mode>", then one token per line, to ``path``."""
@@ -148,7 +163,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        """Load a vocabulary saved by :meth:`save`."""
+        """Load a vocabulary saved by :meth:`save`; each defect, a header
+        past MAX_EMBEDDING_ROWS ids too, is a DataError naming its line."""
         rows = read_rows(path, "vocabulary", ncols=1)
         _, (header,) = next(rows, (1, [""]))
         try:
@@ -165,7 +181,10 @@ class Vocabulary:
             index[token] = len(index)
         if len(index) != vocab_size:
             raise DataError(f"{path}:1: header claims {vocab_size} tokens, found {len(index)}")
-        return cls(tokens=tuple(index), num_buckets=num_buckets, mode=mode)
+        try:
+            return cls(tokens=tuple(index), num_buckets=num_buckets, mode=mode)
+        except OverflowError as exc:
+            raise DataError(f"{path}:1: {exc}") from None
 
 
 def build_vocab(
@@ -178,12 +197,11 @@ def build_vocab(
 
     Kept tokens are ordered by descending frequency, ties broken
     lexicographically, so two builds over the same stream produce identical
-    ids. An empty stream yields a valid vocabulary with vocab_size 0.
+    ids. An empty stream yields a valid vocabulary with vocab_size 0. The
+    Vocabulary checks ``num_buckets`` (ValueError, OverflowError).
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    if num_buckets < 1:
-        raise ValueError("num_buckets must be >= 1")
     counts = Counter(token_stream)
     kept = sorted(
         (token for token, n in counts.items() if n >= min_count),

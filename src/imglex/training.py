@@ -491,13 +491,13 @@ def train(
     Returns the trained parameters (an embedding table of
     ``num_embedding_rows`` rows holding the corpus's distinct token ids), the
     optimizer and the per-epoch mean weighted loss. Memory follows the rows
-    held, not ``num_embedding_rows``. A token id outside
-    [0, num_embedding_rows) is a ValueError naming the smallest such id,
-    raised before any row is drawn, and arrays too large to allocate (a
-    huge emb_dim or hidden_dim) are a ConfigError. Raises TrainingDiverged,
-    naming the epoch and batch (both from 0), when a touched parameter, the
-    tower output, a gradient, an Adagrad accumulator or the batch loss goes
-    non-finite.
+    held, not ``num_embedding_rows``. Before any row is drawn, a
+    ``num_embedding_rows`` past MAX_EMBEDDING_ROWS and a token id outside
+    [0, num_embedding_rows) (the smallest is named) are ValueErrors; arrays
+    too large to allocate (a huge emb_dim or hidden_dim) are a ConfigError.
+    Raises TrainingDiverged, naming the epoch and batch (both from 0), when
+    a touched parameter, the tower output, a gradient, an Adagrad
+    accumulator or the batch loss goes non-finite.
     """
     config.validate()
     if corpus.size == 0:
@@ -508,6 +508,8 @@ def train(
     given = "lookup" if corpus.features is None else "mlp"
     if given != config.tower:
         raise ValueError(f"examples are for the {given} tower, config asks for {config.tower!r}")
+    if num_embedding_rows > MAX_EMBEDDING_ROWS:  # save_checkpoint stores the row count as an int64
+        raise ValueError(f"num_embedding_rows {num_embedding_rows} is past the int64 limit of 2**63 - 1 embedding rows")
     # The only embedding rows any step can read or give a gradient to.
     held = np.unique(corpus.token_ids)
     outside = held[(held < 0) | (held >= num_embedding_rows)]
@@ -672,16 +674,10 @@ class Checkpoint:
     epoch: int
 
 
-def _checkpoint_meta(path: str | Path, raw: np.ndarray | bytes) -> dict:
-    """The ``meta`` entry as a JSON object; anything else is a DataError.
-
-    ``raw`` is bytes when the archive member is not an ``.npy`` file. An
-    array goes through ``tobytes``: ``bytes()`` would read a 0-d integer
-    array as a length.
-    """
-    data = raw.tobytes() if isinstance(raw, np.ndarray) else raw
+def _checkpoint_meta(path: str | Path, raw: np.ndarray) -> dict:
+    """The ``meta`` entry as a JSON object; anything else is a DataError."""
     try:
-        meta = json.loads(data.decode("utf-8"))
+        meta = json.loads(raw.tobytes().decode("utf-8"))  # bytes() would read a 0-d integer array as a length
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise DataError(f"{path}: checkpoint 'meta' entry is not UTF-8 JSON: {exc}") from None
     if not isinstance(meta, dict):
@@ -762,19 +758,17 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     training had not changed) loads the same way. The tower is the stored
     one.
     A missing or unreadable file, a file that is not an ``.npz`` archive or
-    has a member imglex.fileio.read_npz cannot read, an archive without an
-    entry save_checkpoint writes, a ``meta`` entry that is not the JSON
-    object save_checkpoint writes (a string ``vocab_hash``, an integer
-    ``epoch`` >= 0 and a ``config`` that TrainConfig.validate accepts and
-    whose tower matches the arrays), another entry that is not an .npy
-    array or whose dtype or shape save_checkpoint would not write for that
-    config and a table row count past MAX_EMBEDDING_ROWS each raise DataError
-    naming the file and the entry or field. Other ``meta`` keys are ignored.
+    has a member imglex.fileio.read_npz cannot read as an .npy array, an
+    archive without an entry save_checkpoint writes, a ``meta`` entry that
+    is not the JSON object save_checkpoint writes (a string ``vocab_hash``,
+    an integer ``epoch`` >= 0 and a ``config`` that TrainConfig.validate
+    accepts and whose tower matches the arrays), another entry whose dtype
+    or shape save_checkpoint would not write for that config and a table
+    row count past MAX_EMBEDDING_ROWS each raise DataError naming the file
+    and the entry or field. Other ``meta`` keys are ignored.
     The optimizer's rate is ``config.learning_rate``.
     """
     arrays = read_npz(path, "checkpoint")
-    if not_npy := [name for name, value in arrays.items() if name != "meta" and isinstance(value, bytes)]:
-        raise DataError(f"{path}: checkpoint entry {not_npy[0]!r} is not an .npy array")
     tower_class = MlpImageTower if "V" in arrays else LookupImageTower
     try:
         raw_meta = arrays.pop("meta")

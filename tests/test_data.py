@@ -762,19 +762,6 @@ def test_packed_bucket_ids_are_the_oracle_hash(num_buckets):
     assert prepare_examples(triples, vocab, tower="lookup").examples.token_ids.tolist() == want
 
 
-def test_packed_bucket_ids_past_int64_fail_as_any_id_past_int64():
-    # 2**64 buckets: a bucket id vocab_size + hash reaches past int64 for hashes from 2**63 - 1 on.
-    vocab = Vocabulary(("en:a",), 2**64, LangMode.AWARE)
-    words = [f"w{n}" for n in range(20)]
-    fits = [w for w in words if lookup(vocab, f"en:{w}") <= MAX_EMBEDDING_ROWS]
-    past = [w for w in words if lookup(vocab, f"en:{w}") > MAX_EMBEDDING_ROWS]
-    assert fits and past
-    packed = prepare_examples([triple(1.0, "en", " ".join(["a", *fits]), "i0")] * 2, vocab, tower="lookup")
-    assert packed.examples.token_ids.tolist() == [lookup(vocab, f"en:{w}") for w in ["a", *fits]] * 2
-    with pytest.raises(OverflowError):
-        prepare_examples([triple(1.0, "en", f"a {fits[0]} {past[0]}", "i0")] * 2, vocab, tower="lookup")
-
-
 def test_prepare_examples_transient_memory_stays_flat():
     # Packing the 20,000 triples of a heavytail-200k-shaped corpus (80,074
     # tokens, 29% of them OOV) peaked at 3.25 MB traced when each OOV token

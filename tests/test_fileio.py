@@ -232,10 +232,15 @@ def test_read_npz_reads_what_write_npz_wrote(tmp_path):
     for name, array in NPZ_ENTRIES.items():
         assert (got[name].dtype, got[name].shape, got[name].tobytes()) == (array.dtype, array.shape, array.tobytes()), name
         assert got[name].flags.writeable and got[name].flags.c_contiguous, name
-    # A member that is not an .npy file comes back as its bytes.
-    with zipfile.ZipFile(path, "a") as archive:
-        archive.writestr("notes.txt", b"\x93 not npy")
-    assert read_npz(path, "test archive")["notes.txt"] == b"\x93 not npy"
+
+
+def written_then_appended(name, data):
+    def make(path):
+        write_npz(path, NPZ_ENTRIES)
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr(name, data)
+
+    return make
 
 
 def written_then_damaged(damage):
@@ -257,6 +262,10 @@ READ_NPZ_FAILURES = {
     "pickled member": (
         lambda path: np.savez(path, objects=np.array([{}], dtype=object)),
         "{path}: test archive entry 'objects' cannot be read: Object arrays cannot be loaded when allow_pickle=False",
+    ),
+    "member not npy": (
+        written_then_appended("notes.txt", b"\x93 not npy"),
+        "{path}: test archive entry 'notes.txt' is not an .npy array",
     ),
     **{
         case: (written_then_damaged(damage), "{path}: test archive entry 'matrix' cannot be read: ")

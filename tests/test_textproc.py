@@ -1,6 +1,7 @@
 """Tokenizer, vocabulary, and hashing tests."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -286,3 +287,36 @@ def test_load_names_line_and_token_of_duplicate(tmp_path):
     with pytest.raises(DataError) as caught:
         Vocabulary.load(path)
     assert str(caught.value) == f"{path}:3: duplicate token 'en:a'"
+
+
+def test_vocabulary_builds_and_loads_at_the_int64_row_limit(tmp_path):
+    vocab = Vocabulary(("en:a", "en:b"), MAX_EMBEDDING_ROWS - 2, LangMode.AWARE)
+    assert vocab.total_ids == MAX_EMBEDDING_ROWS
+    assert build_vocab(["en:a", "en:b"], min_count=1, num_buckets=MAX_EMBEDDING_ROWS - 2) == vocab
+    vocab.save(tmp_path / "vocab.txt")
+    assert Vocabulary.load(tmp_path / "vocab.txt") == vocab
+
+
+@pytest.mark.parametrize("total_ids", [2**63, 2**64], ids=["2**63", "2**64"])
+def test_vocabulary_past_the_int64_row_limit_cannot_be_built(total_ids):
+    # Every id a Vocabulary names, bucket ids included, must be an int64.
+    message = f"2 vocabulary tokens + {total_ids - 2} buckets exceed the int64 limit of 2**63 - 1 embedding rows"
+    with pytest.raises(OverflowError, match=rf"^{re.escape(message)}$"):
+        Vocabulary(("en:a", "en:b"), total_ids - 2, LangMode.AWARE)
+    with pytest.raises(OverflowError, match=rf"^{re.escape(message)}$"):
+        build_vocab(["en:a", "en:b"], min_count=1, num_buckets=total_ids - 2)
+
+
+@pytest.mark.parametrize(
+    "header, tokens",
+    [("0 18446744073709551616 aware", 0), ("0 9223372036854775808 aware", 0), ("2 9223372036854775806 unaware", 2)],
+)
+def test_load_of_a_header_past_the_int64_row_limit_is_one_line_data_error(tmp_path, header, tokens):
+    path = tmp_path / "vocab.txt"
+    path.write_text("\n".join([header, *["a", "b"][:tokens]]) + "\n", encoding="utf-8")
+    size, buckets, _ = header.split()
+    with pytest.raises(DataError) as caught:
+        Vocabulary.load(path)
+    assert str(caught.value) == (
+        f"{path}:1: {size} vocabulary tokens + {buckets} buckets exceed the int64 limit of 2**63 - 1 embedding rows"
+    )

@@ -1086,13 +1086,13 @@ def test_load_checkpoint_of_a_huge_table_draws_the_rows_not_stored(tmp_path, num
 
 
 def test_load_checkpoint_meta_member_not_npy_is_data_error(tmp_path):
-    # np.load hands back the raw bytes of a member that is not an .npy file.
+    # np.load hands back the raw bytes of a member that is not an .npy file; read_npz rejects it.
     path, entries = saved_checkpoint_entries(tmp_path)
     with zipfile.ZipFile(path, "w") as archive:
         for name, array in without(entries, "meta").items():
             archive.writestr(f"{name}.npy", npy_bytes(array))
         archive.writestr("meta.npy", b"\x93garbage\xff")
-    with pytest.raises(DataError, match=r"ckpt\.npz: checkpoint 'meta' entry is not UTF-8 JSON"):
+    with pytest.raises(DataError, match=r"ckpt\.npz: checkpoint entry 'meta' is not an .npy array"):
         load_checkpoint(path)
 
 
@@ -1209,6 +1209,20 @@ def test_train_rejects_token_ids_outside_the_table_before_drawing_it(monkeypatch
     examples[5] = ([-2], 1, 1.0)
     with pytest.raises(ValueError, match=r"token id -2 is outside"):
         train(pack_examples(examples), config, num_embedding_rows=5, num_images=2)
+
+
+@pytest.mark.parametrize("num_rows", [2**63, 2**64], ids=["2**63", "2**64"])
+def test_train_rejects_a_table_past_the_int64_row_limit_before_drawing_it(monkeypatch, num_rows):
+    # save_checkpoint stores the row count as an int64: such a run could never be saved.
+    def no_init(*args, **kwargs):
+        raise AssertionError("init_params ran")
+
+    monkeypatch.setattr("imglex.training.init_params", no_init)
+    examples = make_toy_examples(np.random.default_rng(43), 8, 5, 2)
+    config = TrainConfig(tower="lookup", emb_dim=4, batch_size=4)
+    with pytest.raises(ValueError) as caught:
+        train(pack_examples(examples), config, num_embedding_rows=num_rows, num_images=2)
+    assert str(caught.value) == f"num_embedding_rows {num_rows} is past the int64 limit of 2**63 - 1 embedding rows"
 
 
 @pytest.mark.parametrize("num_rows", [10**11, 10**17])  # tables of 80 TB and of a byte count past int64
