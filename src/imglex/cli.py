@@ -186,7 +186,7 @@ def cmd_train(args) -> int:
         num_buckets=settings["buckets"],
         triples_path=args.triples,
     )
-    result = train(prepared.examples, config, num_embedding_rows=vocab.total_ids, num_images=prepared.num_images)
+    result = train(prepared.examples, config, num_embedding_rows=vocab.total_ids)
 
     out = Path(args.out_dir)
     vocab.save(out / "vocab.txt")

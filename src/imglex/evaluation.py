@@ -1,10 +1,12 @@
 """Evaluation harness: word-pair similarity, document classification, reports.
 
 Word-pair tasks are scored by the Spearman correlation between human ratings
-and cosine similarities of the learned embeddings. Out-of-vocabulary words
-are treated as uncovered (hash buckets are never consulted here, since a
-bucket row aliases unrelated words), and every result carries a coverage:
-the fraction of the task the embeddings could score.
+and cosine similarities of the learned embeddings. For similarity and
+retrieval alike, word_vector leaves a word uncovered when it has no single
+token, the export lacks that token (hash buckets are never consulted here, as
+a bucket row aliases unrelated words) or the token's vector has an L2 norm
+below NORM_FLOOR. Every result carries a coverage: the fraction of the task
+the embeddings could score.
 
 Task words may be language-tagged ("en:dog") or bare ("dog"); bare words are
 only meaningful in language-unaware embeddings, and never in a lexicon, whose
@@ -33,7 +35,7 @@ import numpy as np
 
 from imglex.errors import DataError, EvalError
 from imglex.fileio import parse_number, read_rows
-from imglex.model import cosine
+from imglex.model import NORM_FLOOR
 from imglex.textproc import LangMode, is_language_code, tokenize
 
 Vectors = Mapping[str, np.ndarray]
@@ -113,22 +115,29 @@ def task_token(word: str, mode: LangMode) -> str | None:
     return tokens[0] if len(tokens) == 1 else None
 
 
+def word_vector(vectors: Vectors, word: str, mode: LangMode) -> tuple[np.ndarray, float] | None:
+    """The export vector of a task word and its L2 norm, or None when the
+    word is uncovered: task_token gives no single token, the export lacks
+    that token, or the norm is below NORM_FLOOR."""
+    token = task_token(word, mode)
+    vec = None if token is None else vectors.get(token)
+    norm = 0.0 if vec is None else np.linalg.norm(vec)
+    return None if norm < NORM_FLOOR else (vec, norm)
+
+
 def eval_similarity(vectors: Vectors, task: SimTask, mode: LangMode = LangMode.AWARE) -> ScoredResult:
-    """Spearman between model cosines and human ratings over covered pairs."""
+    """Spearman between model cosines and human ratings over covered pairs (see word_vector)."""
     if not task.pairs:
         raise EvalError("no pairs")
     model_scores: list[float] = []
     human_scores: list[float] = []
     for word1, word2, human in task.pairs:
-        t1 = task_token(word1, mode)
-        t2 = task_token(word2, mode)
-        if t1 is None or t2 is None:
+        first = word_vector(vectors, word1, mode)
+        second = word_vector(vectors, word2, mode)
+        if first is None or second is None:
             continue
-        v1 = vectors.get(t1)
-        v2 = vectors.get(t2)
-        if v1 is None or v2 is None:
-            continue
-        model_scores.append(cosine(v1, v2))
+        (v1, n1), (v2, n2) = first, second
+        model_scores.append(float(v1 @ v2 / (n1 * n2)))
         human_scores.append(human)
     if len(model_scores) < 2:
         raise EvalError("fewer than 2 covered pairs")
@@ -310,9 +319,9 @@ def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: Lang
 
     Every lexicon word carries a valid language tag, in either mode (a bare
     word or an invalid tag such as ``EN:`` raises EvalError), and its
-    concept. precision@1: for each covered word, the nearest covered word of
-    another language (by cosine) must share its concept; a tie goes to the
-    word listed first.
+    concept; word_vector decides which words are covered. precision@1: for
+    each covered word, the nearest covered word of another language (by
+    cosine) must share its concept; a tie goes to the word listed first.
 
     The n x n cosine matrix is walked in blocks of RETRIEVAL_BLOCK_ROWS rows
     and never held whole, so the extra memory is O(block * n + n * d). Each
@@ -338,15 +347,10 @@ def lexicon_retrieval(vectors: Vectors, pairs: Sequence[LexiconPair], mode: Lang
     words = []
     rows = []
     for word, (lang, concept) in info.items():
-        token = task_token(word, mode)
-        if token is None:
+        found = word_vector(vectors, word, mode)
+        if found is None:
             continue
-        vec = vectors.get(token)
-        if vec is None:
-            continue
-        norm = np.linalg.norm(vec)
-        if norm <= 0:
-            continue
+        vec, norm = found
         words.append((word, lang, concept))
         rows.append(vec / norm)
     if len(words) < 2:

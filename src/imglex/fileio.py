@@ -84,13 +84,13 @@ def read_rows(
     hashed exactly the bytes the rows came from.
     """
     try:
-        if digest is None:
-            fh = open(path, encoding="utf-8")
-        else:
-            raw = _DigestingReader(open(path, "rb", buffering=0), digest)
-            fh = io.TextIOWrapper(io.BufferedReader(raw, DIGEST_CHUNK_BYTES), encoding="utf-8")
+        raw = open(path, "rb", buffering=0)
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    size = io.DEFAULT_BUFFER_SIZE
+    if digest is not None:  # hashed 1 MiB at a time, as file_digest hashes
+        raw, size = _DigestingReader(raw, digest), DIGEST_CHUNK_BYTES
+    fh = io.TextIOWrapper(io.BufferedReader(raw, size), encoding="utf-8")
     kind = "tab" if sep == "\t" else repr(sep)
     lineno = 0
     with fh:

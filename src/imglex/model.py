@@ -269,19 +269,6 @@ class ModelParams:
         return {"embeddings": self.embeddings.rows, **self.tower.arrays()}
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; 0 if either norm is below NORM_FLOOR."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < NORM_FLOOR or nb < NORM_FLOOR:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 def init_params(
     seed: int,
     *,

@@ -494,7 +494,7 @@ def train(
     held, not ``num_embedding_rows``. Before any row is drawn, a
     ``num_embedding_rows`` past MAX_EMBEDDING_ROWS and a token id outside
     [0, num_embedding_rows) (the smallest is named) are ValueErrors; arrays
-    too large to allocate (a huge emb_dim or hidden_dim) are a ConfigError.
+    too large to allocate (a huge emb_dim, hidden_dim or batch_size) are a ConfigError.
     Raises TrainingDiverged, naming the epoch and batch (both from 0), when
     a touched parameter, the tower output, a gradient, an Adagrad
     accumulator or the batch loss goes non-finite.
@@ -542,7 +542,13 @@ def train(
         starts.pop()
     bounds = list(zip(starts, starts[1:] + [n]))
     largest = max(end - start for start, end in bounds)
-    workspace = np.empty(largest * largest)  # the B x B buffer, reused by every step
+    try:
+        workspace = np.empty(largest * largest)  # the B x B buffer, reused by every step
+    except (MemoryError, ValueError):  # ValueError is numpy's "array is too big"
+        raise ConfigError(
+            f"batch_size {config.batch_size}: the {largest} x {largest} float64 buffer "
+            f"({8 * largest * largest} bytes) cannot be allocated"
+        ) from None
     shuffle_rng = np.random.default_rng([config.seed, 1])
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):

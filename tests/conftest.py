@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from imglex.data import SyntheticSpec, generate_synthetic, prepare_corpus
@@ -30,6 +31,23 @@ def naive_spearman(x, y):
     num = math.fsum((a - mx) * (b - my) for a, b in zip(rx, ry))
     den = math.sqrt(math.fsum((a - mx) ** 2 for a in rx) * math.fsum((b - my) ** 2 for b in ry))
     return num / den
+
+
+def fail_batch_buffer(monkeypatch, b, error):
+    """Make ``np.empty`` raise ``error`` for train()'s B x B buffer, the one
+    request for ``b * b`` float64s, and serve every other request."""
+    empty = np.empty
+
+    def fake_empty(shape, *args, **kwargs):
+        if shape == b * b and not args and not kwargs:
+            raise error
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", fake_empty)
+
+
+# numpy's two refusals: the allocation fails, or the byte count is past what an array can index.
+ALLOCATION_ERRORS = [MemoryError(), ValueError("array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum possible size.")]
 
 
 @pytest.fixture(scope="session")

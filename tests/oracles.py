@@ -98,6 +98,19 @@ def image_repr_lookup(tower: LookupImageTower, image_id: int) -> np.ndarray:
     return tower.vectors[image_id]
 
 
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity in [-1, 1]; 0 if either norm is below NORM_FLOOR."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < NORM_FLOOR or nb < NORM_FLOOR:
+        return 0.0
+    return float(a @ b / (na * nb))
+
+
 def lexicon_retrieval_loop(vectors: Vectors, pairs: Sequence[LexiconPair], mode: LangMode) -> RetrievalResult:
     """``imglex.evaluation.lexicon_retrieval`` as a plain O(n^2) double loop:
     the nearest crosslingual word is the first one with a strictly greater
@@ -124,7 +137,7 @@ def lexicon_retrieval_loop(vectors: Vectors, pairs: Sequence[LexiconPair], mode:
         if vec is None:
             continue
         norm = np.linalg.norm(vec)
-        if norm <= 0:
+        if norm < NORM_FLOOR:
             continue
         words.append((word, lang, concept))
         rows.append(vec / norm)

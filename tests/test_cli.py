@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import ALLOCATION_ERRORS, fail_batch_buffer
 from imglex.cli import PRESETS, TRAIN_DEFAULTS, build_parser, main
 from imglex.data import SyntheticSpec, gen_synthetic, load_triples
 from imglex.evaluation import lexicon_retrieval, load_lexicon
@@ -531,6 +532,40 @@ def test_eval_aggregate_adds_seventh_column(trained_embeddings, tmp_path, capsys
     assert run(argv) == 0
     header = capsys.readouterr().out.splitlines()[0].split()
     assert header == [f"sub{k}" for k in range(6)] + ["all"]
+
+
+def test_eval_leaves_a_word_without_a_direction_uncovered(tmp_path, capsys):
+    # en:zero is a zero row and de:tiny has norm 1e-13: similarity, the
+    # --aggregate pool and retrieval all leave both words uncovered.
+    vec = tmp_path / "embeddings.vec"
+    vec.write_text("6 2\nen:a 1.0 0.0\nde:b 0.8 0.6\nen:c 0.0 1.0\nde:d 0.6 0.8\nen:zero 0.0 0.0\nde:tiny 1e-13 0.0\n", encoding="utf-8")
+    files = {
+        "t1": "en:a\tde:b\t4\nen:a\tde:d\t1\nen:c\tde:d\t3\nen:zero\tde:b\t2\n",
+        "t2": "en:c\tde:b\t1\nen:a\tde:tiny\t5\nen:c\tde:d\t2\n",
+        "lexicon": "en:a\tde:b\t0\nen:c\tde:d\t1\nen:zero\tde:tiny\t2\n",
+    }
+    for name, content in files.items():
+        (tmp_path / f"{name}.tsv").write_text(content, encoding="utf-8")
+    argv = ["eval", "--embeddings", str(vec), "--aggregate", "--lexicon", str(tmp_path / "lexicon.tsv")]
+    assert run(argv + ["--similarity", str(tmp_path / "t1.tsv"), "--similarity", str(tmp_path / "t2.tsv")]) == 0
+    assert capsys.readouterr() == (
+        "            t1         t2          all\n"
+        "similarity  .87 [.75]  1.00 [.67]  .89 [.71]\n"
+        "lexicon: precision@1 1.0000, same-concept cosine 0.8000, different-concept cosine 0.6000 (4 words, 2 pairs)\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize("error", ALLOCATION_ERRORS, ids=["MemoryError", "ValueError"])
+def test_train_batch_buffer_it_cannot_allocate_is_one_config_error_line(tmp_path, monkeypatch, capsys, error):
+    triples = tmp_path / "triples.tsv"
+    triples.write_text("".join(f"1.0\ten\tw{k % 3} x\timg{k % 4}\n" for k in range(13)), encoding="utf-8")
+    fail_batch_buffer(monkeypatch, 13, error)
+    out = tmp_path / "run"
+    argv = ["train", "--tower", "lookup", "--min-count", "1", "--buckets", "10", "--batch-size", "13"]
+    assert run(argv + ["--triples", str(triples), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", "config error: batch_size 13: the 13 x 13 float64 buffer (1352 bytes) cannot be allocated\n")
+    assert not out.exists()
 
 
 def test_eval_missing_task_file(trained_embeddings, tmp_path, capsys):

@@ -222,6 +222,23 @@ def test_aggregate_tolerates_uncovered_subtask():
     assert pooled.n_total == 4
 
 
+# A zero row and a row of norm 1e-13, below NORM_FLOOR: neither has a direction.
+DIRECTIONLESS = {"en:zero": np.zeros(2), "de:tiny": np.array([1e-13, 0.0])}
+
+
+def test_a_word_without_a_direction_is_uncovered_in_similarity():
+    vectors = {"en:a": unit(1, 0), "de:b": unit(1, 0.5), "en:c": unit(0, 1), "de:d": unit(0.2, 1), **DIRECTIONLESS}
+    good = [("en:a", "de:b", 4.0), ("en:a", "de:d", 1.0), ("en:c", "de:d", 3.0)]
+    bad = [("en:zero", "de:b", 2.0), ("en:a", "de:tiny", 5.0), ("en:zero", "de:tiny", 6.0)]
+    result = eval_similarity(vectors, SimTask(name="t", pairs=good + bad), LangMode.AWARE)
+    assert (result.n_used, result.n_total, result.coverage) == (3, 6, 0.5)
+    assert result.score == eval_similarity(vectors, SimTask(name="t", pairs=good), LangMode.AWARE).score
+    # Pooled with a second task, as --aggregate pools them.
+    other = [("en:c", "de:b", 7.0), ("de:tiny", "de:b", 8.0)]
+    pooled = eval_similarity(vectors, SimTask(name="all", pairs=good + bad + other), LangMode.AWARE)
+    assert (pooled.n_used, pooled.n_total) == (4, 8)
+
+
 def test_doc_repr():
     vectors = {"en:a": np.array([1.0, 0.0]), "en:b": np.array([0.0, 1.0])}
     assert doc_repr(vectors, "en", "zzz yyy", LangMode.AWARE) is None
@@ -423,6 +440,15 @@ def test_lexicon_retrieval_ties_go_to_the_first_word():
     # en:mild: tie, de:warm first, hit. de:warm: en:hot is closer, miss.
     # en:hot: tie, de:warm first, miss. de:heiss: en:hot is closer, hit.
     assert result.precision_at_1 == 0.5
+
+
+def test_a_word_without_a_direction_is_uncovered_in_retrieval():
+    vectors = {"en:a": unit(1, 0), "de:b": unit(1, 0.1), "en:c": unit(0, 1), "de:d": unit(0.1, 1), **DIRECTIONLESS}
+    pairs = [LexiconPair("en:a", "de:b", "0"), LexiconPair("en:c", "de:d", "1"), LexiconPair("en:zero", "de:tiny", "2")]
+    result = lexicon_retrieval(vectors, pairs, LangMode.AWARE)
+    assert result == lexicon_retrieval_loop(vectors, pairs, LangMode.AWARE)
+    assert (result.n_words, result.n_pairs, result.precision_at_1) == (4, 2, 1.0)
+    assert result == lexicon_retrieval(vectors, pairs[:2], LangMode.AWARE)
 
 
 def test_lexicon_retrieval_matches_loop_oracle():

@@ -1,4 +1,4 @@
-"""Tower forward passes, cosine, initialization, and the word2vec export."""
+"""Tower forward passes, the cosine oracle, initialization, and the word2vec export."""
 
 import math
 import tracemalloc
@@ -16,14 +16,13 @@ from imglex.model import (
     TOWER_KINDS,
     LookupImageTower,
     MlpImageTower,
-    cosine,
     init_params,
     initial_rows,
     load_word2vec,
     save_word2vec,
 )
 from imglex.textproc import LangMode, Vocabulary, build_vocab
-from oracles import full_table, held_row_sets, image_repr_lookup, image_repr_mlp, load_word2vec_per_value, query_repr
+from oracles import cosine, full_table, held_row_sets, image_repr_lookup, image_repr_mlp, load_word2vec_per_value, query_repr
 from single_read import PIPE_KINDS, counted_reads, load_piped
 
 

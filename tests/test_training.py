@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ALLOCATION_ERRORS, fail_batch_buffer
 from damaged_npz import DAMAGED_MEMBERS, npy_bytes, rewrite_member
 from imglex.data import FeatureTable, SyntheticSpec, TripleRecord, filter_multilingual, generate_synthetic, prepare_examples
 from imglex.errors import ConfigError, DataError, TrainingDiverged
@@ -23,7 +24,6 @@ from imglex.model import (
     MlpImageTower,
     ModelParams,
     NonFiniteError,
-    cosine,
     init_params,
     initial_rows,
 )
@@ -46,7 +46,7 @@ from imglex.training import (
     _loss_and_gradients,
     train,
 )
-from oracles import directional_check, full_table, held_row_sets, image_repr_mlp, numeric_gradients, pack_examples, query_repr
+from oracles import cosine, directional_check, full_table, held_row_sets, image_repr_mlp, numeric_gradients, pack_examples, query_repr
 
 LOG4 = 1.3862943611198906
 LOG_1P_EXP_M1 = 0.31326168751822286  # log(1 + e^-1)
@@ -1223,6 +1223,16 @@ def test_train_rejects_a_table_past_the_int64_row_limit_before_drawing_it(monkey
     with pytest.raises(ValueError) as caught:
         train(pack_examples(examples), config, num_embedding_rows=num_rows, num_images=2)
     assert str(caught.value) == f"num_embedding_rows {num_rows} is past the int64 limit of 2**63 - 1 embedding rows"
+
+
+@pytest.mark.parametrize("error", ALLOCATION_ERRORS, ids=["MemoryError", "ValueError"])
+def test_train_turns_a_batch_buffer_it_cannot_allocate_into_a_config_error(monkeypatch, error):
+    fail_batch_buffer(monkeypatch, 13, error)
+    examples = make_toy_examples(np.random.default_rng(45), 13, 5, 2)
+    config = TrainConfig(tower="lookup", emb_dim=4, batch_size=13)
+    with pytest.raises(ConfigError) as caught:
+        train(pack_examples(examples), config, num_embedding_rows=5, num_images=2)
+    assert str(caught.value) == "batch_size 13: the 13 x 13 float64 buffer (1352 bytes) cannot be allocated"
 
 
 @pytest.mark.parametrize("num_rows", [10**11, 10**17])  # tables of 80 TB and of a byte count past int64
