@@ -215,6 +215,16 @@ def cmd_eval(args) -> int:
         raise UsageError("--out-dir writes the similarity/classification report: pass --similarity or --classify-train/--classify-test")
     if args.aggregate and not args.similarity:
         raise UsageError("--aggregate pools the similarity tasks: pass --similarity")
+    if not (args.similarity or args.classify_train or args.lexicon):
+        raise UsageError("nothing to evaluate: pass --similarity, --classify-train/--classify-test and/or --lexicon")
+    columns = [(Path(path).stem, path) for path in args.similarity]  # load_sim_task names a task by its file stem
+    if args.aggregate:
+        columns.append(("all", "--aggregate"))
+    sources: dict[str, str] = {}  # similarity column -> the flag value that reports it
+    for column, source in columns:
+        if column in sources:
+            raise UsageError(f"similarity column {column!r} comes from both {sources[column]} and {source}")
+        sources[column] = source
     vectors = load_word2vec(args.embeddings)
     mode = mode_of_tokens(vectors)
     errored = False
@@ -255,17 +265,15 @@ def cmd_eval(args) -> int:
             )
 
     if rows:
-        report = emit_report(rows)
-        print(report.text, end="")
+        text_lines, csv_lines = emit_report(rows)
+        print("\n".join(text_lines))
         if args.out_dir:
             out = Path(args.out_dir)
-            for name, text in (("report.txt", report.text), ("report.csv", report.csv)):
-                write_lines(out / name, text.split("\n")[:-1])  # each text ends in "\n"
+            write_lines(out / "report.txt", text_lines)
+            write_lines(out / "report.csv", csv_lines)
             print(f"wrote {out / 'report.txt'} and {out / 'report.csv'}")
     if lexicon_line:
         print(lexicon_line)
-    if not rows and not lexicon_line and not errored:
-        raise UsageError("nothing to evaluate: pass --similarity, --classify-train/--classify-test and/or --lexicon")
     return 3 if errored else 0
 
 

@@ -16,6 +16,11 @@ tasks is eval_similarity on one task holding all their pairs in task order.
 An EvalError's message never names the task it comes from: the caller adds
 that name once.
 
+Classification reads every document, train or test, through one helper that
+gives its token count and in-vocabulary rows. emit_report renders a report
+once, as the lines of the aligned text table and of the CSV, whose records
+the stdlib csv writer writes.
+
 Lexicon retrieval (translation precision@1 and the same- versus
 different-concept cosine means) compares every covered lexicon word with
 every other. It walks the cosine matrix in blocks of RETRIEVAL_BLOCK_ROWS
@@ -26,9 +31,11 @@ matrix alone would take 288 MB.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -149,12 +156,18 @@ def eval_similarity(vectors: Vectors, task: SimTask, mode: LangMode = LangMode.A
     )
 
 
+def _doc_rows(vectors: Vectors, lang: str | None, text: str, mode: LangMode) -> tuple[int, list[np.ndarray]]:
+    """The document's token count and the export rows of its in-vocabulary tokens."""
+    tokens = tokenize(text, lang, mode)
+    return len(tokens), [vectors[tok] for tok in tokens if tok in vectors]
+
+
 def doc_repr(vectors: Vectors, lang: str | None, text: str, mode: LangMode) -> np.ndarray | None:
     """Average embedding of the document's in-vocabulary tokens.
 
     Returns None when no token is covered.
     """
-    rows = [vectors[tok] for tok in tokenize(text, lang, mode) if tok in vectors]
+    _, rows = _doc_rows(vectors, lang, text, mode)
     if not rows:
         return None
     return np.mean(rows, axis=0)
@@ -239,9 +252,8 @@ def eval_classification(vectors: Vectors, task: ClassTask, mode: LangMode = Lang
     tokens_total = 0
     tokens_in_vocab = 0
     for label, lang, text in task.test_docs:
-        tokens = tokenize(text, lang, mode)
-        rows = [vectors[tok] for tok in tokens if tok in vectors]  # as in doc_repr
-        tokens_total += len(tokens)
+        num_tokens, rows = _doc_rows(vectors, lang, text, mode)
+        tokens_total += num_tokens
         tokens_in_vocab += len(rows)
         if not rows:
             continue
@@ -419,14 +431,9 @@ def format_cell(result: ScoredResult) -> str:
     return f"{format_score(result.score)} [{format_score(result.coverage)}]"
 
 
-@dataclass
-class ReportOutput:
-    text: str
-    csv: str
-
-
-def emit_report(rows: Sequence[ReportRow]) -> ReportOutput:
-    """Render rows as an aligned text table plus machine-readable CSV."""
+def emit_report(rows: Sequence[ReportRow]) -> tuple[list[str], list[str]]:
+    """Render rows as the lines, without terminators, of an aligned text table
+    and of a CSV with one record per cell (a name with a comma is quoted)."""
     columns: list[str] = []
     for row in rows:
         for name, _ in row.cells:
@@ -440,12 +447,12 @@ def emit_report(rows: Sequence[ReportRow]) -> ReportOutput:
     widths = [max(len(line[i]) for line in table) for i in range(len(header))]
     text_lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip() for line in table]
 
-    csv_lines = ["row,column,score,coverage,n_used,n_total,token_coverage"]
+    # writerow returns what the file's write returns: here the record's line.
+    writer = csv.writer(SimpleNamespace(write=lambda line: line.removesuffix("\n")), lineterminator="\n")
+    csv_lines = [writer.writerow(["row", "column", "score", "coverage", "n_used", "n_total", "token_coverage"])]
     for row in rows:
         for name, result in row.cells:
-            token_cov = "" if result.token_coverage is None else repr(result.token_coverage)
-            csv_lines.append(
-                f"{row.name},{name},{result.score!r},{result.coverage!r},"
-                f"{result.n_used},{result.n_total},{token_cov}"
-            )
-    return ReportOutput(text="\n".join(text_lines) + "\n", csv="\n".join(csv_lines) + "\n")
+            # The writer writes a float as str(), which is its repr, and None as an empty field.
+            fields = [row.name, name, result.score, result.coverage, result.n_used, result.n_total, result.token_coverage]
+            csv_lines.append(writer.writerow(fields))
+    return text_lines, csv_lines

@@ -1,6 +1,7 @@
 """End-to-end command-line tests (invoking main() in process)."""
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import os
@@ -675,6 +676,57 @@ def test_eval_nothing_to_evaluate_names_every_task_flag(trained_embeddings, caps
         assert flag in err
 
 
+def test_eval_nothing_to_evaluate_is_raised_before_the_export_is_read(tmp_path, capsys):
+    assert run(["eval", "--embeddings", str(tmp_path / "missing.vec")]) == 1
+    assert capsys.readouterr() == (
+        "", "error: nothing to evaluate: pass --similarity, --classify-train/--classify-test and/or --lexicon\n"
+    )
+
+
+def write_sim_inputs(tmp_path, *tasks):
+    """An export and one similarity task file at each relative path in
+    ``tasks``; returns the eval argv for them, without --out-dir."""
+    vec = tmp_path / "e.vec"
+    vec.write_text("4 2\nen:a 1 0\nen:b 0 1\nen:c 1 1\nde:b 1 0.5\n", encoding="utf-8")
+    argv = ["eval", "--embeddings", str(vec)]
+    for name in tasks:
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("en:a\ten:b\t1\nen:a\ten:c\t2\nen:b\tde:b\t3\n", encoding="utf-8")
+        argv += ["--similarity", str(path)]
+    return argv
+
+
+def test_eval_rejects_two_similarity_tasks_with_one_column(tmp_path, capsys):
+    argv = write_sim_inputs(tmp_path, "a/en.tsv", "b/en.tsv")
+    out = tmp_path / "o"
+    assert run(argv + ["--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: similarity column 'en' comes from both {tmp_path / 'a/en.tsv'} and {tmp_path / 'b/en.tsv'}\n"
+    )
+    assert not out.exists()
+
+
+def test_eval_rejects_a_similarity_task_named_like_the_aggregate(tmp_path, capsys):
+    argv = write_sim_inputs(tmp_path, "a/en.tsv", "b/all.tsv")
+    out = tmp_path / "o"
+    assert run(argv + ["--aggregate", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: similarity column 'all' comes from both {tmp_path / 'b/all.tsv'} and --aggregate\n")
+    assert not out.exists()
+
+
+def test_eval_report_csv_quotes_a_task_name_with_a_comma(tmp_path, capsys):
+    argv = write_sim_inputs(tmp_path, "x,y.tsv")
+    out = tmp_path / "o"
+    assert run(argv + ["--aggregate", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["x,y", "all"]
+    with open(out / "report.csv", newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    assert [len(record) for record in records] == [7, 7, 7]
+    assert [record[:2] for record in records] == [["row", "column"], ["similarity", "x,y"], ["similarity", "all"]]
+    assert (out / "report.csv").read_text(encoding="utf-8").splitlines()[1].startswith('similarity,"x,y",')
+
+
 def test_eval_classification_cli(trained_embeddings, tmp_path):
     vectors = load_word2vec(trained_embeddings)
     tokens = sorted(vectors)
@@ -795,6 +847,17 @@ TRAIN_MLP = ["train", "--features", "{feat}", "--min-count", "1", "--buckets", "
          "error: --out-dir writes the similarity/classification report: pass --similarity or --classify-train/--classify-test"),
         (EVAL + ["--aggregate", "--lexicon"], "en:a\tde:b\t0\nen:c\tde:b\t0\n", 1,
          "error: --aggregate pools the similarity tasks: pass --similarity"),
+        (TRAIN + ["--min-count", "0", "--triples"], "1.0\ten\ta b\timg1\n", 1, "config error: min-count and buckets must be >= 1"),
+        (TRAIN + ["--buckets", "0", "--triples"], "1.0\ten\ta b\timg1\n", 1, "config error: min-count and buckets must be >= 1"),
+        (TRAIN + ["--triples"], "1.0\ten\ta b\timg1\n1.0\ten\tc\t\n", 2, "data error: {path}:2: empty image id"),
+        (TRAIN + ["--emb-dim", "0", "--triples"], "1.0\ten\ta b\timg1\n", 1, "config error: emb_dim must be >= 1"),
+        (TRAIN + ["--epochs", "-1", "--triples"], "1.0\ten\ta b\timg1\n", 1, "config error: epochs must be >= 0"),
+        (TRAIN + ["--tower", "mlp", "--m", "0", "--triples"], "1.0\ten\ta b\timg1\n", 1,
+         "config error: mlp tower requires hidden_dim >= 1"),
+        (EVAL + ["--classify-train"], "x\ten\ta\n", 1, "error: --classify-train and --classify-test go together"),
+        # Only label x has a covered training document (zz is no token of the export).
+        (EVAL + ["--classify-test", "{path}", "--classify-train"], "x\ten\ta\ny\ten\tzz\n", 3,
+         "classification: fewer than 2 labels among covered training documents"),
     ],
     ids=[
         "triples-upper", "triples-empty", "buckets-too-many", "empty-vocabulary", "emb-dim-too-large", "accumulator-overflow",
@@ -803,6 +866,8 @@ TRAIN_MLP = ["train", "--features", "{feat}", "--min-count", "1", "--buckets", "
         "aggregate-uncovered", "classification-upper", "classification-empty", "classification-uncovered",
         "lexicon-upper", "lexicon-empty", "lexicon-two-concepts", "lexicon-bare-word", "lexicon-unaware-upper",
         "out-dir-without-report", "aggregate-without-similarity",
+        "min-count-zero", "buckets-zero", "triples-empty-image-id", "emb-dim-zero", "epochs-negative", "m-zero",
+        "classify-train-alone", "classification-one-label",
     ],
 )
 def test_bad_input_is_one_stderr_line_with_one_prefix(tmp_path, capsys, argv, content, code, err):
@@ -890,6 +955,16 @@ def test_gradcheck_cli(capsys):
 def test_usage_error_exit_code(capsys):
     assert run(["train", "--out-dir", "x"]) == 1  # missing --triples
     assert run(["eval", "--embeddings", "x.vec"]) in (1, 2)
+
+
+def test_an_output_under_a_regular_file_is_one_io_error_line(tmp_path, capsys):
+    triples = tmp_path / "t.tsv"
+    triples.write_text("1.0\ten\ta\timg1\n1.0\tde\tb\timg1\n", encoding="utf-8")
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    assert run(["filter", str(triples), str(blocker / "out.tsv")]) == 2
+    assert capsys.readouterr() == ("", f"i/o error: [Errno 17] File exists: '{blocker}'\n")
+    assert blocker.read_text(encoding="utf-8") == ""
 
 
 def test_unaware_training_shares_cognate_row(tmp_path):

@@ -358,12 +358,13 @@ def test_emit_report_text_and_csv():
             ],
         )
     ]
-    out = emit_report(rows)
-    assert ".82 [.81]" in out.text
-    assert "-.25 [.83]" in out.text
-    assert "en+de" in out.text.splitlines()[0]
-    assert out.csv.splitlines()[0] == "row,column,score,coverage,n_used,n_total,token_coverage"
-    assert "similarity,en+de,0.82,0.81,81,100," in out.csv
+    text_lines, csv_lines = emit_report(rows)
+    text, csv_text = "\n".join(text_lines), "\n".join(csv_lines)
+    assert ".82 [.81]" in text
+    assert "-.25 [.83]" in text
+    assert "en+de" in text_lines[0]
+    assert csv_lines[0] == "row,column,score,coverage,n_used,n_total,token_coverage"
+    assert "similarity,en+de,0.82,0.81,81,100," in csv_text
 
 
 def test_load_sim_task(tmp_path):
